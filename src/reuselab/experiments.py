@@ -139,7 +139,6 @@ class ExperimentConfig:
         names = [c.name for c in self.consumers]
         if len(set(names)) != len(names):
             raise InvalidArgumentError("consumer names must be unique")
-        needs_n = {RANDOM, UNCERTAINTY} & set(self.strategies)
         needs_c0 = {IWAL, IWAL_NO_WEIGHTS} & set(self.strategies)
         if needs_c0 and not self.c0_grid:
             raise InvalidArgumentError("IWAL strategies need a non-empty c0_grid")

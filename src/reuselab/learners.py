@@ -367,6 +367,12 @@ def fit_svm(
     matrix; a "pass" is n pairwise updates. Raises ConvergenceError (with
     the remaining duality gap) when the cap is hit before the KKT
     violation drops below ``tol``.
+
+    K is the only n x n array; Q = K * y y' is never formed. Because y is
+    +-1 and K is symmetric, the pair update of -y * grad is exactly
+    ``step * (K[i] - K[j])`` over two contiguous rows. Working-set
+    candidates live in two copies of -y * grad masked with -inf / +inf;
+    a step can change the mask of entries i and j only.
     """
     if cost <= 0:
         raise InvalidArgumentError("cost must be positive")
@@ -377,27 +383,26 @@ def fit_svm(
     n = len(y)
     box = cost * w
     k = kernel.matrix(x, x)
-    q = k * np.outer(y, y)
 
     alpha = np.zeros(n)
-    grad = -np.ones(n)  # gradient of 1/2 a'Qa - sum(a)
+    neg_yg = y.copy()  # -y * grad, with grad = Q alpha - 1 = -1 at alpha = 0
+    # at alpha = 0 an index can only move away from 0: up if y > 0, down if y < 0
+    has_room = alpha < box - 1e-12
+    up_vals = np.where((y > 0) & has_room, neg_yg, -np.inf)
+    low_vals = np.where((y < 0) & has_room, neg_yg, np.inf)
+    delta = np.empty(n)
     max_iter = max_passes * n
     iterations = 0
     while True:
-        neg_yg = -y * grad
-        up = np.where(y > 0, alpha < box - 1e-12, alpha > 1e-12)
-        low = np.where(y > 0, alpha > 1e-12, alpha < box - 1e-12)
-        if not up.any() or not low.any():
-            break
-        i = int(np.argmax(np.where(up, neg_yg, -np.inf)))
-        j = int(np.argmin(np.where(low, neg_yg, np.inf)))
-        violation = neg_yg[i] - neg_yg[j]
+        i = int(np.argmax(up_vals))
+        j = int(np.argmin(low_vals))
+        violation = up_vals[i] - low_vals[j]  # -inf when either side is empty
         if violation <= tol:
             break
         if iterations >= max_iter:
             raise ConvergenceError(
                 f"SMO did not reach tol={tol} within {max_passes} passes",
-                duality_gap=_duality_gap(alpha, grad, y, box),
+                duality_gap=_duality_gap(alpha, -y * neg_yg, y, box),
             )
         # curvature along the feasible pair direction: |phi(x_i) - phi(x_j)|^2
         curvature = k[i, i] + k[j, j] - 2.0 * k[i, j]
@@ -407,16 +412,21 @@ def fit_svm(
         step = min(step, room_i, room_j)
         alpha[i] += y[i] * step
         alpha[j] -= y[j] * step
-        grad += step * (y[i] * q[:, i] - y[j] * q[:, j])
+        np.subtract(k[i], k[j], out=delta)
+        delta *= step
+        neg_yg -= delta
+        up_vals -= delta
+        low_vals -= delta
+        for t in (i, j):
+            below, above = alpha[t] < box[t] - 1e-12, alpha[t] > 1e-12
+            up_vals[t] = neg_yg[t] if (below if y[t] > 0 else above) else -np.inf
+            low_vals[t] = neg_yg[t] if (above if y[t] > 0 else below) else np.inf
         iterations += 1
 
-    neg_yg = -y * grad
-    up = np.where(y > 0, alpha < box - 1e-12, alpha > 1e-12)
-    low = np.where(y > 0, alpha > 1e-12, alpha < box - 1e-12)
-    hi = np.max(np.where(up, neg_yg, -np.inf)) if up.any() else 0.0
-    lo = np.min(np.where(low, neg_yg, np.inf)) if low.any() else 0.0
-    bias = float((hi + lo) / 2.0)
-    objective = float(alpha.sum() - 0.5 * alpha @ (q @ alpha))
+    hi, lo = up_vals.max(), low_vals.min()
+    bias = float(((hi if np.isfinite(hi) else 0.0) + (lo if np.isfinite(lo) else 0.0)) / 2.0)
+    ay = alpha * y
+    objective = float(alpha.sum() - 0.5 * ay @ (k @ ay))
 
     support = alpha > 1e-12
     return SvmModel(

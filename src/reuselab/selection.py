@@ -143,10 +143,6 @@ class LinearHypothesisGrid:
         """Predictions (+-1) of every hypothesis for one example."""
         return np.where(self.w @ features - self.b >= 0.0, 1, -1)
 
-    def predict_matrix(self, x: np.ndarray) -> np.ndarray:
-        """(m, n) predictions of every hypothesis for every row of x."""
-        return np.where(self.w @ x.T - self.b[:, None] >= 0.0, 1, -1)
-
 
 def build_linear_grid(lo, hi, resolution: int) -> LinearHypothesisGrid:
     """Grid over (direction, offset) covering the box [lo, hi].

@@ -19,25 +19,13 @@ from reuselab.learners import (
 )
 from reuselab.standins import car_schema
 
-cvxopt = pytest.importorskip("cvxopt")
-cvxopt.solvers.options["show_progress"] = False
+from dual_oracle import svm_dual_optimum
 
 
 def qp_dual_oracle(x, y, w, kernel, cost):
-    """Reference soft-margin dual solved as a generic QP."""
-    n = len(y)
-    k = kernel.matrix(x, x)
-    q = np.outer(y, y) * k
-    sol = cvxopt.solvers.qp(
-        cvxopt.matrix(q + 1e-10 * np.eye(n)),
-        cvxopt.matrix(-np.ones(n)),
-        cvxopt.matrix(np.vstack([-np.eye(n), np.eye(n)])),
-        cvxopt.matrix(np.hstack([np.zeros(n), cost * w])),
-        cvxopt.matrix(y.astype(float), (1, n)),
-        cvxopt.matrix(0.0),
-    )
-    alpha = np.asarray(sol["x"]).ravel()
-    return float(alpha.sum() - 0.5 * alpha @ (q @ alpha))
+    """Reference soft-margin dual optimum by exact face enumeration."""
+    q = np.outer(y, y) * kernel.matrix(x, x)
+    return svm_dual_optimum(q, cost * w, y)
 
 
 def random_two_class(rng, n, d, weight_range=(1.0, 4.0)):
@@ -282,6 +270,111 @@ class TestSvm:
         with pytest.raises(ConvergenceError) as err:
             rl.fit_svm(samples, rl.rbf_kernel(), tol=1e-12, max_passes=0)
         assert err.value.duality_gap is not None
+
+
+def reference_smo(samples, kernel, cost=1.0, tol=1e-3, max_passes=10_000):
+    """The original SMO loop over columns of Q = K * y y', kept as a reference.
+
+    Returns (iterations, bias, dual_coef, support_x, dual_objective, alpha,
+    box), or raises ConvergenceError like ``fit_svm``.
+    """
+    x, y, w = rl.learners.as_arrays(samples)
+    n = len(y)
+    box = cost * w
+    k = kernel.matrix(x, x)
+    q = k * np.outer(y, y)
+    alpha = np.zeros(n)
+    grad = -np.ones(n)
+    iterations = 0
+    while True:
+        neg_yg = -y * grad
+        up = np.where(y > 0, alpha < box - 1e-12, alpha > 1e-12)
+        low = np.where(y > 0, alpha > 1e-12, alpha < box - 1e-12)
+        if not up.any() or not low.any():
+            break
+        i = int(np.argmax(np.where(up, neg_yg, -np.inf)))
+        j = int(np.argmin(np.where(low, neg_yg, np.inf)))
+        violation = neg_yg[i] - neg_yg[j]
+        if violation <= tol:
+            break
+        if iterations >= max_passes * n:
+            raise ConvergenceError(
+                "reference SMO hit its cap",
+                duality_gap=rl.learners._duality_gap(alpha, grad, y, box),
+            )
+        curvature = k[i, i] + k[j, j] - 2.0 * k[i, j]
+        step = violation / curvature if curvature > 1e-15 else np.inf
+        room_i = (box[i] - alpha[i]) if y[i] > 0 else alpha[i]
+        room_j = alpha[j] if y[j] > 0 else (box[j] - alpha[j])
+        step = min(step, room_i, room_j)
+        alpha[i] += y[i] * step
+        alpha[j] -= y[j] * step
+        grad += step * (y[i] * q[:, i] - y[j] * q[:, j])
+        iterations += 1
+    neg_yg = -y * grad
+    up = np.where(y > 0, alpha < box - 1e-12, alpha > 1e-12)
+    low = np.where(y > 0, alpha > 1e-12, alpha < box - 1e-12)
+    hi = np.max(np.where(up, neg_yg, -np.inf)) if up.any() else 0.0
+    lo = np.min(np.where(low, neg_yg, np.inf)) if low.any() else 0.0
+    support = alpha > 1e-12
+    return (
+        iterations,
+        float((hi + lo) / 2.0),
+        alpha[support] * y[support],
+        x[support],
+        float(alpha.sum() - 0.5 * alpha @ (q @ alpha)),
+        alpha,
+        box,
+    )
+
+
+def overlapping_two_class(seed, n, d):
+    """Two heavily overlapping Gaussian classes with non-unit weights."""
+    rng = np.random.default_rng(seed)
+    y = np.where(np.arange(n) % 2 == 0, 1, -1)
+    x = rng.normal(size=(n, d)) + 0.5 * y[:, None]
+    w = rng.choice([0.5, 1.0, 2.5, 4.0], size=n)
+    return [weighted(x[i], y[i], w[i]) for i in range(n)]
+
+
+KERNELS = [rl.linear_kernel, rl.poly3_kernel, rl.rbf_kernel(0.5)]
+
+
+class TestSvmBitIdentity:
+    """fit_svm makes the same pair choices and steps as the Q-column loop."""
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.kind)
+    @pytest.mark.parametrize("seed,n,d", [(11, 30, 2), (12, 120, 5)])
+    def test_same_model_as_reference(self, kernel, seed, n, d):
+        samples = overlapping_two_class(seed, n, d)
+        model = rl.fit_svm(samples, kernel, cost=1.0, tol=1e-6)
+        iterations, bias, dual_coef, support_x, objective, alpha, box = reference_smo(
+            samples, kernel, cost=1.0, tol=1e-6
+        )
+        assert np.any(alpha >= box - 1e-12)  # some alphas reach the box
+        assert model.iterations == iterations
+        assert model.bias == bias
+        assert np.array_equal(model.dual_coef, dual_coef)
+        assert np.array_equal(model.support_x, support_x)
+        assert model.dual_objective == objective
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.kind)
+    @pytest.mark.parametrize("max_passes", [0, 1])
+    def test_same_duality_gap_at_iteration_cap(self, kernel, max_passes):
+        samples = overlapping_two_class(13, 30, 2)
+        with pytest.raises(ConvergenceError) as got:
+            rl.fit_svm(samples, kernel, tol=1e-12, max_passes=max_passes)
+        with pytest.raises(ConvergenceError) as want:
+            reference_smo(samples, kernel, tol=1e-12, max_passes=max_passes)
+        assert got.value.duality_gap == want.value.duality_gap
+
+    @pytest.mark.parametrize("kernel", KERNELS + [rl.rbf_kernel()], ids=["linear", "poly3", "rbf", "rbf-default"])
+    @pytest.mark.parametrize("n,d", [(1, 1), (7, 3), (64, 20), (257, 110)])
+    def test_kernel_matrix_is_exactly_symmetric(self, kernel, n, d):
+        # fit_svm reads rows K[i] in place of columns K[:, i]
+        x = np.random.default_rng(n * d).normal(size=(n, d))
+        k = kernel.matrix(x, x)
+        assert np.array_equal(k, k.T)
 
 
 def batch_fits():
