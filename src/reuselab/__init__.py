@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .datasets import (
     Dataset,
     DatasetSpec,
-    Instance,
     SplitPair,
     gen_circle,
     gen_four_cluster_line,
@@ -27,7 +26,6 @@ from .errors import (
     ConvergenceError,
     DataFormatError,
     DegenerateGridError,
-    EmptyCellError,
     InvalidArgumentError,
     MissingClassError,
     ReuselabError,
@@ -50,8 +48,6 @@ from .experiments import (
 )
 from .learners import (
     Kernel,
-    WeightedInstance,
-    dataset_as_weighted,
     fit_lda,
     fit_least_squares,
     fit_online_linear,
@@ -59,12 +55,9 @@ from .learners import (
     fit_svm,
     linear_kernel,
     make_online_model,
-    model_from_text,
-    model_to_text,
     online_linear_update,
     poly3_kernel,
     rbf_kernel,
-    weighted,
     weighted_error,
     zero_one_error,
 )

@@ -12,7 +12,7 @@ import csv
 import math
 import os
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -25,13 +25,6 @@ from .errors import (
 
 NUMERIC = "numeric"
 ONE_HOT = "one-hot-block"
-
-
-class Instance(NamedTuple):
-    """One example: a dense feature vector and a label in {-1, +1}."""
-
-    features: np.ndarray
-    label: int
 
 
 @dataclass(frozen=True)
@@ -75,13 +68,6 @@ class Dataset:
     @property
     def dim(self) -> int:
         return self.x.shape[1]
-
-    def instance(self, i: int) -> Instance:
-        return Instance(self.x[i], int(self.y[i]))
-
-    def instances(self) -> Iterable[Instance]:
-        for i in range(len(self)):
-            yield self.instance(i)
 
     def positive_fraction(self) -> float:
         return float(np.mean(self.y == 1))

@@ -51,7 +51,3 @@ class TraceFormatError(ReuselabError):
 
 class ConfigError(ReuselabError):
     """An experiment configuration is malformed or contains unknown keys."""
-
-
-class EmptyCellError(ReuselabError):
-    """Every repetition of an experiment cell was dropped."""

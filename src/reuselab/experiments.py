@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import zip_longest
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -30,8 +31,6 @@ from .errors import (
     SingularDataError,
 )
 from .learners import (
-    WeightedInstance,
-    dataset_as_weighted,
     fit_lda,
     fit_least_squares,
     fit_online_linear,
@@ -52,18 +51,28 @@ from .selection import (
     UNCERTAINTY,
     IwalConfig,
     SelectionResult,
+    TraceRow,
     load_trace,
     select_iwal,
     select_random,
     select_uncertainty,
+    trace_rows,
     trace_to_text,
     without_weights,
 )
 
-CONSUMER_KINDS = (
-    "online-linear", "least-squares", "lda", "qda",
-    "svm-linear", "svm-poly3", "svm-rbf",
-)
+# Consumer kind -> fit on (spec, x, y, w). Each entry looks its fit_* name
+# up when called, so a rebinding of that module name reaches it.
+_CONSUMER_FITS = {
+    "online-linear": lambda c, x, y, w: fit_online_linear(x, y, w, eta0=c.eta0, passes=c.passes),
+    "least-squares": lambda c, x, y, w: fit_least_squares(x, y, w, ridge=c.ridge),
+    "lda": lambda c, x, y, w: fit_lda(x, y, w),
+    "qda": lambda c, x, y, w: fit_qda(x, y, w),
+    "svm-linear": lambda c, x, y, w: fit_svm(x, y, w, linear_kernel, cost=c.cost),
+    "svm-poly3": lambda c, x, y, w: fit_svm(x, y, w, poly3_kernel, cost=c.cost),
+    "svm-rbf": lambda c, x, y, w: fit_svm(x, y, w, rbf_kernel(c.gamma), cost=c.cost),
+}
+CONSUMER_KINDS = tuple(_CONSUMER_FITS)
 
 # Report rule: |welch t| at or above this separates the means.
 T_THRESHOLD = 2.0
@@ -94,20 +103,9 @@ class ConsumerSpec:
         if not self.name:
             object.__setattr__(self, "name", self.kind)
 
-    def fit(self, samples: Sequence[WeightedInstance]):
-        if self.kind == "online-linear":
-            return fit_online_linear(samples, eta0=self.eta0, passes=self.passes)
-        if self.kind == "least-squares":
-            return fit_least_squares(samples, ridge=self.ridge)
-        if self.kind == "lda":
-            return fit_lda(samples)
-        if self.kind == "qda":
-            return fit_qda(samples)
-        if self.kind == "svm-linear":
-            return fit_svm(samples, linear_kernel, cost=self.cost)
-        if self.kind == "svm-poly3":
-            return fit_svm(samples, poly3_kernel, cost=self.cost)
-        return fit_svm(samples, rbf_kernel(self.gamma), cost=self.cost)
+    def fit(self, x, y, w):
+        """Train this consumer on rows ``x``, labels ``y`` and weights ``w``."""
+        return _CONSUMER_FITS[self.kind](self, x, y, w)
 
 
 @dataclass(frozen=True)
@@ -204,12 +202,6 @@ class ReusabilityReport:
     rows: tuple[ReusabilityCell, ...]
     threshold: float = T_THRESHOLD
 
-    def cell(self, strategy: str, consumer: str, cell: str) -> ReusabilityCell:
-        for row in self.rows:
-            if (row.strategy, row.consumer, row.cell) == (strategy, consumer, cell):
-                return row
-        raise KeyError((strategy, consumer, cell))
-
 
 @dataclass(frozen=True)
 class ExperimentResult:
@@ -270,7 +262,7 @@ def _run_repetition(config: ExperimentConfig, r: int) -> _RepOutcome:
             selections.append((_cell_label("n", n), select_random(train, n)))
     if UNCERTAINTY in config.strategies:
         ranker = fit_online_linear(
-            dataset_as_weighted(train), eta0=config.selector_eta0, passes=1
+            train.x, train.y, np.ones(len(train)), eta0=config.selector_eta0, passes=1
         )
         for n in config.n_grid:
             selections.append((_cell_label("n", n), select_uncertainty(train, n, ranker)))
@@ -300,13 +292,14 @@ def _run_repetition(config: ExperimentConfig, r: int) -> _RepOutcome:
             if sel.strategy == UNCERTAINTY:
                 extra = {"selector_eta0": config.selector_eta0}
             traces.append((fname, trace_to_text(sel, dataset_dict, split_dict, extra)))
+        x, y = train.x[sel.indices], train.y[sel.indices]
         for consumer in config.consumers:
             key = (sel.strategy, label, consumer.name)
             if sel.selected_count == 0:
                 errors[key] = None
                 continue
             try:
-                model = consumer.fit(list(sel.selected))
+                model = consumer.fit(x, y, sel.weights)
                 errors[key] = zero_one_error(model, test)
             except _DROP_ERRORS:
                 errors[key] = None
@@ -520,10 +513,9 @@ def density_histogram(
                 selector_eta0=selector_eta0,
             )
             sel = select_iwal(pool, cfg)
-            xs = np.asarray([wi.instance.features[0] for wi in sel.selected])
-            ws = np.asarray([wi.weight for wi in sel.selected])
+            xs = pool.x[sel.indices, 0]
             raw[ci] += np.histogram(xs, bins=edges)[0]
-            weighted_mass[ci] += np.histogram(xs, bins=edges, weights=ws)[0]
+            weighted_mass[ci] += np.histogram(xs, bins=edges, weights=sel.weights)[0]
 
     rows = []
     for ci, c0 in enumerate(c0_list):
@@ -584,7 +576,7 @@ def rerun_from_header(header: Mapping) -> SelectionResult:
         return select_random(train, header["n"])
     if strategy == UNCERTAINTY:
         ranker = fit_online_linear(
-            dataset_as_weighted(train),
+            train.x, train.y, np.ones(len(train)),
             eta0=header.get("selector_eta0", 0.3),
             passes=1,
         )
@@ -603,28 +595,17 @@ def rerun_from_header(header: Mapping) -> SelectionResult:
 
 
 def replay_trace(path) -> ReplayOutcome:
-    """Re-run a trace's pass and compare row by row."""
-    header, rows = load_trace(path)
-    result = rerun_from_header(header)
-    fields = TraceFieldsComparer(rows, result.trace)
-    return fields.compare()
+    """Re-run a trace's pass and compare row by row.
 
-
-class TraceFieldsComparer:
-    def __init__(self, recorded, recomputed):
-        self.recorded = recorded
-        self.recomputed = recomputed
-
-    def compare(self) -> ReplayOutcome:
-        n = max(len(self.recorded), len(self.recomputed))
-        for i in range(n):
-            if i >= len(self.recorded):
-                return ReplayOutcome(False, i, "index", None, self.recomputed[i].index)
-            if i >= len(self.recomputed):
-                return ReplayOutcome(False, i, "index", self.recorded[i].index, None)
-            a, b = self.recorded[i], self.recomputed[i]
-            for column in a._fields:
-                va, vb = getattr(a, column), getattr(b, column)
-                if va != vb:
-                    return ReplayOutcome(False, i, column, va, vb)
-        return ReplayOutcome(True)
+    A row that only one side has is reported in the ``index`` column.
+    """
+    header, recorded = load_trace(path)
+    recomputed = trace_rows(rerun_from_header(header))
+    for i, (a, b) in enumerate(zip_longest(recorded, recomputed)):
+        if a is None or b is None:
+            return ReplayOutcome(False, i, "index", None if a is None else a.index,
+                                 None if b is None else b.index)
+        for column, va, vb in zip(TraceRow._fields, a, b):
+            if va != vb:
+                return ReplayOutcome(False, i, column, va, vb)
+    return ReplayOutcome(True)

@@ -10,14 +10,13 @@ weights by a positive constant leaves predictions unchanged.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .datasets import Dataset, Instance
+from .datasets import Dataset
 from .errors import (
     ConvergenceError,
     InvalidArgumentError,
@@ -30,28 +29,18 @@ from .errors import (
 _COND_LIMIT = 1e12
 
 
-class WeightedInstance(NamedTuple):
-    """An instance with its importance weight (1/selection-probability)."""
+def as_arrays(x, y, w):
+    """Check (n, d) features with one label and one positive weight per row.
 
-    instance: Instance
-    weight: float
-
-
-def weighted(features, label, weight=1.0) -> WeightedInstance:
-    return WeightedInstance(Instance(np.asarray(features, dtype=np.float64), int(label)), float(weight))
-
-
-def dataset_as_weighted(dataset: Dataset, weight: float = 1.0) -> list[WeightedInstance]:
-    return [WeightedInstance(dataset.instance(i), weight) for i in range(len(dataset))]
-
-
-def as_arrays(samples: Sequence[WeightedInstance]):
-    """Stack weighted instances into (X, y, w) arrays."""
-    if len(samples) == 0:
-        raise InvalidArgumentError("need at least one sample")
-    x = np.stack([np.asarray(s.instance.features, dtype=np.float64) for s in samples])
-    y = np.asarray([s.instance.label for s in samples], dtype=np.float64)
-    w = np.asarray([s.weight for s in samples], dtype=np.float64)
+    Returns all three as float64 arrays: the fits need float labels.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
+    if x.ndim != 2 or x.shape[0] == 0:
+        raise InvalidArgumentError("need at least one sample as an (n, d) feature matrix")
+    if y.shape != (len(x),) or w.shape != (len(x),):
+        raise InvalidArgumentError("labels and weights must align with the feature rows")
     if np.any(w <= 0):
         raise InvalidArgumentError("weights must be positive")
     return x, y, w
@@ -117,7 +106,8 @@ def make_online_model(dim: int) -> OnlineLinearModel:
 
 def online_linear_update(
     model: OnlineLinearModel,
-    instance: Instance,
+    features: np.ndarray,
+    label: float,
     importance: float,
     schedule: Callable[[int], float] | None = None,
 ) -> OnlineLinearModel:
@@ -132,12 +122,12 @@ def online_linear_update(
     """
     if importance < 0:
         raise InvalidArgumentError("importance must be non-negative")
-    x = np.asarray(instance.features, dtype=np.float64)
+    x = np.asarray(features, dtype=np.float64)
     if x.shape != model.theta.shape:
         raise InvalidArgumentError(
             f"dimension mismatch: model has {model.theta.shape[0]}, example has {x.shape[0]}"
         )
-    margin = instance.label * (float(x @ model.theta) + model.bias)
+    margin = label * (float(x @ model.theta) + model.bias)
     if importance == 0.0 or margin >= 1.0:
         return model
     schedule = schedule or inv_sqrt_schedule()
@@ -148,7 +138,7 @@ def online_linear_update(
     if not (0.0 < q < 1.0):
         raise InvalidArgumentError("schedule step must lie in (0, 0.5)")
     combined = (1.0 - (1.0 - q) ** importance) / q
-    coef = 2.0 * (eta / norm2) * (1.0 - margin) * instance.label * combined
+    coef = 2.0 * (eta / norm2) * (1.0 - margin) * label * combined
     return OnlineLinearModel(
         theta=model.theta + coef * x,
         bias=model.bias + coef,
@@ -156,18 +146,14 @@ def online_linear_update(
     )
 
 
-def fit_online_linear(
-    samples: Sequence[WeightedInstance],
-    eta0: float = 0.3,
-    passes: int = 1,
-) -> OnlineLinearModel:
-    """Train the online linear model by streaming over the samples."""
-    x, y, w = as_arrays(samples)
+def fit_online_linear(x, y, w, eta0: float = 0.3, passes: int = 1) -> OnlineLinearModel:
+    """Train the online linear model by streaming over the rows in order."""
+    x, y, w = as_arrays(x, y, w)
     schedule = inv_sqrt_schedule(eta0)
     model = make_online_model(x.shape[1])
     for _ in range(passes):
-        for i in range(len(samples)):
-            model = online_linear_update(model, Instance(x[i], int(y[i])), w[i], schedule)
+        for i in range(len(x)):
+            model = online_linear_update(model, x[i], y[i], w[i], schedule)
     return model
 
 
@@ -187,7 +173,7 @@ class LeastSquaresModel(_ModelBase):
         return x @ self.theta + self.bias
 
 
-def fit_least_squares(samples: Sequence[WeightedInstance], ridge: float = 0.0) -> LeastSquaresModel:
+def fit_least_squares(x, y, w, ridge: float = 0.0) -> LeastSquaresModel:
     """Minimize sum_i w_i (theta.x_i + b - y_i)^2 + ridge * |theta|^2.
 
     Weights are normalized to sum to one internally, so duplicating a
@@ -196,7 +182,7 @@ def fit_least_squares(samples: Sequence[WeightedInstance], ridge: float = 0.0) -
     """
     if ridge < 0:
         raise InvalidArgumentError("ridge must be non-negative")
-    x, y, w = as_arrays(samples)
+    x, y, w = as_arrays(x, y, w)
     wn = w / w.sum()
     xa = np.column_stack((x, np.ones(len(x))))
     a = (xa * wn[:, None]).T @ xa
@@ -269,9 +255,9 @@ def _check_covariance(cov):
         raise SingularDataError("covariance is singular")
 
 
-def fit_lda(samples: Sequence[WeightedInstance]) -> GaussianModel:
+def fit_lda(x, y, w) -> GaussianModel:
     """Weighted linear discriminant: shared pooled covariance."""
-    x, y, w = as_arrays(samples)
+    x, y, w = as_arrays(x, y, w)
     _require_both_classes(y)
     stats = _weighted_moments(x, y, w)
     pooled = (stats[0][2] + stats[1][2]) / w.sum()
@@ -284,9 +270,9 @@ def fit_lda(samples: Sequence[WeightedInstance]) -> GaussianModel:
     )
 
 
-def fit_qda(samples: Sequence[WeightedInstance]) -> GaussianModel:
+def fit_qda(x, y, w) -> GaussianModel:
     """Weighted quadratic discriminant: one covariance per class."""
-    x, y, w = as_arrays(samples)
+    x, y, w = as_arrays(x, y, w)
     _require_both_classes(y)
     stats = _weighted_moments(x, y, w)
     covs = []
@@ -355,7 +341,9 @@ _SVM_KIND = {"linear": "svm-linear", "poly3": "svm-poly3", "rbf": "svm-rbf"}
 
 
 def fit_svm(
-    samples: Sequence[WeightedInstance],
+    x,
+    y,
+    w,
     kernel: Kernel = linear_kernel,
     cost: float = 1.0,
     tol: float = 1e-3,
@@ -376,7 +364,7 @@ def fit_svm(
     """
     if cost <= 0:
         raise InvalidArgumentError("cost must be positive")
-    x, y, w = as_arrays(samples)
+    x, y, w = as_arrays(x, y, w)
     _require_both_classes(y)
     if kernel.kind == "rbf" and kernel.gamma is None:
         kernel = Kernel("rbf", gamma=1.0 / x.shape[1])
@@ -460,70 +448,9 @@ def zero_one_error(model, dataset: Dataset) -> float:
     return float(np.mean(model.predict(dataset.x) != dataset.y))
 
 
-def weighted_error(model, samples: Sequence[WeightedInstance]) -> float:
-    """Normalized weight of the misclassified samples."""
-    x, y, w = as_arrays(samples)
+def weighted_error(model, x, y, w) -> float:
+    """Normalized weight of the misclassified rows."""
+    x, y, w = as_arrays(x, y, w)
     wrong = model.predict(x) != y
     return float(w[wrong].sum() / w.sum())
 
-
-# ---------------------------------------------------------------------------
-# Serialization (versioned text format)
-
-_FORMAT_TAG = "reuselab-model v1"
-
-
-def model_to_text(model) -> str:
-    """Serialize a fitted model; floats round-trip exactly via repr."""
-    if isinstance(model, OnlineLinearModel):
-        payload = {"theta": model.theta.tolist(), "bias": model.bias, "updates": model.updates}
-    elif isinstance(model, LeastSquaresModel):
-        payload = {"theta": model.theta.tolist(), "bias": model.bias, "ridge": model.ridge}
-    elif isinstance(model, GaussianModel):
-        payload = {
-            "means": model.means.tolist(),
-            "covariances": model.covariances.tolist(),
-            "log_priors": model.log_priors.tolist(),
-        }
-    elif isinstance(model, SvmModel):
-        payload = {
-            "kernel": {"kind": model.kernel.kind, "gamma": model.kernel.gamma},
-            "support_x": model.support_x.tolist(),
-            "dual_coef": model.dual_coef.tolist(),
-            "bias": model.bias,
-            "dual_objective": model.dual_objective,
-            "iterations": model.iterations,
-        }
-    else:
-        raise InvalidArgumentError(f"cannot serialize {type(model).__name__}")
-    return _FORMAT_TAG + "\n" + json.dumps({"kind": model.kind, **payload})
-
-
-def model_from_text(text: str):
-    lines = text.strip().split("\n", 1)
-    if len(lines) != 2 or lines[0].strip() != _FORMAT_TAG:
-        raise InvalidArgumentError(f"expected a {_FORMAT_TAG!r} document")
-    d = json.loads(lines[1])
-    kind = d["kind"]
-    if kind == "online-linear":
-        return OnlineLinearModel(np.asarray(d["theta"]), d["bias"], d["updates"])
-    if kind == "least-squares":
-        return LeastSquaresModel(np.asarray(d["theta"]), d["bias"], d["ridge"])
-    if kind in ("lda", "qda"):
-        return GaussianModel(
-            kind,
-            np.asarray(d["means"]),
-            np.asarray(d["covariances"]),
-            np.asarray(d["log_priors"]),
-        )
-    if kind in _SVM_KIND.values():
-        return SvmModel(
-            kind,
-            Kernel(d["kernel"]["kind"], d["kernel"]["gamma"]),
-            np.asarray(d["support_x"]),
-            np.asarray(d["dual_coef"]),
-            d["bias"],
-            d["dual_objective"],
-            d["iterations"],
-        )
-    raise InvalidArgumentError(f"unknown model kind {kind!r}")

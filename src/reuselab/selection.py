@@ -14,14 +14,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
-from .datasets import Dataset, Instance
+from .datasets import Dataset
 from .errors import DegenerateGridError, InvalidArgumentError, TraceFormatError
 from .learners import (
-    WeightedInstance,
     inv_sqrt_schedule,
     make_online_model,
     online_linear_update,
@@ -72,20 +71,26 @@ class IwalConfig:
 
 @dataclass(frozen=True)
 class SelectionResult:
-    """An ordered weighted selection plus the per-stream-example trace."""
+    """A weighted selection of training rows plus what the pass saw.
+
+    ``indices`` point into the training order, listed in the order a
+    consumer trains on them, and ``weights`` are their importance weights.
+    ``g`` and ``probability`` hold one value per training example.
+    """
 
     strategy: str
-    selected: tuple[WeightedInstance, ...]
-    trace: tuple[TraceRow, ...]
+    indices: np.ndarray
+    weights: np.ndarray
+    g: np.ndarray
+    probability: np.ndarray
     seed: int
-    c0: float | None = None
     use_weights: bool = True
     n_requested: int | None = None
     config: IwalConfig | None = None
 
     @property
     def selected_count(self) -> int:
-        return len(self.selected)
+        return len(self.indices)
 
 
 # ---------------------------------------------------------------------------
@@ -202,17 +207,16 @@ class _GridErrors:
         return float((self.err[disagree].min() - self.err[best]) / self.total_weight)
 
 
-def exact_error_difference(
-    labeled: Sequence[WeightedInstance],
-    candidate: Instance,
-    grid: LinearHypothesisGrid,
-) -> float:
+def exact_error_difference(x, y, w, candidate, grid: LinearHypothesisGrid) -> float:
     """ERM error gap between the best hypothesis and the best one forced
-    to predict the opposite label for the candidate; 0 on an empty set."""
+    to predict the opposite label for the candidate; 0 on an empty set.
+
+    ``(x, y, w)`` are the labeled rows, their labels and their weights.
+    """
     state = _GridErrors(grid)
-    for wi in labeled:
-        state.add(np.asarray(wi.instance.features, dtype=np.float64), wi.instance.label, wi.weight)
-    return state.difference_at(np.asarray(candidate.features, dtype=np.float64))
+    for features, label, weight in zip(np.asarray(x, dtype=np.float64), y, w):
+        state.add(features, label, weight)
+    return state.difference_at(np.asarray(candidate, dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -223,12 +227,10 @@ def select_random(train: Dataset, n: int) -> SelectionResult:
     """First n examples of the (already shuffled) training order, weight 1."""
     if n < 0 or n > len(train):
         raise InvalidArgumentError(f"cannot select {n} of {len(train)} examples")
-    selected = tuple(WeightedInstance(train.instance(i), 1.0) for i in range(n))
-    trace = tuple(
-        TraceRow(i, 0.0, 1.0, int(i < n), int(i < n), 1.0 if i < n else 0.0)
-        for i in range(len(train))
+    return SelectionResult(
+        RANDOM, np.arange(n), np.ones(n), np.zeros(len(train)), np.ones(len(train)),
+        seed=0, n_requested=n,
     )
-    return SelectionResult(RANDOM, selected, trace, seed=0, n_requested=n)
 
 
 def select_uncertainty(train: Dataset, n: int, ranking_model) -> SelectionResult:
@@ -241,16 +243,10 @@ def select_uncertainty(train: Dataset, n: int, ranking_model) -> SelectionResult
         raise InvalidArgumentError(f"cannot select {n} of {len(train)} examples")
     margins = np.abs(np.asarray(ranking_model.score(train.x), dtype=np.float64))
     order = np.lexsort((np.arange(len(train)), margins))
-    chosen = order[:n]
-    selected = tuple(WeightedInstance(train.instance(int(i)), 1.0) for i in chosen)
-    picked = np.zeros(len(train), dtype=bool)
-    picked[chosen] = True
-    trace = tuple(
-        TraceRow(i, float(margins[i]), 1.0, int(picked[i]), int(picked[i]),
-                 1.0 if picked[i] else 0.0)
-        for i in range(len(train))
+    return SelectionResult(
+        UNCERTAINTY, order[:n], np.ones(n), margins, np.ones(len(train)),
+        seed=0, n_requested=n,
     )
-    return SelectionResult(UNCERTAINTY, selected, trace, seed=0, n_requested=n)
 
 
 def select_iwal(
@@ -279,8 +275,10 @@ def select_iwal(
     x = train.x
     y = train.y
     abs_score_sum = 0.0
-    selected: list[WeightedInstance] = []
-    trace: list[TraceRow] = []
+    picked: list[int] = []
+    weights: list[float] = []
+    gs = np.empty(n)
+    probabilities = np.empty(n)
     for idx in range(n):
         score = float(x[idx] @ model.theta) + model.bias
         if grid_errors is not None:
@@ -289,24 +287,23 @@ def select_iwal(
             g = surrogate_error_difference(score, abs_score_sum / idx if idx else 0.0)
         k = idx + 1
         p = 1.0 if k == 1 else selection_probability(g, k, config.c0, config.log_base)
-        coin = 1 if uniforms[idx] < p else 0
-        weight = 0.0
-        if coin:
+        if uniforms[idx] < p:
             importance = 1.0 / p
-            weight = importance if use_weights else 1.0
-            inst = Instance(x[idx], int(y[idx]))
-            selected.append(WeightedInstance(inst, weight))
-            model = online_linear_update(model, inst, importance, schedule)
+            picked.append(idx)
+            weights.append(importance if use_weights else 1.0)
+            model = online_linear_update(model, x[idx], int(y[idx]), importance, schedule)
             if grid_errors is not None:
                 grid_errors.add(x[idx], int(y[idx]), importance)
-        trace.append(TraceRow(idx, g, p, coin, coin, weight))
+        gs[idx] = g
+        probabilities[idx] = p
         abs_score_sum += abs(score)
     return SelectionResult(
         IWAL if use_weights else IWAL_NO_WEIGHTS,
-        tuple(selected),
-        tuple(trace),
+        np.asarray(picked, dtype=np.intp),
+        np.asarray(weights, dtype=np.float64),
+        gs,
+        probabilities,
         seed=config.seed,
-        c0=config.c0,
         use_weights=use_weights,
         config=config,
     )
@@ -316,11 +313,7 @@ def without_weights(result: SelectionResult) -> SelectionResult:
     """The same selection with every stored weight forced to 1."""
     if result.strategy not in (IWAL, IWAL_NO_WEIGHTS):
         raise InvalidArgumentError("weights can only be stripped from an IWAL result")
-    selected = tuple(WeightedInstance(wi.instance, 1.0) for wi in result.selected)
-    trace = tuple(
-        row._replace(weight=1.0 if row.selected else 0.0) for row in result.trace
-    )
-    return replace(result, strategy=IWAL_NO_WEIGHTS, selected=selected, trace=trace,
+    return replace(result, strategy=IWAL_NO_WEIGHTS, weights=np.ones(result.selected_count),
                    use_weights=False)
 
 
@@ -329,6 +322,25 @@ def without_weights(result: SelectionResult) -> SelectionResult:
 
 _TRACE_TAG = "# reuselab-trace v1 "
 _TRACE_COLUMNS = "index,g,probability,coin,selected,weight"
+
+
+def trace_rows(result: SelectionResult) -> list[TraceRow]:
+    """The v1 trace rows, one per training example.
+
+    ``coin`` and ``selected`` are both 1 on a selected row; ``weight`` is
+    its importance weight there and 0 elsewhere. Values are Python
+    numbers, so their repr is the plain float text the file holds.
+    """
+    selected = np.zeros(len(result.g), dtype=np.int64)
+    selected[result.indices] = 1
+    weight = np.zeros(len(result.g))
+    weight[result.indices] = result.weights
+    return [
+        TraceRow(i, g, p, s, s, w)
+        for i, (g, p, s, w) in enumerate(zip(
+            result.g.tolist(), result.probability.tolist(), selected.tolist(), weight.tolist()
+        ))
+    ]
 
 
 def trace_header(
@@ -368,7 +380,7 @@ def trace_to_text(
 ) -> str:
     header = trace_header(result, dataset_dict, split_dict, extra)
     lines = [_TRACE_TAG + json.dumps(header, sort_keys=True), _TRACE_COLUMNS]
-    for row in result.trace:
+    for row in trace_rows(result):
         lines.append(
             f"{row.index},{row.g!r},{row.probability!r},{row.coin},{row.selected},{row.weight!r}"
         )

@@ -15,8 +15,9 @@ import pytest
 import reuselab as rl
 from reuselab.cli import main
 from reuselab.experiments import ConsumerSpec, ExperimentConfig, run_experiment
-from reuselab.learners import LeastSquaresModel, weighted
+from reuselab.learners import LeastSquaresModel
 from reuselab.seeding import derive_seed
+from reuselab.selection import trace_rows
 from reuselab.standins import car_schema
 
 from dual_oracle import svm_dual_optimum
@@ -32,6 +33,12 @@ def verdict(criterion, ok, detail):
 
 def combined_sem(a, b):
     return math.hypot(a, b)
+
+
+def columns(rows):
+    """(x, y, w) arrays from (features, label, weight) rows."""
+    x, y, w = zip(*rows)
+    return np.array(x, dtype=np.float64), np.array(y), np.array(w, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -154,12 +161,12 @@ def test_criterion_5_unbiasedness():
     pool = rl.gen_uniform_line(4000, seed=404)
     model = LeastSquaresModel(theta=np.array([1.0]), bias=0.15)
     truth = rl.zero_one_error(model, pool)
+    selections = (
+        rl.select_iwal(pool, rl.IwalConfig(c0=3.0, seed=derive_seed(505, r))) for r in range(1000)
+    )
     vals = np.array([
-        rl.weighted_error(
-            model,
-            list(rl.select_iwal(pool, rl.IwalConfig(c0=3.0, seed=derive_seed(505, r))).selected),
-        )
-        for r in range(1000)
+        rl.weighted_error(model, pool.x[sel.indices], pool.y[sel.indices], sel.weights)
+        for sel in selections
     ])
     se = vals.std(ddof=1) / math.sqrt(len(vals))
     ok = abs(vals.mean() - truth) <= 4 * se
@@ -195,7 +202,7 @@ def test_criterion_6_formula_and_trace_invariants():
     for seed in range(5):
         train = rl.gen_uniform_line(400, seed=derive_seed(606, seed))
         res = rl.select_iwal(train, rl.IwalConfig(c0=0.7, seed=derive_seed(607, seed)))
-        for row in res.trace:
+        for row in trace_rows(res):
             trace_ok &= 0.0 < row.probability <= 1.0
             if row.selected:
                 trace_ok &= row.weight == 1.0 / row.probability
@@ -223,69 +230,63 @@ def test_criterion_7_learner_oracles():
     rng = np.random.default_rng(777)
 
     # weighted least squares vs a normal-equation oracle (1e-8)
-    ls_samples = [
-        weighted(rng.normal(size=2), 1 if rng.random() < 0.5 else -1, rng.uniform(1, 4))
+    x, y, w = columns([
+        (rng.normal(size=2), 1 if rng.random() < 0.5 else -1, rng.uniform(1, 4))
         for _ in range(5)
-    ]
-    x, y, w = rl.learners.as_arrays(ls_samples)
-    model = rl.fit_least_squares(ls_samples)
+    ])
+    model = rl.fit_least_squares(x, y, w)
     xa = np.column_stack([x, np.ones(len(x))])
     sw = np.sqrt(w / w.sum())
     oracle = np.linalg.lstsq(xa * sw[:, None], y * sw, rcond=None)[0]
     ls_ok = np.allclose(np.append(model.theta, model.bias), oracle, atol=1e-8)
 
     # weighted class moments vs a plain-loop oracle (1e-10)
-    gd_samples = [
-        weighted(rng.normal(size=2) + (2 if i % 2 else -2), 1 if i % 2 else -1,
-                 rng.uniform(0.5, 3))
+    x, y, w = columns([
+        (rng.normal(size=2) + (2 if i % 2 else -2), 1 if i % 2 else -1, rng.uniform(0.5, 3))
         for i in range(12)
-    ]
-    qda = rl.fit_qda(gd_samples)
+    ])
+    qda = rl.fit_qda(x, y, w)
     moments_ok = True
-    total = sum(s.weight for s in gd_samples)
+    total = sum(w)
     for idx, cls in ((0, -1), (1, 1)):
-        group = [s for s in gd_samples if s.instance.label == cls]
-        wsum = sum(s.weight for s in group)
-        mean = sum(s.weight * s.instance.features for s in group) / wsum
-        cov = sum(
-            s.weight * np.outer(s.instance.features - mean, s.instance.features - mean)
-            for s in group
-        ) / wsum
+        group = [i for i in range(len(y)) if y[i] == cls]
+        wsum = sum(w[i] for i in group)
+        mean = sum(w[i] * x[i] for i in group) / wsum
+        cov = sum(w[i] * np.outer(x[i] - mean, x[i] - mean) for i in group) / wsum
         moments_ok &= np.allclose(qda.means[idx], mean, atol=1e-10)
         moments_ok &= np.allclose(qda.covariances[idx], cov, atol=1e-10)
         moments_ok &= abs(math.exp(qda.log_priors[idx]) - wsum / total) <= 1e-10
 
     # SVM dual objective vs an exact face-enumeration oracle (1e-4)
-    sv_samples = [
-        weighted(rng.normal(size=2), 1 if i % 2 else -1, rng.uniform(1, 3))
+    x, y, w = columns([
+        (rng.normal(size=2), 1 if i % 2 else -1, rng.uniform(1, 3))
         for i in range(8)
-    ]
-    x, y, w = rl.learners.as_arrays(sv_samples)
-    svm = rl.fit_svm(sv_samples, rl.linear_kernel, cost=1.0, tol=1e-6)
+    ])
+    svm = rl.fit_svm(x, y, w, rl.linear_kernel, cost=1.0, tol=1e-6)
     qp_obj = svm_dual_optimum(np.outer(y, y) * rl.linear_kernel.matrix(x, x), w, y)
     svm_ok = abs(svm.dual_objective - qp_obj) <= 1e-4
 
     # weight replication on a probe grid (1e-6) for every batch learner
-    base = [
-        weighted(rng.normal(size=2), 1 if i % 2 else -1, 1.0)
+    x, y, w = columns([
+        (rng.normal(size=2), 1 if i % 2 else -1, 1.0)
         for i in range(12)
-    ]
+    ])
     k_rep = 3
-    replicated = base + [base[4]] * (k_rep - 1)
-    reweighted = list(base)
-    reweighted[4] = weighted(base[4].instance.features, base[4].instance.label, float(k_rep))
+    rep = list(range(12)) + [4] * (k_rep - 1)
+    reweighted = w.copy()
+    reweighted[4] = float(k_rep)
     probe = rng.normal(size=(40, 2))
     fits = [
-        lambda s: rl.fit_least_squares(s, ridge=1e-8),
+        lambda *s: rl.fit_least_squares(*s, ridge=1e-8),
         rl.fit_lda,
         rl.fit_qda,
-        lambda s: rl.fit_svm(s, rl.linear_kernel, tol=1e-8),
-        lambda s: rl.fit_svm(s, rl.rbf_kernel(), tol=1e-8),
+        lambda *s: rl.fit_svm(*s, rl.linear_kernel, tol=1e-8),
+        lambda *s: rl.fit_svm(*s, rl.rbf_kernel(), tol=1e-8),
     ]
     replication_ok = all(
         np.allclose(
-            np.asarray(fit(replicated).score(probe)),
-            np.asarray(fit(reweighted).score(probe)),
+            np.asarray(fit(x[rep], y[rep], w[rep]).score(probe)),
+            np.asarray(fit(x, y, reweighted).score(probe)),
             atol=1e-6, rtol=1e-6,
         )
         for fit in fits

@@ -131,7 +131,8 @@ class TestRun:
 
 class TestReplay:
     def _run_with_traces(self, tmp_path):
-        payload = {**MINIMAL_CONFIG, "strategies": ["random", "iwal"],
+        payload = {**MINIMAL_CONFIG,
+                   "strategies": ["random", "uncertainty", "iwal", "iwal-no-weights"],
                    "c0_grid": [1.0], "save_traces": True}
         cfg = write_config(tmp_path, payload)
         out = tmp_path / "out"
@@ -154,6 +155,25 @@ class TestReplay:
         trace.write_text("\n".join(lines) + "\n")
         assert main(["replay", str(trace)]) == 1
         assert "divergence at row 2" in capsys.readouterr().out
+
+    def test_removed_last_row_detected(self, tmp_path, capsys):
+        trace = [t for t in self._run_with_traces(tmp_path) if "iwal_c0" in t.name][0]
+        lines = trace.read_text().splitlines()
+        last = len(lines) - 3  # row number of the last row; two header lines
+        trace.write_text("\n".join(lines[:-1]) + "\n")
+        assert main(["replay", str(trace)]) == 1
+        out = capsys.readouterr().out
+        assert f"divergence at row {last}, column index: trace has None, recomputed {last}" in out
+
+    def test_added_row_detected(self, tmp_path, capsys):
+        trace = [t for t in self._run_with_traces(tmp_path) if "iwal_c0" in t.name][0]
+        lines = trace.read_text().splitlines()
+        extra = len(lines) - 2
+        lines.append(f"{extra},0.0,1.0,0,0,0.0")
+        trace.write_text("\n".join(lines) + "\n")
+        assert main(["replay", str(trace)]) == 1
+        out = capsys.readouterr().out
+        assert f"divergence at row {extra}, column index: trace has {extra}, recomputed None" in out
 
     def test_header_c0_mismatch_detected(self, tmp_path, capsys):
         trace = [t for t in self._run_with_traces(tmp_path) if "iwal_c0" in t.name][0]

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import reuselab as rl
-from reuselab.datasets import Instance
 from reuselab.errors import (
     ConvergenceError,
     InvalidArgumentError,
@@ -15,7 +14,6 @@ from reuselab.learners import (
     LeastSquaresModel,
     constant_schedule,
     make_online_model,
-    weighted,
 )
 from reuselab.standins import car_schema
 
@@ -28,12 +26,31 @@ def qp_dual_oracle(x, y, w, kernel, cost):
     return svm_dual_optimum(q, cost * w, y)
 
 
+def columns(rows):
+    """(x, y, w) arrays from (features, label, weight) rows."""
+    x, y, w = zip(*rows)
+    return np.array(x, dtype=np.float64), np.array(y), np.array(w, dtype=np.float64)
+
+
 def random_two_class(rng, n, d, weight_range=(1.0, 4.0)):
     x = rng.normal(size=(n, d))
     y = np.where(rng.random(n) < 0.5, -1, 1)
     y[0], y[1] = 1, -1
     w = rng.uniform(*weight_range, size=n)
-    return [weighted(x[i], y[i], w[i]) for i in range(n)]
+    return x, y, w
+
+
+def with_weight(samples, i, weight):
+    """The same rows with row i's weight replaced."""
+    x, y, w = samples
+    w = w.copy()
+    w[i] = weight
+    return x, y, w
+
+
+def take_rows(samples, rows):
+    x, y, w = samples
+    return x[rows], y[rows], w[rows]
 
 
 PROBE_1D = np.linspace(-3, 3, 41)[:, None]
@@ -42,72 +59,67 @@ PROBE_1D = np.linspace(-3, 3, 41)[:, None]
 class TestOnlineLinear:
     def test_zero_importance_is_noop(self):
         model = make_online_model(2)
-        inst = Instance(np.array([1.0, -1.0]), 1)
-        after = rl.online_linear_update(model, inst, 0.0)
+        after = rl.online_linear_update(model, np.array([1.0, -1.0]), 1, 0.0)
         assert after is model
 
     def test_confident_example_is_noop(self):
-        model = rl.online_linear_update(
-            make_online_model(1), Instance(np.array([1.0]), 1), 1.0
-        )
+        model = rl.online_linear_update(make_online_model(1), np.array([1.0]), 1, 1.0)
         assert model.score(np.array([5.0])) * 1 >= 1.0
-        again = rl.online_linear_update(model, Instance(np.array([5.0]), 1), 1.0)
+        again = rl.online_linear_update(model, np.array([5.0]), 1, 1.0)
         assert again is model
 
     def test_importance_two_equals_two_unit_steps(self):
         # the oracle: apply the unit update twice with a frozen step
         sched = constant_schedule(0.2)
-        inst = Instance(np.array([0.7, -0.3]), 1)
+        x = np.array([0.7, -0.3])
         start = make_online_model(2)
         twice = rl.online_linear_update(
-            rl.online_linear_update(start, inst, 1.0, sched), inst, 1.0, sched
+            rl.online_linear_update(start, x, 1, 1.0, sched), x, 1, 1.0, sched
         )
-        fused = rl.online_linear_update(start, inst, 2.0, sched)
+        fused = rl.online_linear_update(start, x, 1, 2.0, sched)
         np.testing.assert_allclose(fused.theta, twice.theta, rtol=0, atol=1e-15)
         assert fused.bias == pytest.approx(twice.bias, abs=1e-15)
 
     def test_integer_importance_matches_k_steps(self):
         sched = constant_schedule(0.1)
-        inst = Instance(np.array([0.4]), -1)
+        x = np.array([0.4])
         for k in (3, 7):
             stepped = make_online_model(1)
             for _ in range(k):
-                stepped = rl.online_linear_update(stepped, inst, 1.0, sched)
-            fused = rl.online_linear_update(make_online_model(1), inst, float(k), sched)
+                stepped = rl.online_linear_update(stepped, x, -1, 1.0, sched)
+            fused = rl.online_linear_update(make_online_model(1), x, -1, float(k), sched)
             np.testing.assert_allclose(fused.theta, stepped.theta, atol=1e-14)
 
     def test_huge_importance_saturates_margin(self):
-        inst = Instance(np.array([0.5, 0.5]), 1)
-        model = rl.online_linear_update(make_online_model(2), inst, 1e9, constant_schedule(0.2))
-        assert float(model.score(inst.features)) == pytest.approx(1.0, abs=1e-9)
+        x = np.array([0.5, 0.5])
+        model = rl.online_linear_update(make_online_model(2), x, 1, 1e9, constant_schedule(0.2))
+        assert float(model.score(x)) == pytest.approx(1.0, abs=1e-9)
 
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidArgumentError):
-            rl.online_linear_update(make_online_model(2), Instance(np.array([1.0]), 1), 1.0)
+            rl.online_linear_update(make_online_model(2), np.array([1.0]), 1, 1.0)
 
 
 class TestLeastSquares:
     def test_exact_interpolation(self):
-        model = rl.fit_least_squares([weighted([-1.0], -1), weighted([1.0], 1)])
+        model = rl.fit_least_squares(np.array([[-1.0], [1.0]]), np.array([-1, 1]), np.ones(2))
         assert model.theta[0] == pytest.approx(1.0, abs=1e-12)
         assert model.bias == pytest.approx(0.0, abs=1e-12)
 
     def test_duplicate_equals_double_weight(self):
         rng = np.random.default_rng(0)
         base = random_two_class(rng, 6, 1, weight_range=(1.0, 1.0))
-        dup = base + [base[2]]
-        doubled = list(base)
-        doubled[2] = weighted(base[2].instance.features, base[2].instance.label, 2.0)
-        a = rl.fit_least_squares(dup, ridge=0.01)
-        b = rl.fit_least_squares(doubled, ridge=0.01)
+        dup = take_rows(base, [0, 1, 2, 3, 4, 5, 2])
+        doubled = with_weight(base, 2, 2.0)
+        a = rl.fit_least_squares(*dup, ridge=0.01)
+        b = rl.fit_least_squares(*doubled, ridge=0.01)
         np.testing.assert_allclose(a.theta, b.theta, atol=1e-12)
         assert a.bias == pytest.approx(b.bias, abs=1e-12)
 
     def test_matches_normal_equation_oracle(self):
         rng = np.random.default_rng(1)
-        samples = random_two_class(rng, 5, 2)
-        x, y, w = rl.learners.as_arrays(samples)
-        model = rl.fit_least_squares(samples, ridge=0.0)
+        x, y, w = random_two_class(rng, 5, 2)
+        model = rl.fit_least_squares(x, y, w, ridge=0.0)
         # oracle: solve via lstsq on sqrt-weight scaled rows (different path)
         xa = np.column_stack([x, np.ones(5)])
         sw = np.sqrt(w / w.sum())
@@ -116,31 +128,31 @@ class TestLeastSquares:
 
     def test_singular_without_ridge(self):
         # two perfectly collinear columns
-        samples = [weighted([v, 2 * v], 1 if v > 0 else -1) for v in (-2.0, -1.0, 1.0, 2.0)]
+        samples = columns([([v, 2 * v], 1 if v > 0 else -1, 1.0) for v in (-2.0, -1.0, 1.0, 2.0)])
         with pytest.raises(SingularDataError):
-            rl.fit_least_squares(samples, ridge=0.0)
-        rl.fit_least_squares(samples, ridge=1e-6)  # regularized fit goes through
+            rl.fit_least_squares(*samples, ridge=0.0)
+        rl.fit_least_squares(*samples, ridge=1e-6)  # regularized fit goes through
 
 
-def hand_weighted_moments(samples):
+def hand_weighted_moments(x, y, w):
     """Plain-loop weighted moment oracle."""
     by_class = {-1: [], 1: []}
-    for s in samples:
-        by_class[s.instance.label].append(s)
+    for i in range(len(y)):
+        by_class[int(y[i])].append(i)
     out = {}
-    total = sum(s.weight for s in samples)
+    total = sum(w)
     for cls, group in by_class.items():
-        wsum = sum(s.weight for s in group)
-        d = len(group[0].instance.features)
+        wsum = sum(w[i] for i in group)
+        d = len(x[group[0]])
         mean = [
-            sum(s.weight * s.instance.features[j] for s in group) / wsum for j in range(d)
+            sum(w[i] * x[i][j] for i in group) / wsum for j in range(d)
         ]
         cov = [[0.0] * d for _ in range(d)]
-        for s in group:
-            diff = [s.instance.features[j] - mean[j] for j in range(d)]
+        for i in group:
+            diff = [x[i][j] - mean[j] for j in range(d)]
             for a in range(d):
                 for b in range(d):
-                    cov[a][b] += s.weight * diff[a] * diff[b]
+                    cov[a][b] += w[i] * diff[a] * diff[b]
         cov = [[v / wsum for v in row] for row in cov]
         out[cls] = (wsum / total, np.array(mean), np.array(cov))
     return out
@@ -148,109 +160,105 @@ def hand_weighted_moments(samples):
 
 class TestGaussianDiscriminants:
     def test_symmetric_clusters_threshold_at_midpoint(self):
-        left = [weighted([-2.0 + d], -1) for d in (-0.1, 0.0, 0.1)]
-        right = [weighted([2.0 + d], 1) for d in (-0.1, 0.0, 0.1)]
+        left = [([-2.0 + d], -1, 1.0) for d in (-0.1, 0.0, 0.1)]
+        right = [([2.0 + d], 1, 1.0) for d in (-0.1, 0.0, 0.1)]
         for fit in (rl.fit_lda, rl.fit_qda):
-            model = fit(left + right)
+            model = fit(*columns(left + right))
             assert float(model.score(np.array([0.0]))) == pytest.approx(0.0, abs=1e-9)
             assert model.predict(np.array([1.0])) == 1
             assert model.predict(np.array([-1.0])) == -1
 
     def test_weight_scale_invariance(self):
         rng = np.random.default_rng(2)
-        samples = random_two_class(rng, 30, 2)
-        scaled = [weighted(s.instance.features, s.instance.label, s.weight * 10) for s in samples]
+        x, y, w = random_two_class(rng, 30, 2)
         probe = rng.normal(size=(50, 2))
         for fit in (rl.fit_lda, rl.fit_qda):
-            assert np.array_equal(fit(samples).predict(probe), fit(scaled).predict(probe))
+            assert np.array_equal(fit(x, y, w).predict(probe), fit(x, y, w * 10).predict(probe))
 
     def test_moments_match_hand_oracle(self):
-        samples = [
-            weighted([0.0, 1.0], -1, 1.0),
-            weighted([1.0, 2.0], -1, 2.0),
-            weighted([-1.0, 0.5], -1, 0.5),
-            weighted([3.0, -1.0], 1, 1.5),
-            weighted([4.0, 0.0], 1, 2.5),
-            weighted([2.5, 1.0], 1, 1.0),
-        ]
-        oracle = hand_weighted_moments(samples)
-        qda = rl.fit_qda(samples)
+        x, y, w = columns([
+            ([0.0, 1.0], -1, 1.0),
+            ([1.0, 2.0], -1, 2.0),
+            ([-1.0, 0.5], -1, 0.5),
+            ([3.0, -1.0], 1, 1.5),
+            ([4.0, 0.0], 1, 2.5),
+            ([2.5, 1.0], 1, 1.0),
+        ])
+        oracle = hand_weighted_moments(x, y, w)
+        qda = rl.fit_qda(x, y, w)
         for idx, cls in ((0, -1), (1, 1)):
             prior, mean, cov = oracle[cls]
             np.testing.assert_allclose(qda.means[idx], mean, atol=1e-10)
             np.testing.assert_allclose(qda.covariances[idx], cov, atol=1e-10)
             assert math.exp(qda.log_priors[idx]) == pytest.approx(prior, abs=1e-10)
-        lda = rl.fit_lda(samples)
-        total = sum(s.weight for s in samples)
+        lda = rl.fit_lda(x, y, w)
+        total = sum(w)
         pooled = sum(
-            oracle[cls][2] * sum(s.weight for s in samples if s.instance.label == cls)
+            oracle[cls][2] * sum(w[i] for i in range(len(y)) if y[i] == cls)
             for cls in (-1, 1)
         ) / total
         np.testing.assert_allclose(lda.covariances[0], pooled, atol=1e-10)
 
     def test_single_class_raises(self):
         with pytest.raises(MissingClassError):
-            rl.fit_lda([weighted([1.0], 1), weighted([2.0], 1)])
+            rl.fit_lda(np.array([[1.0], [2.0]]), np.array([1, 1]), np.ones(2))
 
     def test_singular_covariance_raises(self):
         # both classes live on the same line in 2-D
-        samples = [weighted([v, 2 * v], -1 if v < 0 else 1) for v in (-2.0, -1.0, 1.0, 2.0)]
+        samples = columns([([v, 2 * v], -1 if v < 0 else 1, 1.0) for v in (-2.0, -1.0, 1.0, 2.0)])
         with pytest.raises(SingularDataError):
-            rl.fit_qda(samples)
+            rl.fit_qda(*samples)
         with pytest.raises(SingularDataError):
-            rl.fit_lda(samples)
+            rl.fit_lda(*samples)
 
     def test_equal_covariances_make_lda_and_qda_agree(self):
         # same point cloud translated: class covariances identical by construction
         rng = np.random.default_rng(3)
         cloud = rng.normal(size=(20, 2))
-        left = [weighted(p + np.array([-2.0, 0.0]), -1, 1.3) for p in cloud]
-        right = [weighted(p + np.array([2.0, 1.0]), 1, 1.3) for p in cloud]
+        left = [(p + np.array([-2.0, 0.0]), -1, 1.3) for p in cloud]
+        right = [(p + np.array([2.0, 1.0]), 1, 1.3) for p in cloud]
         probe = rng.normal(scale=2.0, size=(100, 2))
-        lda, qda = rl.fit_lda(left + right), rl.fit_qda(left + right)
+        lda, qda = rl.fit_lda(*columns(left + right)), rl.fit_qda(*columns(left + right))
         assert np.array_equal(lda.predict(probe), qda.predict(probe))
 
 
 class TestSvm:
     def test_separable_two_points(self):
-        samples = [weighted([1.0, 0.0], 1), weighted([-1.0, 0.0], -1)]
-        model = rl.fit_svm(samples, rl.linear_kernel)
-        for s in samples:
-            margin = s.instance.label * float(model.score(s.instance.features))
+        x, y = np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([1, -1])
+        model = rl.fit_svm(x, y, np.ones(2), rl.linear_kernel)
+        for features, label in zip(x, y):
+            margin = label * float(model.score(features))
             assert margin >= 1 - 1e-6
 
     def test_duplicate_equals_double_weight_on_decision_values(self):
         rng = np.random.default_rng(4)
         base = random_two_class(rng, 8, 2, weight_range=(1.0, 1.0))
-        dup = base + [base[3]]
-        doubled = list(base)
-        doubled[3] = weighted(base[3].instance.features, base[3].instance.label, 2.0)
+        dup = take_rows(base, [0, 1, 2, 3, 4, 5, 6, 7, 3])
+        doubled = with_weight(base, 3, 2.0)
         probe = rng.normal(size=(30, 2))
-        a = rl.fit_svm(dup, rl.linear_kernel, tol=1e-8)
-        b = rl.fit_svm(doubled, rl.linear_kernel, tol=1e-8)
+        a = rl.fit_svm(*dup, rl.linear_kernel, tol=1e-8)
+        b = rl.fit_svm(*doubled, rl.linear_kernel, tol=1e-8)
         np.testing.assert_allclose(a.score(probe), b.score(probe), atol=1e-6)
 
     @pytest.mark.parametrize("kernel", [rl.linear_kernel, rl.poly3_kernel, rl.rbf_kernel()])
     def test_dual_objective_matches_qp_oracle(self, kernel):
         rng = np.random.default_rng(5)
-        samples = random_two_class(rng, 8, 2)
-        x, y, w = rl.learners.as_arrays(samples)
-        model = rl.fit_svm(samples, kernel, cost=1.0, tol=1e-6)
+        x, y, w = random_two_class(rng, 8, 2)
+        model = rl.fit_svm(x, y, w, kernel, cost=1.0, tol=1e-6)
         oracle = qp_dual_oracle(x, y, w, model.kernel, cost=1.0)
         assert model.dual_objective == pytest.approx(oracle, abs=1e-4)
 
     def test_kkt_conditions_at_tolerance(self):
         rng = np.random.default_rng(6)
-        samples = random_two_class(rng, 40, 2)
-        x, y, w = rl.learners.as_arrays(samples)
+        x, y, w = random_two_class(rng, 40, 2)
         tol = 1e-3
-        model = rl.fit_svm(samples, rl.rbf_kernel(), cost=1.0, tol=tol)
+        model = rl.fit_svm(x, y, w, rl.rbf_kernel(), cost=1.0, tol=tol)
         # recover every alpha (support decisions) by re-deriving margins
         decision = y * np.asarray(model.score(x))
         # reconstruct alpha per sample from the stored support set
         support_map = {tuple(sx): c for sx, c in zip(model.support_x, model.dual_coef)}
         slack = tol + 1e-9
-        for i in range(len(samples)):
+        for i in range(len(x)):
             alpha = abs(support_map.get(tuple(x[i]), 0.0))
             box = 1.0 * w[i]
             if alpha <= 1e-12:
@@ -262,23 +270,23 @@ class TestSvm:
 
     def test_single_class_raises(self):
         with pytest.raises(MissingClassError):
-            rl.fit_svm([weighted([1.0], 1), weighted([2.0], 1)])
+            rl.fit_svm(np.array([[1.0], [2.0]]), np.array([1, 1]), np.ones(2))
 
     def test_iteration_cap_raises_with_gap(self):
         rng = np.random.default_rng(7)
         samples = random_two_class(rng, 30, 2)
         with pytest.raises(ConvergenceError) as err:
-            rl.fit_svm(samples, rl.rbf_kernel(), tol=1e-12, max_passes=0)
+            rl.fit_svm(*samples, rl.rbf_kernel(), tol=1e-12, max_passes=0)
         assert err.value.duality_gap is not None
 
 
-def reference_smo(samples, kernel, cost=1.0, tol=1e-3, max_passes=10_000):
+def reference_smo(x, y, w, kernel, cost=1.0, tol=1e-3, max_passes=10_000):
     """The original SMO loop over columns of Q = K * y y', kept as a reference.
 
     Returns (iterations, bias, dual_coef, support_x, dual_objective, alpha,
     box), or raises ConvergenceError like ``fit_svm``.
     """
-    x, y, w = rl.learners.as_arrays(samples)
+    y = np.asarray(y, dtype=np.float64)
     n = len(y)
     box = cost * w
     k = kernel.matrix(x, x)
@@ -334,7 +342,7 @@ def overlapping_two_class(seed, n, d):
     y = np.where(np.arange(n) % 2 == 0, 1, -1)
     x = rng.normal(size=(n, d)) + 0.5 * y[:, None]
     w = rng.choice([0.5, 1.0, 2.5, 4.0], size=n)
-    return [weighted(x[i], y[i], w[i]) for i in range(n)]
+    return x, y, w
 
 
 KERNELS = [rl.linear_kernel, rl.poly3_kernel, rl.rbf_kernel(0.5)]
@@ -347,9 +355,9 @@ class TestSvmBitIdentity:
     @pytest.mark.parametrize("seed,n,d", [(11, 30, 2), (12, 120, 5)])
     def test_same_model_as_reference(self, kernel, seed, n, d):
         samples = overlapping_two_class(seed, n, d)
-        model = rl.fit_svm(samples, kernel, cost=1.0, tol=1e-6)
+        model = rl.fit_svm(*samples, kernel, cost=1.0, tol=1e-6)
         iterations, bias, dual_coef, support_x, objective, alpha, box = reference_smo(
-            samples, kernel, cost=1.0, tol=1e-6
+            *samples, kernel, cost=1.0, tol=1e-6
         )
         assert np.any(alpha >= box - 1e-12)  # some alphas reach the box
         assert model.iterations == iterations
@@ -363,9 +371,9 @@ class TestSvmBitIdentity:
     def test_same_duality_gap_at_iteration_cap(self, kernel, max_passes):
         samples = overlapping_two_class(13, 30, 2)
         with pytest.raises(ConvergenceError) as got:
-            rl.fit_svm(samples, kernel, tol=1e-12, max_passes=max_passes)
+            rl.fit_svm(*samples, kernel, tol=1e-12, max_passes=max_passes)
         with pytest.raises(ConvergenceError) as want:
-            reference_smo(samples, kernel, tol=1e-12, max_passes=max_passes)
+            reference_smo(*samples, kernel, tol=1e-12, max_passes=max_passes)
         assert got.value.duality_gap == want.value.duality_gap
 
     @pytest.mark.parametrize("kernel", KERNELS + [rl.rbf_kernel()], ids=["linear", "poly3", "rbf", "rbf-default"])
@@ -378,12 +386,19 @@ class TestSvmBitIdentity:
 
 
 def batch_fits():
+    # named like the fits they wrap, so the test ids stay lda-fit_lda and qda-fit_qda
+    def fit_lda(s):
+        return rl.fit_lda(*s)
+
+    def fit_qda(s):
+        return rl.fit_qda(*s)
+
     return [
-        ("least-squares", lambda s: rl.fit_least_squares(s, ridge=1e-8)),
-        ("lda", rl.fit_lda),
-        ("qda", rl.fit_qda),
-        ("svm-linear", lambda s: rl.fit_svm(s, rl.linear_kernel, tol=1e-8)),
-        ("svm-rbf", lambda s: rl.fit_svm(s, rl.rbf_kernel(), tol=1e-8)),
+        ("least-squares", lambda s: rl.fit_least_squares(*s, ridge=1e-8)),
+        ("lda", fit_lda),
+        ("qda", fit_qda),
+        ("svm-linear", lambda s: rl.fit_svm(*s, rl.linear_kernel, tol=1e-8)),
+        ("svm-rbf", lambda s: rl.fit_svm(*s, rl.rbf_kernel(), tol=1e-8)),
     ]
 
 
@@ -393,9 +408,8 @@ class TestBatchLearnerIdentities:
         rng = np.random.default_rng(8)
         base = random_two_class(rng, 12, 2, weight_range=(1.0, 1.0))
         k = 3
-        replicated = base + [base[5]] * (k - 1)
-        reweighted = list(base)
-        reweighted[5] = weighted(base[5].instance.features, base[5].instance.label, float(k))
+        replicated = take_rows(base, list(range(12)) + [5] * (k - 1))
+        reweighted = with_weight(base, 5, float(k))
         probe = rng.normal(size=(40, 2))
         a, b = fit(replicated), fit(reweighted)
         np.testing.assert_allclose(
@@ -407,21 +421,19 @@ class TestBatchLearnerIdentities:
     @pytest.mark.parametrize("name,fit", [f for f in batch_fits() if not f[0].startswith("svm")])
     def test_global_weight_scaling_invariance(self, name, fit):
         rng = np.random.default_rng(9)
-        base = random_two_class(rng, 14, 2)
-        scaled = [weighted(s.instance.features, s.instance.label, s.weight * 7.5) for s in base]
+        x, y, w = random_two_class(rng, 14, 2)
         probe = rng.normal(size=(40, 2))
-        assert np.array_equal(fit(base).predict(probe), fit(scaled).predict(probe))
+        assert np.array_equal(fit((x, y, w)).predict(probe), fit((x, y, w * 7.5)).predict(probe))
 
     def test_svm_weight_scaling_equals_cost_scaling(self):
         # the box is cost * w, so scaling every weight is the same fit as
         # scaling the cost; scale *invariance* cannot hold here without
         # breaking the replication identity
         rng = np.random.default_rng(9)
-        base = random_two_class(rng, 14, 2)
-        scaled = [weighted(s.instance.features, s.instance.label, s.weight * 7.5) for s in base]
+        x, y, w = random_two_class(rng, 14, 2)
         probe = rng.normal(size=(40, 2))
-        a = rl.fit_svm(scaled, rl.rbf_kernel(), cost=1.0, tol=1e-8)
-        b = rl.fit_svm(base, rl.rbf_kernel(), cost=7.5, tol=1e-8)
+        a = rl.fit_svm(x, y, w * 7.5, rl.rbf_kernel(), cost=1.0, tol=1e-8)
+        b = rl.fit_svm(x, y, w, rl.rbf_kernel(), cost=7.5, tol=1e-8)
         np.testing.assert_allclose(a.score(probe), b.score(probe), atol=1e-6)
 
 
@@ -450,48 +462,34 @@ class TestErrorMeasures:
 
     def test_weighted_error_arithmetic(self):
         model = LeastSquaresModel(theta=np.array([1.0]), bias=0.0)
-        samples = [
-            weighted([1.0], 1, 4.0),   # correct
-            weighted([-1.0], -1, 3.0),  # correct
-            weighted([1.0], -1, 3.0),   # wrong, weight 3 of 10
-        ]
-        assert rl.weighted_error(model, samples) == pytest.approx(0.3, abs=1e-15)
+        samples = columns([
+            ([1.0], 1, 4.0),   # correct
+            ([-1.0], -1, 3.0),  # correct
+            ([1.0], -1, 3.0),   # wrong, weight 3 of 10
+        ])
+        assert rl.weighted_error(model, *samples) == pytest.approx(0.3, abs=1e-15)
 
     def test_uniform_weights_match_zero_one(self):
         ds = rl.gen_uniform_line(100, seed=24)
         model = LeastSquaresModel(theta=np.array([1.0]), bias=0.2)
-        samples = rl.dataset_as_weighted(ds, weight=2.5)
-        assert rl.weighted_error(model, samples) == rl.zero_one_error(model, ds)
+        weights = np.full(len(ds), 2.5)
+        assert rl.weighted_error(model, ds.x, ds.y, weights) == rl.zero_one_error(model, ds)
 
     def test_empty_inputs_rejected(self):
         model = LeastSquaresModel(theta=np.array([1.0]), bias=0.0)
         with pytest.raises(InvalidArgumentError):
-            rl.weighted_error(model, [])
+            rl.weighted_error(model, np.empty((0, 1)), np.empty(0), np.empty(0))
+
+    @pytest.mark.parametrize("fit", [rl.fit_least_squares, rl.fit_svm, rl.fit_online_linear])
+    def test_bad_weights_and_shapes_rejected(self, fit):
+        x, y = np.array([[-1.0], [1.0]]), np.array([-1, 1])
+        for w in (np.array([1.0, 0.0]), np.array([1.0, -2.0]), np.ones(3)):
+            with pytest.raises(InvalidArgumentError):
+                fit(x, y, w)
+        with pytest.raises(InvalidArgumentError):
+            fit(x, y[:1], np.ones(2))
 
     def test_tie_goes_to_positive(self):
         model = LeastSquaresModel(theta=np.array([1.0]), bias=0.0)
         assert model.predict(np.array([0.0])) == 1
 
-
-class TestSerialization:
-    def test_round_trip_every_kind(self):
-        rng = np.random.default_rng(10)
-        samples = random_two_class(rng, 20, 2)
-        probe = rng.normal(size=(25, 2))
-        models = [
-            rl.fit_online_linear(samples),
-            rl.fit_least_squares(samples, ridge=0.5),
-            rl.fit_lda(samples),
-            rl.fit_qda(samples),
-            rl.fit_svm(samples, rl.rbf_kernel()),
-        ]
-        for model in models:
-            clone = rl.model_from_text(rl.model_to_text(model))
-            assert clone.kind == model.kind
-            np.testing.assert_array_equal(
-                np.asarray(model.score(probe)), np.asarray(clone.score(probe))
-            )
-
-    def test_rejects_other_documents(self):
-        with pytest.raises(InvalidArgumentError):
-            rl.model_from_text("something else\n{}")

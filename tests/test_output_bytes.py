@@ -1,0 +1,53 @@
+"""Pinned sha256 of the files ``reuselab run`` writes.
+
+Replay compares parsed values, so a formatting drift that still parses
+would pass it; these hashes catch any change in the bytes of the curve,
+the report and one trace per strategy. The run covers all four strategies,
+every consumer kind and exact-ERM ``g``. Update a hash only in a change
+that means to alter that file's format or content.
+"""
+
+import hashlib
+import json
+
+from reuselab.cli import main
+from reuselab.experiments import CONSUMER_KINDS
+
+CONFIG = {
+    "dataset": {"kind": "circle", "n": 240, "circle_prob": 0.05},
+    "test_prop": 0.25,
+    "repetitions": 2,
+    "strategies": ["random", "uncertainty", "iwal", "iwal-no-weights"],
+    "consumers": [{"kind": kind} for kind in CONSUMER_KINDS],
+    "n_grid": [30, 90],
+    "c0_grid": [0.05],
+    "base_seed": 11,
+    "iwal": {"gk_mode": "exact-erm", "erm_grid_resolution": 16},
+    "save_traces": True,
+}
+
+EXPECTED = {
+    "curve.csv":
+        "f8466fc47bd5ce50b6d0e9cc187881f49c221183903d851ae10b51158eb409e9",
+    "report.csv":
+        "db847e3596eb1c0458a9de074c8dc20d0a9093a27f34a6fab8cff08e8ffab24d",
+    "traces/trace_random_n_30_r0001.csv":
+        "927f38db34c116f65bb9d4d024b471e41c17689d905c0d69062763fb9b4991fe",
+    "traces/trace_uncertainty_n_90_r0000.csv":
+        "f8b3293f1ab1dfc3c8fb4856b9cd55c0ba614e50ea2f9492c58e70ecf95826d3",
+    "traces/trace_iwal_c0_0.05_r0001.csv":
+        "4249b6ee5176f266acbec65df0cb5b560f933399fe1745884eb6bac7f89c9b37",
+    "traces/trace_iwal-no-weights_c0_0.05_r0000.csv":
+        "d1c042edd4d7a30bc00d67944cfd80cbf1c6f4df93bfde1951d8634ba21c2ee4",
+}
+
+
+def test_run_output_bytes_are_pinned(tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(CONFIG))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out-dir", str(out), "--quiet"]) == 0
+    got = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in EXPECTED
+    }
+    assert got == EXPECTED

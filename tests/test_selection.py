@@ -6,18 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reuselab as rl
-from reuselab.datasets import Instance
 from reuselab.errors import DegenerateGridError, InvalidArgumentError, TraceFormatError
-from reuselab.learners import weighted
 from reuselab.seeding import derive_seed
 from reuselab.selection import (
     IWAL,
     IWAL_NO_WEIGHTS,
     LinearHypothesisGrid,
-    TraceRow,
     load_trace,
+    trace_rows,
     trace_to_text,
 )
+
+
+def unit_weight_rows(xs, labels):
+    """(x, y, w) arrays for 1-D points with weight 1."""
+    return np.array(xs, dtype=np.float64)[:, None], np.array(labels), np.ones(len(xs))
 
 
 class TestSelectionProbability:
@@ -98,7 +101,7 @@ class TestSurrogate:
 
     def test_boundary_vs_edge_scores_on_uniform_line(self):
         pool = rl.gen_uniform_line(1000, seed=30)
-        ranker = rl.fit_online_linear(rl.dataset_as_weighted(pool))
+        ranker = rl.fit_online_linear(pool.x, pool.y, np.ones(len(pool)))
         scores = np.abs(np.asarray(ranker.score(pool.x)))
         mean_abs = float(scores.mean())
         g = scores / mean_abs
@@ -107,32 +110,32 @@ class TestSurrogate:
         assert edge.mean() > center.mean()
 
 
-def brute_force_difference(labeled, candidate, grid):
+def brute_force_difference(x, y, w, candidate, grid):
     """Plain-loop ERM over the grid, no numpy vectorization."""
     best_overall, best_overall_idx = None, None
     errs = []
     for h in range(len(grid)):
         err = 0.0
-        for wi in labeled:
+        for i in range(len(y)):
             pred = 1 if sum(
-                grid.w[h][j] * wi.instance.features[j] for j in range(grid.w.shape[1])
+                grid.w[h][j] * x[i][j] for j in range(grid.w.shape[1])
             ) - grid.b[h] >= 0 else -1
-            if pred != wi.instance.label:
-                err += wi.weight
+            if pred != y[i]:
+                err += w[i]
         errs.append(err)
         if best_overall is None or err < best_overall:
             best_overall, best_overall_idx = err, h
     cand_pred_best = 1 if sum(
-        grid.w[best_overall_idx][j] * candidate.features[j] for j in range(grid.w.shape[1])
+        grid.w[best_overall_idx][j] * candidate[j] for j in range(grid.w.shape[1])
     ) - grid.b[best_overall_idx] >= 0 else -1
     disagree = []
     for h in range(len(grid)):
         pred = 1 if sum(
-            grid.w[h][j] * candidate.features[j] for j in range(grid.w.shape[1])
+            grid.w[h][j] * candidate[j] for j in range(grid.w.shape[1])
         ) - grid.b[h] >= 0 else -1
         if pred != cand_pred_best:
             disagree.append(errs[h])
-    total = sum(wi.weight for wi in labeled)
+    total = sum(w)
     return (min(disagree) - best_overall) / total
 
 
@@ -143,7 +146,8 @@ class TestExactErrorDifference:
 
     def test_empty_labeled_set_gives_zero(self):
         grid = self.small_grid()
-        assert rl.exact_error_difference([], Instance(np.array([0.2]), 1), grid) == 0.0
+        empty = np.empty((0, 1)), np.empty(0), np.empty(0)
+        assert rl.exact_error_difference(*empty, np.array([0.2]), grid) == 0.0
 
     def test_hand_enumerated_single_point(self):
         # one labeled point at x=0.5 (+1). A candidate at x=0.6 can only be
@@ -154,47 +158,48 @@ class TestExactErrorDifference:
             w=np.concatenate([np.ones(4), -np.ones(4)])[:, None],
             b=np.concatenate([thresholds, -thresholds]),
         )
-        labeled = [weighted([0.5], 1, 1.0)]
-        g = rl.exact_error_difference(labeled, Instance(np.array([0.6]), 1), grid)
+        labeled = unit_weight_rows([0.5], [1])
+        g = rl.exact_error_difference(*labeled, np.array([0.6]), grid)
         assert g == 1.0
         # a candidate at x=0.2 can be flipped for free by the threshold at 0.4
-        g2 = rl.exact_error_difference(labeled, Instance(np.array([0.2]), 1), grid)
+        g2 = rl.exact_error_difference(*labeled, np.array([0.2]), grid)
         assert g2 == 0.0
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(31)
         grid = rl.build_linear_grid([-1.0, -1.0], [1.0, 1.0], 7)
-        labeled = [
-            weighted(rng.uniform(-1, 1, size=2), 1 if rng.random() < 0.5 else -1,
-                     rng.uniform(1, 5))
+        rows = [
+            (rng.uniform(-1, 1, size=2), 1 if rng.random() < 0.5 else -1, rng.uniform(1, 5))
             for _ in range(9)
         ]
+        labeled = tuple(np.array(column) for column in zip(*rows))
         for _ in range(5):
-            candidate = Instance(rng.uniform(-1, 1, size=2), 1)
-            mine = rl.exact_error_difference(labeled, candidate, grid)
-            oracle = brute_force_difference(labeled, candidate, grid)
+            candidate = rng.uniform(-1, 1, size=2)
+            mine = rl.exact_error_difference(*labeled, candidate, grid)
+            oracle = brute_force_difference(*labeled, candidate, grid)
             assert mine == pytest.approx(oracle, abs=1e-12)
             assert mine >= 0.0
 
     def test_separated_set_deep_candidate_has_positive_gap(self):
         grid = rl.build_linear_grid([-1.0], [1.0], 21)
-        labeled = [weighted([x], -1 if x < 0 else 1) for x in (-0.8, -0.5, -0.2, 0.2, 0.5, 0.8)]
-        deep = Instance(np.array([0.9]), 1)
-        g = rl.exact_error_difference(labeled, deep, grid)
-        assert g == pytest.approx(brute_force_difference(labeled, deep, grid), abs=1e-12)
+        xs = (-0.8, -0.5, -0.2, 0.2, 0.5, 0.8)
+        labeled = unit_weight_rows(xs, [-1 if x < 0 else 1 for x in xs])
+        deep = np.array([0.9])
+        g = rl.exact_error_difference(*labeled, deep, grid)
+        assert g == pytest.approx(brute_force_difference(*labeled, deep, grid), abs=1e-12)
         assert g > 0.0
 
     def test_boundary_candidate_has_zero_gap(self):
         grid = rl.build_linear_grid([-1.0], [1.0], 21)
-        labeled = [weighted([x], -1 if x < 0 else 1) for x in (-0.8, -0.4, 0.4, 0.8)]
-        assert rl.exact_error_difference(labeled, Instance(np.array([0.0]), 1), grid) == 0.0
+        labeled = unit_weight_rows((-0.8, -0.4, 0.4, 0.8), (-1, -1, 1, 1))
+        assert rl.exact_error_difference(*labeled, np.array([0.0]), grid) == 0.0
 
     def test_degenerate_grid(self):
         # every hypothesis predicts +1 for the candidate
         grid = LinearHypothesisGrid(w=np.array([[1.0], [1.0]]), b=np.array([-5.0, -4.0]))
-        labeled = [weighted([0.5], 1)]
+        labeled = unit_weight_rows([0.5], [1])
         with pytest.raises(DegenerateGridError):
-            rl.exact_error_difference(labeled, Instance(np.array([0.0]), 1), grid)
+            rl.exact_error_difference(*labeled, np.array([0.0]), grid)
 
     def test_grid_rejects_high_dim(self):
         with pytest.raises(InvalidArgumentError):
@@ -206,8 +211,8 @@ class TestSelectRandom:
         train = rl.gen_uniform_line(20, seed=32)
         res = rl.select_random(train, 20)
         assert res.selected_count == 20
-        assert all(wi.weight == 1.0 for wi in res.selected)
-        assert all(row.probability == 1.0 for row in res.trace)
+        assert np.all(res.weights == 1.0)
+        assert all(row.probability == 1.0 for row in trace_rows(res))
 
     def test_empty_selection(self):
         train = rl.gen_uniform_line(20, seed=33)
@@ -216,8 +221,7 @@ class TestSelectRandom:
     def test_prefix_follows_train_order(self):
         train = rl.gen_uniform_line(20, seed=34)
         res = rl.select_random(train, 5)
-        got = np.stack([wi.instance.features for wi in res.selected])
-        assert np.array_equal(got, train.x[:5])
+        assert np.array_equal(train.x[res.indices], train.x[:5])
 
     def test_too_many_requested(self):
         train = rl.gen_uniform_line(20, seed=35)
@@ -228,15 +232,15 @@ class TestSelectRandom:
 class TestSelectUncertainty:
     def test_prefix_concentrates_near_boundary(self):
         pool = rl.gen_uniform_line(1000, seed=36)
-        ranker = rl.fit_online_linear(rl.dataset_as_weighted(pool))
+        ranker = rl.fit_online_linear(pool.x, pool.y, np.ones(len(pool)))
         res = rl.select_uncertainty(pool, 10, ranker)
-        picked = np.abs(np.stack([wi.instance.features for wi in res.selected])[:, 0])
+        picked = np.abs(pool.x[res.indices, 0])
         cutoff = np.percentile(np.abs(pool.x[:, 0]), 5)
         assert picked.max() < cutoff
 
     def test_whole_pool_regardless_of_ranking(self):
         pool = rl.gen_uniform_line(50, seed=37)
-        ranker = rl.fit_online_linear(rl.dataset_as_weighted(pool))
+        ranker = rl.fit_online_linear(pool.x, pool.y, np.ones(len(pool)))
         res = rl.select_uncertainty(pool, 50, ranker)
         assert res.selected_count == 50
 
@@ -244,8 +248,7 @@ class TestSelectUncertainty:
         pool = rl.gen_uniform_line(10, seed=38)
         zero_model = rl.make_online_model(1)  # every score is 0: all tied
         res = rl.select_uncertainty(pool, 3, zero_model)
-        got = np.stack([wi.instance.features for wi in res.selected])
-        assert np.array_equal(got, pool.x[:3])
+        assert np.array_equal(pool.x[res.indices], pool.x[:3])
 
 
 class TestSelectIwal:
@@ -253,18 +256,17 @@ class TestSelectIwal:
         train = rl.gen_uniform_line(200, seed=39)
         res = rl.select_iwal(train, rl.IwalConfig(c0=1e9, seed=40))
         assert res.selected_count == 200
-        assert all(wi.weight == 1.0 for wi in res.selected)
-        assert all(row.probability == 1.0 for row in res.trace)
+        assert np.all(res.weights == 1.0)
+        assert all(row.probability == 1.0 for row in trace_rows(res))
         baseline = rl.select_random(train, 200)
-        got = np.stack([wi.instance.features for wi in res.selected])
-        want = np.stack([wi.instance.features for wi in baseline.selected])
-        assert np.array_equal(got, want)
+        assert np.array_equal(train.x[res.indices], train.x[baseline.indices])
 
     def test_trace_invariants(self):
         train = rl.gen_uniform_line(500, seed=41)
         res = rl.select_iwal(train, rl.IwalConfig(c0=0.5, seed=42))
-        assert len(res.trace) == 500
-        for row in res.trace:
+        rows = trace_rows(res)
+        assert len(rows) == 500
+        for row in rows:
             assert 0.0 < row.probability <= 1.0
             assert row.coin == row.selected
             if row.selected:
@@ -272,14 +274,15 @@ class TestSelectIwal:
                 assert abs(row.weight * row.probability - 1.0) < 1e-12
             else:
                 assert row.weight == 0.0
-        assert res.selected_count == sum(r.selected for r in res.trace)
+        assert res.selected_count == sum(r.selected for r in rows)
         assert res.selected_count >= 1  # the first example is always labeled
 
     def test_first_example_always_selected(self):
         train = rl.gen_uniform_line(100, seed=43)
         res = rl.select_iwal(train, rl.IwalConfig(c0=1e-9, seed=44))
-        assert res.trace[0].probability == 1.0
-        assert res.trace[0].selected == 1
+        first = trace_rows(res)[0]
+        assert first.probability == 1.0
+        assert first.selected == 1
 
     def test_no_weights_variant_keeps_probabilities(self):
         train = rl.gen_uniform_line(300, seed=45)
@@ -287,8 +290,8 @@ class TestSelectIwal:
         stripped = rl.without_weights(base)
         assert stripped.strategy == IWAL_NO_WEIGHTS
         assert stripped.selected_count == base.selected_count
-        assert all(wi.weight == 1.0 for wi in stripped.selected)
-        for a, b in zip(base.trace, stripped.trace):
+        assert np.all(stripped.weights == 1.0)
+        for a, b in zip(trace_rows(base), trace_rows(stripped)):
             assert a.probability == b.probability
             assert a.selected == b.selected
             assert b.weight in (0.0, 1.0)
@@ -297,7 +300,7 @@ class TestSelectIwal:
         train = rl.gen_uniform_line(400, seed=47)
         a = rl.select_iwal(train, rl.IwalConfig(c0=0.7, seed=48))
         b = rl.select_iwal(train, rl.IwalConfig(c0=0.7, seed=48))
-        assert a.trace == b.trace
+        assert trace_rows(a) == trace_rows(b)
 
     def test_mean_count_monotone_in_c0(self):
         lo, hi = [], []
@@ -313,20 +316,20 @@ class TestSelectIwal:
             train, rl.IwalConfig(c0=0.01, gk_mode="exact-erm", erm_grid_resolution=32, seed=52)
         )
         assert 1 <= res.selected_count <= 200
-        assert all(0 < r.probability <= 1 for r in res.trace)
-        assert all(r.g >= 0 for r in res.trace)
+        assert all(0 < r.probability <= 1 for r in trace_rows(res))
+        assert all(r.g >= 0 for r in trace_rows(res))
 
     def test_unbiasedness_quick(self):
         # small version of the weighted-error unbiasedness check
         pool = rl.gen_uniform_line(2000, seed=53)
         model = rl.learners.LeastSquaresModel(theta=np.array([1.0]), bias=0.2)
         truth = rl.zero_one_error(model, pool)
+        selections = (
+            rl.select_iwal(pool, rl.IwalConfig(c0=3.0, seed=derive_seed(54, r))) for r in range(200)
+        )
         vals = [
-            rl.weighted_error(
-                model,
-                list(rl.select_iwal(pool, rl.IwalConfig(c0=3.0, seed=derive_seed(54, r))).selected),
-            )
-            for r in range(200)
+            rl.weighted_error(model, pool.x[sel.indices], pool.y[sel.indices], sel.weights)
+            for sel in selections
         ]
         se = np.std(vals, ddof=1) / math.sqrt(len(vals))
         assert abs(np.mean(vals) - truth) <= 5 * se
@@ -346,7 +349,7 @@ class TestTraceFormat:
         assert header["strategy"] == IWAL
         assert header["c0"] == 0.9
         assert header["dataset"] == spec
-        assert rows == list(res.trace)
+        assert rows == trace_rows(res)
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
