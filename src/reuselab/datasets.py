@@ -250,8 +250,8 @@ def load_csv(
         if col not in feature_cols:
             raise DataFormatError(f"schema mentions unknown column {col!r}")
 
-    raw_labels = [row[label_idx] for row in rows]
-    y = np.asarray([1 if v in positive else -1 for v in raw_labels], dtype=np.int64)
+    by_column = list(zip(*rows))
+    y = np.asarray([1 if v in positive else -1 for v in by_column[label_idx]], dtype=np.int64)
     if len(set(y.tolist())) < 2:
         raise SingleClassDataError(f"{path}: all rows map to a single class")
 
@@ -259,8 +259,7 @@ def load_csv(
     kinds: list[str] = []
     names: list[str] = []
     for col in feature_cols:
-        idx = columns.index(col)
-        values = [row[idx] for row in rows]
+        values = by_column[columns.index(col)]
         kind, levels = _schema_entry(schema[col], col)
         if kind == NUMERIC:
             pieces.append(_numeric_column(values, col, path))
@@ -321,8 +320,7 @@ def _one_hot_column(values, col, declared_levels):
             raise UnknownCategoryError(f"column {col!r}: undeclared categories {sorted(extra)}")
     index = {lev: j for j, lev in enumerate(levels)}
     block = np.zeros((len(values), len(levels)))
-    for i, v in enumerate(values):
-        block[i, index[v]] = 1.0
+    block[np.arange(len(values)), [index[v] for v in values]] = 1.0
     return block, levels
 
 

@@ -26,6 +26,7 @@ import numpy as np
 from .datasets import DatasetSpec, make_dataset, resolve_spec, split
 from .errors import (
     ConvergenceError,
+    DegenerateGridError,
     InvalidArgumentError,
     MissingClassError,
     SingularDataError,
@@ -218,7 +219,15 @@ def welch_t(mean_a: float, sem_a: float, n_a: int, mean_b: float, sem_b: float, 
     is applied)."""
     if sem_a <= 0 or sem_b <= 0:
         raise InvalidArgumentError("standard errors must be positive")
-    return (mean_a - mean_b) / math.hypot(sem_a, sem_b)
+    return _welch_ratio(mean_a - mean_b, sem_a, sem_b)
+
+
+def _welch_ratio(delta: float, sem_a: float, sem_b: float) -> float:
+    """``delta / hypot(sem_a, sem_b)``; a zero combined sem gives 0 or +-inf."""
+    combined = math.hypot(sem_a, sem_b)
+    if combined == 0.0:
+        return 0.0 if delta == 0.0 else math.copysign(math.inf, delta)
+    return delta / combined
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +266,7 @@ def _run_repetition(config: ExperimentConfig, r: int) -> _RepOutcome:
     split_dict = {"test_prop": config.test_prop, "seed": split_seed, "scale_numeric": scale}
 
     selections: list[tuple[str, SelectionResult]] = []
+    dropped = []  # (strategy, cell) of IWAL passes that could not finish
     if RANDOM in config.strategies:
         for n in config.n_grid:
             selections.append((_cell_label("n", n), select_random(train, n)))
@@ -276,14 +286,20 @@ def _run_repetition(config: ExperimentConfig, r: int) -> _RepOutcome:
                 log_base=config.log_base,
                 selector_eta0=config.selector_eta0,
             )
-            weighted = select_iwal(train, iwal_config)
             label = _cell_label("c0", c0)
+            try:
+                weighted = select_iwal(train, iwal_config)
+            except DegenerateGridError:
+                dropped += [(s, label) for s in (IWAL, IWAL_NO_WEIGHTS) if s in config.strategies]
+                continue
             if IWAL in config.strategies:
                 selections.append((label, weighted))
             if IWAL_NO_WEIGHTS in config.strategies:
                 selections.append((label, without_weights(weighted)))
 
-    counts, errors, traces = {}, {}, []
+    # a dropped pass counts like a failed fit in every consumer: no count, no trace
+    counts, traces = {}, []
+    errors = {(s, label, c.name): None for s, label in dropped for c in config.consumers}
     for label, sel in selections:
         counts[(sel.strategy, label)] = sel.selected_count
         if config.save_traces:
@@ -368,9 +384,9 @@ def aggregate(
     outcomes = sorted(outcomes, key=lambda o: o.rep)
     cells: list[tuple[str, str]] = []
     for out in outcomes:
-        for key in out.counts:
-            if key not in cells:
-                cells.append(key)
+        for strategy, cell, _ in out.errors:
+            if (strategy, cell) not in cells:
+                cells.append((strategy, cell))
     cells.sort(key=lambda sc: (STRATEGIES.index(sc[0]), _cell_sort_key(sc[1])))
 
     points = []
@@ -439,11 +455,7 @@ def build_report(points: Sequence[CurvePoint]) -> ReusabilityReport:
             continue
         match = min(baselines, key=lambda q: (abs(q.x_position - p.x_position), q.x_position))
         delta = p.mean_err - match.mean_err
-        combined = math.hypot(p.std_of_mean, match.std_of_mean)
-        if combined == 0.0:
-            t = 0.0 if delta == 0.0 else math.copysign(math.inf, delta)
-        else:
-            t = delta / combined
+        t = _welch_ratio(delta, p.std_of_mean, match.std_of_mean)
         if p.reps_used < MIN_REPS_FOR_VERDICT or abs(t) < T_THRESHOLD:
             verdict = INCONCLUSIVE
         elif delta < 0:

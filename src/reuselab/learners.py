@@ -27,6 +27,9 @@ from .errors import (
 # Condition-number ceiling beyond which a normal/covariance matrix is
 # treated as singular (exact one-hot collinearity lands far above this).
 _COND_LIMIT = 1e12
+# Entries per row block of an RBF kernel: one block stays in cache while
+# its elementwise steps run.
+_KERNEL_BLOCK = 1 << 15
 
 
 def as_arrays(x, y, w):
@@ -306,13 +309,34 @@ class Kernel:
             raise InvalidArgumentError("gamma must be positive")
 
     def matrix(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self.kind == "linear":
-            return a @ b.T
+        """Gram matrix of the float64 rows of ``a`` against those of ``b``.
+
+        The GEMM's output is the only (n, m) array: poly3 and rbf finish in
+        place, rbf one cache-sized row block at a time with a small reused
+        buffer for ``|a_i|^2 + |b_j|^2``. Each element goes through the same
+        operations in the same order as the plain expressions, so the bits
+        are those of ``exp(-gamma * max(|a|^2 + |b|^2 - 2 a.b, 0))``.
+        """
+        out = a @ b.T
         if self.kind == "poly3":
-            return (a @ b.T + 1.0) ** 3
-        gamma = self.gamma if self.gamma is not None else 1.0 / a.shape[1]
-        sq = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - 2.0 * (a @ b.T)
-        return np.exp(-gamma * np.maximum(sq, 0.0))
+            out += 1.0
+            np.power(out, 3, out=out)
+        elif self.kind == "rbf":
+            gamma = self.gamma if self.gamma is not None else 1.0 / a.shape[1]
+            aa = (a * a).sum(axis=1)
+            bb = (b * b).sum(axis=1)
+            rows = max(1, _KERNEL_BLOCK // max(out.shape[1], 1))
+            tmp = np.empty((min(rows, len(out)), out.shape[1]))
+            for lo in range(0, len(out), rows):
+                blk = out[lo:lo + rows]
+                sq = tmp[:len(blk)]
+                blk *= 2.0
+                np.add(aa[lo:lo + rows, None], bb, out=sq)
+                np.subtract(sq, blk, out=blk)
+                np.maximum(blk, 0.0, out=blk)
+                blk *= -gamma
+                np.exp(blk, out=blk)
+        return out
 
 
 linear_kernel = Kernel("linear")
@@ -356,11 +380,13 @@ def fit_svm(
     the remaining duality gap) when the cap is hit before the KKT
     violation drops below ``tol``.
 
-    K is the only n x n array; Q = K * y y' is never formed. Because y is
-    +-1 and K is symmetric, the pair update of -y * grad is exactly
-    ``step * (K[i] - K[j])`` over two contiguous rows. Working-set
-    candidates live in two copies of -y * grad masked with -inf / +inf;
-    a step can change the mask of entries i and j only.
+    K is the only n x n array: ``Kernel.matrix`` builds it in the GEMM's
+    own buffer, and Q = K * y y' is never formed. Because y is +-1 and K
+    is symmetric, the pair update of -y * grad is exactly
+    ``step * (K[i] - K[j])`` over two contiguous rows. -y * grad and the
+    up and low working-set candidates (two copies of it masked with
+    -inf / +inf) are the three rows of one (3, n) array, so a step is one
+    ``state -= delta``; it can change the mask of entries i and j only.
     """
     if cost <= 0:
         raise InvalidArgumentError("cost must be positive")
@@ -373,11 +399,13 @@ def fit_svm(
     k = kernel.matrix(x, x)
 
     alpha = np.zeros(n)
-    neg_yg = y.copy()  # -y * grad, with grad = Q alpha - 1 = -1 at alpha = 0
+    state = np.empty((3, n))
+    neg_yg, up_vals, low_vals = state
+    neg_yg[:] = y  # grad = Q alpha - 1 = -1 at alpha = 0
     # at alpha = 0 an index can only move away from 0: up if y > 0, down if y < 0
     has_room = alpha < box - 1e-12
-    up_vals = np.where((y > 0) & has_room, neg_yg, -np.inf)
-    low_vals = np.where((y < 0) & has_room, neg_yg, np.inf)
+    up_vals[:] = np.where((y > 0) & has_room, neg_yg, -np.inf)
+    low_vals[:] = np.where((y < 0) & has_room, neg_yg, np.inf)
     delta = np.empty(n)
     max_iter = max_passes * n
     iterations = 0
@@ -402,9 +430,7 @@ def fit_svm(
         alpha[j] -= y[j] * step
         np.subtract(k[i], k[j], out=delta)
         delta *= step
-        neg_yg -= delta
-        up_vals -= delta
-        low_vals -= delta
+        state -= delta
         for t in (i, j):
             below, above = alpha[t] < box[t] - 1e-12, alpha[t] > 1e-12
             up_vals[t] = neg_yg[t] if (below if y[t] > 0 else above) else -np.inf

@@ -5,18 +5,22 @@ import numpy as np
 import pytest
 
 import reuselab as rl
-from reuselab.errors import InvalidArgumentError
+from reuselab import experiments
+from reuselab.errors import DegenerateGridError, InvalidArgumentError
 from reuselab.experiments import (
     EMPTY_CELL,
     ConsumerSpec,
+    CurvePoint,
     ExperimentConfig,
     _run_repetition,
     aggregate,
+    build_report,
     default_n_grid,
     density_histogram,
     rerun_from_header,
     run_experiment,
 )
+from reuselab.seeding import ROLE_SELECTION, derive_seed
 from reuselab.selection import load_trace
 
 
@@ -53,6 +57,25 @@ class TestWelchT:
     def test_zero_sem_rejected(self):
         with pytest.raises(InvalidArgumentError):
             rl.welch_t(0.5, 0.0, 10, 0.4, 0.01, 10)
+
+    @pytest.mark.parametrize("mean_al,want", [(0.3, math.inf), (0.1, -math.inf), (0.2, 0.0)])
+    def test_report_maps_zero_combined_sem_to_zero_or_inf(self, mean_al, want):
+        points = [
+            CurvePoint("random", "lda", "n=10", 10.0, 0.2, 0.0, 30, 0),
+            CurvePoint("iwal", "lda", "c0=1.0", 10.0, mean_al, 0.0, 30, 0),
+        ]
+        (row,) = build_report(points).rows
+        assert row.welch_t == want
+        assert row.verdict == ("inconclusive" if want == 0.0 else
+                               "reusable" if want < 0 else "not-reusable")
+
+    def test_report_t_matches_welch_t(self):
+        points = [
+            CurvePoint("random", "lda", "n=10", 10.0, 0.02339, 0.00049, 100, 0),
+            CurvePoint("iwal", "lda", "c0=1.0", 10.0, 0.03725, 0.00131, 100, 0),
+        ]
+        (row,) = build_report(points).rows
+        assert row.welch_t == rl.welch_t(0.03725, 0.00131, 100, 0.02339, 0.00049, 100)
 
 
 class TestRunExperiment:
@@ -127,6 +150,52 @@ class TestRunExperiment:
         res = run_experiment(config)
         assert all(p.reps_used == 0 and p.reps_dropped == 3 for p in res.curve)
         assert all(row.verdict == EMPTY_CELL for row in res.report.rows)
+
+    @staticmethod
+    def degenerate_at(monkeypatch, reps):
+        """Make the IWAL pass of each repetition in ``reps`` raise DegenerateGridError."""
+        real = experiments.select_iwal
+        seeds = {derive_seed(100, r, ROLE_SELECTION, 0) for r in reps}
+
+        def select_iwal(train, cfg, *args, **kwargs):
+            if cfg.seed in seeds:
+                raise DegenerateGridError("no grid hypothesis disagrees on the candidate")
+            return real(train, cfg, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "select_iwal", select_iwal)
+
+    def test_degenerate_iwal_pass_drops_only_its_cells(self, monkeypatch):
+        config = line_config(
+            strategies=("random", "iwal", "iwal-no-weights"),
+            consumers=(ConsumerSpec("least-squares"), ConsumerSpec("lda")),
+            save_traces=True,
+        )
+        clean = run_experiment(config)
+        self.degenerate_at(monkeypatch, {1})
+        res = run_experiment(config)
+        assert len(res.curve) == len(clean.curve)
+        for got, want in zip(res.curve, clean.curve):
+            assert got.reps_used + got.reps_dropped == config.repetitions
+            if got.strategy == "random":
+                assert got == want
+            else:
+                assert got.reps_dropped == want.reps_dropped + 1
+        names = {fname for fname, _ in res.traces}
+        assert names == {fname for fname, _ in clean.traces} - {
+            "trace_iwal_c0_1.0_r0001.csv", "trace_iwal-no-weights_c0_1.0_r0001.csv",
+        }
+
+    def test_all_degenerate_iwal_passes_leave_an_empty_cell(self, monkeypatch):
+        config = line_config(strategies=("random", "iwal", "iwal-no-weights"))
+        self.degenerate_at(monkeypatch, range(config.repetitions))
+        res = run_experiment(config)
+        dropped = [p for p in res.curve if p.strategy != "random"]
+        assert [(p.strategy, p.cell) for p in dropped] == [
+            ("iwal", "c0=1.0"), ("iwal-no-weights", "c0=1.0"),
+        ]
+        assert all(p.reps_used == 0 and p.reps_dropped == 4 for p in dropped)
+        assert all(math.isnan(p.x_position) for p in dropped)
+        assert [row.verdict for row in res.report.rows] == [EMPTY_CELL, EMPTY_CELL]
 
     def test_default_n_grid_is_log_spaced(self):
         grid = default_n_grid(1000)

@@ -385,6 +385,46 @@ class TestSvmBitIdentity:
         assert np.array_equal(k, k.T)
 
 
+def plain_kernel_matrix(kernel, a, b):
+    """The kernel as one expression per kind, each step a fresh array."""
+    if kernel.kind == "linear":
+        return a @ b.T
+    if kernel.kind == "poly3":
+        return (a @ b.T + 1.0) ** 3
+    gamma = kernel.gamma if kernel.gamma is not None else 1.0 / a.shape[1]
+    sq = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - 2.0 * (a @ b.T)
+    return np.exp(-gamma * np.maximum(sq, 0.0))
+
+
+BLOCK = rl.learners._KERNEL_BLOCK
+
+
+class TestKernelMatrixBits:
+    """Kernel.matrix, built in place and in row blocks, equals the plain expressions."""
+
+    @pytest.mark.parametrize(
+        "kernel", KERNELS + [rl.rbf_kernel()], ids=["linear", "poly3", "rbf", "rbf-default"]
+    )
+    @pytest.mark.parametrize("one_hot", [False, True], ids=["continuous", "one-hot"])
+    @pytest.mark.parametrize("n,m,d,same", [
+        (300, 300, 20, True),       # a is b; 300 rows are not a multiple of the block rows
+        (1000, 211, 110, False),    # several blocks, the last one short
+        (3, BLOCK + 7, 4, False),   # m larger than one block: one row per block
+        (50, 1, 6, False),
+        (1, 200, 6, False),
+        (1, 1, 3, True),
+    ])
+    def test_equals_plain_expression(self, kernel, one_hot, n, m, d, same):
+        rng = np.random.default_rng(n + m + d)
+
+        def draw(k):
+            return (rng.random((k, d)) < 0.3).astype(float) if one_hot else rng.normal(size=(k, d))
+
+        a = draw(n)
+        b = a if same else draw(m)
+        assert np.array_equal(kernel.matrix(a, b), plain_kernel_matrix(kernel, a, b))
+
+
 def batch_fits():
     # named like the fits they wrap, so the test ids stay lda-fit_lda and qda-fit_qda
     def fit_lda(s):
