@@ -68,11 +68,11 @@ from .selection import (
     exact_error_difference,
     grid_for_dataset,
     load_trace,
-    save_trace,
     select_iwal,
     select_random,
     select_uncertainty,
     selection_probability,
     surrogate_error_difference,
+    trace_columns,
     without_weights,
 )

@@ -81,6 +81,14 @@ _SELECTOR_KEYS = {"eta0"}
 _CONSUMER_KEYS = {"kind", "name", "ridge", "cost", "gamma", "eta0", "passes"}
 
 
+def _section(raw: dict, key: str, kind: type, default):
+    """``raw[key]`` (or ``default``), which must be a JSON object or array."""
+    value = raw.get(key, default)
+    if not isinstance(value, kind):
+        raise ConfigError(f"config.{key} must be a JSON {'object' if kind is dict else 'array'}")
+    return value
+
+
 def _reject_unknown(d: dict, allowed: set, where: str):
     unknown = sorted(set(d) - allowed)
     if unknown:
@@ -104,13 +112,13 @@ def parse_config(text: str) -> ExperimentConfig:
     except (ReuselabError, TypeError) as exc:
         raise ConfigError(f"bad dataset spec: {exc}") from exc
 
-    iwal = dict(raw.get("iwal", {}))
+    iwal = _section(raw, "iwal", dict, {})
     _reject_unknown(iwal, _IWAL_KEYS, "config.iwal")
-    selector = dict(raw.get("selector", {}))
+    selector = _section(raw, "selector", dict, {})
     _reject_unknown(selector, _SELECTOR_KEYS, "config.selector")
 
     consumers = []
-    for i, entry in enumerate(raw.get("consumers", [{"kind": "least-squares"}])):
+    for i, entry in enumerate(_section(raw, "consumers", list, [{"kind": "least-squares"}])):
         if not isinstance(entry, dict) or "kind" not in entry:
             raise ConfigError(f"consumer #{i} must be an object with a 'kind'")
         _reject_unknown(entry, _CONSUMER_KEYS, f"consumer #{i}")

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
-from itertools import zip_longest
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -30,6 +29,7 @@ from .errors import (
     InvalidArgumentError,
     MissingClassError,
     SingularDataError,
+    TraceFormatError,
 )
 from .learners import (
     fit_lda,
@@ -42,7 +42,7 @@ from .learners import (
     rbf_kernel,
     zero_one_error,
 )
-from .seeding import ROLE_POOL, ROLE_RANKER, ROLE_SELECTION, ROLE_SPLIT, derive_seed
+from .seeding import ROLE_POOL, ROLE_SELECTION, ROLE_SPLIT, derive_seed
 from .selection import (
     IWAL,
     IWAL_NO_WEIGHTS,
@@ -52,12 +52,11 @@ from .selection import (
     UNCERTAINTY,
     IwalConfig,
     SelectionResult,
-    TraceRow,
     load_trace,
     select_iwal,
     select_random,
     select_uncertainty,
-    trace_rows,
+    trace_columns,
     trace_to_text,
     without_weights,
 )
@@ -265,17 +264,19 @@ def _run_repetition(config: ExperimentConfig, r: int) -> _RepOutcome:
     dataset_dict = resolve_spec(config.dataset, pool_seed).to_dict()
     split_dict = {"test_prop": config.test_prop, "seed": split_seed, "scale_numeric": scale}
 
-    selections: list[tuple[str, SelectionResult]] = []
+    # (cell, selection, the knobs its trace header records)
+    selections: list[tuple[str, SelectionResult, dict]] = []
     dropped = []  # (strategy, cell) of IWAL passes that could not finish
     if RANDOM in config.strategies:
         for n in config.n_grid:
-            selections.append((_cell_label("n", n), select_random(train, n)))
+            selections.append((_cell_label("n", n), select_random(train, n), {"n": n}))
     if UNCERTAINTY in config.strategies:
         ranker = fit_online_linear(
             train.x, train.y, np.ones(len(train)), eta0=config.selector_eta0, passes=1
         )
         for n in config.n_grid:
-            selections.append((_cell_label("n", n), select_uncertainty(train, n, ranker)))
+            knobs = {"n": n, "selector_eta0": config.selector_eta0}
+            selections.append((_cell_label("n", n), select_uncertainty(train, n, ranker), knobs))
     if IWAL in config.strategies or IWAL_NO_WEIGHTS in config.strategies:
         for ci, c0 in enumerate(config.c0_grid):
             iwal_config = IwalConfig(
@@ -292,22 +293,26 @@ def _run_repetition(config: ExperimentConfig, r: int) -> _RepOutcome:
             except DegenerateGridError:
                 dropped += [(s, label) for s in (IWAL, IWAL_NO_WEIGHTS) if s in config.strategies]
                 continue
+            knobs = asdict(iwal_config)
             if IWAL in config.strategies:
-                selections.append((label, weighted))
+                selections.append((label, weighted, knobs))
             if IWAL_NO_WEIGHTS in config.strategies:
-                selections.append((label, without_weights(weighted)))
+                selections.append((label, without_weights(weighted), knobs))
 
     # a dropped pass counts like a failed fit in every consumer: no count, no trace
     counts, traces = {}, []
     errors = {(s, label, c.name): None for s, label in dropped for c in config.consumers}
-    for label, sel in selections:
+    for label, sel, knobs in selections:
         counts[(sel.strategy, label)] = sel.selected_count
         if config.save_traces:
             fname = f"trace_{sel.strategy}_{label.replace('=', '_')}_r{r:04d}.csv"
-            extra = None
-            if sel.strategy == UNCERTAINTY:
-                extra = {"selector_eta0": config.selector_eta0}
-            traces.append((fname, trace_to_text(sel, dataset_dict, split_dict, extra)))
+            # IWAL knobs carry the pass's real seed over this 0
+            header = {
+                "strategy": sel.strategy, "seed": 0,
+                "use_weights": sel.strategy != IWAL_NO_WEIGHTS,
+                "dataset": dataset_dict, "split": split_dict, **knobs,
+            }
+            traces.append((fname, trace_to_text(header, sel)))
         x, y = train.x[sel.indices], train.y[sel.indices]
         for consumer in config.consumers:
             key = (sel.strategy, label, consumer.name)
@@ -500,7 +505,8 @@ def density_histogram(
     """Average selected mass per bin, raw and importance-weighted.
 
     Each run draws a fresh pool and runs one IWAL pass per c0; masses are
-    averaged over runs and normalized to sum to 1 per c0.
+    averaged over runs and normalized to sum to 1 per c0. A pass that
+    raises ``DegenerateGridError`` is left out of its c0's average.
     """
     if dataset_spec.kind == "csv":
         raise InvalidArgumentError("density histograms need a generated 1-D dataset")
@@ -524,7 +530,10 @@ def density_histogram(
                 seed=derive_seed(base_seed, r, ROLE_SELECTION, ci),
                 selector_eta0=selector_eta0,
             )
-            sel = select_iwal(pool, cfg)
+            try:
+                sel = select_iwal(pool, cfg)
+            except DegenerateGridError:
+                continue  # skip this (run, c0) pass, as run_experiment does
             xs = pool.x[sel.indices, 0]
             raw[ci] += np.histogram(xs, bins=edges)[0]
             weighted_mass[ci] += np.histogram(xs, bins=edges, weights=sel.weights)[0]
@@ -568,56 +577,65 @@ class ReplayOutcome:
         )
 
 
+def _header_value(header, key: str):
+    """``header[key]``, or a ``TraceFormatError`` that names the missing key."""
+    if not isinstance(header, Mapping) or key not in header:
+        raise TraceFormatError(f"trace header lacks {key!r}")
+    return header[key]
+
+
 def rerun_from_header(header: Mapping) -> SelectionResult:
-    """Re-execute the selection pass a trace header describes."""
-    spec = DatasetSpec.from_dict(header["dataset"])
-    dataset = make_dataset(spec)
-    split_info = header.get("split")
-    if split_info:
-        pair = split(
-            dataset,
-            split_info["test_prop"],
-            split_info["seed"],
-            scale_numeric=split_info.get("scale_numeric", False),
-        )
-        train = pair.train
-    else:
-        train = dataset
-    strategy = header["strategy"]
+    """Re-execute the selection pass a trace header describes.
+
+    A key the pass needs but the header lacks raises ``TraceFormatError``.
+    """
+    strategy = _header_value(header, "strategy")
+    if strategy not in STRATEGIES:
+        raise InvalidArgumentError(f"unknown strategy {strategy!r} in trace header")
+    dataset = make_dataset(DatasetSpec.from_dict(_header_value(header, "dataset")))
+    split_info = _header_value(header, "split")
+    train = split(
+        dataset,
+        _header_value(split_info, "test_prop"),
+        _header_value(split_info, "seed"),
+        scale_numeric=_header_value(split_info, "scale_numeric"),
+    ).train
     if strategy == RANDOM:
-        return select_random(train, header["n"])
+        return select_random(train, _header_value(header, "n"))
     if strategy == UNCERTAINTY:
         ranker = fit_online_linear(
             train.x, train.y, np.ones(len(train)),
-            eta0=header.get("selector_eta0", 0.3),
+            eta0=_header_value(header, "selector_eta0"),
             passes=1,
         )
-        return select_uncertainty(train, header["n"], ranker)
-    if strategy in (IWAL, IWAL_NO_WEIGHTS):
-        cfg = IwalConfig(
-            c0=header["c0"],
-            gk_mode=header.get("gk_mode", SURROGATE),
-            erm_grid_resolution=header.get("erm_grid_resolution", 64),
-            seed=header["seed"],
-            log_base=header.get("log_base"),
-            selector_eta0=header.get("selector_eta0", 0.3),
-        )
-        return select_iwal(train, cfg, use_weights=header.get("use_weights", True))
-    raise InvalidArgumentError(f"unknown strategy {strategy!r} in trace header")
+        return select_uncertainty(train, _header_value(header, "n"), ranker)
+    cfg = IwalConfig(**{f.name: _header_value(header, f.name) for f in fields(IwalConfig)})
+    result = select_iwal(train, cfg)
+    return result if _header_value(header, "use_weights") else without_weights(result)
 
 
 def replay_trace(path) -> ReplayOutcome:
-    """Re-run a trace's pass and compare row by row.
+    """Re-run a trace's pass and compare it with the file, column by column.
 
-    A row that only one side has is reported in the ``index`` column.
+    The outcome names the first row that differs and, within that row, the
+    first column in v1 order. A row that only one side has is reported in
+    the ``index`` column.
     """
     header, recorded = load_trace(path)
-    recomputed = trace_rows(rerun_from_header(header))
-    for i, (a, b) in enumerate(zip_longest(recorded, recomputed)):
-        if a is None or b is None:
-            return ReplayOutcome(False, i, "index", None if a is None else a.index,
-                                 None if b is None else b.index)
-        for column, va, vb in zip(TraceRow._fields, a, b):
-            if va != vb:
-                return ReplayOutcome(False, i, column, va, vb)
+    recomputed = trace_columns(rerun_from_header(header))
+    n_recorded, n_recomputed = len(recorded["index"]), len(recomputed["index"])
+    common = min(n_recorded, n_recomputed)
+    first = None  # (row, column, recorded value, recomputed value)
+    for column in recorded:  # v1 order, so a tie in row keeps the earlier column
+        was, now = recorded[column][:common], recomputed[column][:common]
+        if was != now:
+            row = next(i for i, (a, b) in enumerate(zip(was, now)) if a != b)
+            if first is None or row < first[0]:
+                first = (row, column, was[row], now[row])
+    if first is not None:
+        return ReplayOutcome(False, *first)
+    if n_recorded != n_recomputed:
+        return ReplayOutcome(False, common, "index",
+                             recorded["index"][common] if common < n_recorded else None,
+                             recomputed["index"][common] if common < n_recomputed else None)
     return ReplayOutcome(True)

@@ -15,7 +15,6 @@ import numpy as np
 ROLE_POOL = 1
 ROLE_SPLIT = 2
 ROLE_SELECTION = 3
-ROLE_RANKER = 4
 
 
 def derive_seed(*parts: int) -> int:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from numbers import Real
 
 import numpy as np
 
@@ -37,20 +37,12 @@ SURROGATE = "surrogate"
 EXACT_ERM = "exact-erm"
 
 
-class TraceRow(NamedTuple):
-    index: int
-    g: float
-    probability: float
-    coin: int
-    selected: int
-    weight: float
-
-
 @dataclass(frozen=True)
 class IwalConfig:
     """Knobs of one IWAL pass.
 
-    ``log_base=None`` means the natural logarithm in the probability rule.
+    ``log_base=None`` means the natural logarithm in the probability rule;
+    otherwise it must be a number above 1.
     """
 
     c0: float
@@ -67,6 +59,9 @@ class IwalConfig:
             raise InvalidArgumentError(f"unknown gk_mode {self.gk_mode!r}")
         if self.erm_grid_resolution < 2:
             raise InvalidArgumentError("erm_grid_resolution must be at least 2")
+        base = self.log_base
+        if base is not None and not (isinstance(base, Real) and base > 1):
+            raise InvalidArgumentError(f"log_base must be a number above 1, not {base!r}")
 
 
 @dataclass(frozen=True)
@@ -83,10 +78,6 @@ class SelectionResult:
     weights: np.ndarray
     g: np.ndarray
     probability: np.ndarray
-    seed: int
-    use_weights: bool = True
-    n_requested: int | None = None
-    config: IwalConfig | None = None
 
     @property
     def selected_count(self) -> int:
@@ -228,8 +219,7 @@ def select_random(train: Dataset, n: int) -> SelectionResult:
     if n < 0 or n > len(train):
         raise InvalidArgumentError(f"cannot select {n} of {len(train)} examples")
     return SelectionResult(
-        RANDOM, np.arange(n), np.ones(n), np.zeros(len(train)), np.ones(len(train)),
-        seed=0, n_requested=n,
+        RANDOM, np.arange(n), np.ones(n), np.zeros(len(train)), np.ones(len(train))
     )
 
 
@@ -244,21 +234,14 @@ def select_uncertainty(train: Dataset, n: int, ranking_model) -> SelectionResult
     margins = np.abs(np.asarray(ranking_model.score(train.x), dtype=np.float64))
     order = np.lexsort((np.arange(len(train)), margins))
     return SelectionResult(
-        UNCERTAINTY, order[:n], np.ones(n), margins, np.ones(len(train)),
-        seed=0, n_requested=n,
+        UNCERTAINTY, order[:n], np.ones(n), margins, np.ones(len(train))
     )
 
 
-def select_iwal(
-    train: Dataset,
-    config: IwalConfig,
-    use_weights: bool = True,
-    grid: LinearHypothesisGrid | None = None,
-) -> SelectionResult:
+def select_iwal(train: Dataset, config: IwalConfig) -> SelectionResult:
     """One sequential biased-coin pass over the training order.
 
-    Every selected example is stored with weight 1/p (or 1 when
-    ``use_weights`` is off; the trace keeps p either way) and the online
+    Every selected example is stored with weight 1/p and the online
     selector is updated with importance 1/p. The first streamed example is
     always labeled. The selected-set size is a random variable.
     """
@@ -270,7 +253,7 @@ def select_iwal(
     model = make_online_model(train.dim)
     grid_errors = None
     if config.gk_mode == EXACT_ERM:
-        grid_errors = _GridErrors(grid or grid_for_dataset(train, config.erm_grid_resolution))
+        grid_errors = _GridErrors(grid_for_dataset(train, config.erm_grid_resolution))
 
     x = train.x
     y = train.y
@@ -290,7 +273,7 @@ def select_iwal(
         if uniforms[idx] < p:
             importance = 1.0 / p
             picked.append(idx)
-            weights.append(importance if use_weights else 1.0)
+            weights.append(importance)
             model = online_linear_update(model, x[idx], int(y[idx]), importance, schedule)
             if grid_errors is not None:
                 grid_errors.add(x[idx], int(y[idx]), importance)
@@ -298,14 +281,11 @@ def select_iwal(
         probabilities[idx] = p
         abs_score_sum += abs(score)
     return SelectionResult(
-        IWAL if use_weights else IWAL_NO_WEIGHTS,
+        IWAL,
         np.asarray(picked, dtype=np.intp),
         np.asarray(weights, dtype=np.float64),
         gs,
         probabilities,
-        seed=config.seed,
-        use_weights=use_weights,
-        config=config,
     )
 
 
@@ -313,86 +293,46 @@ def without_weights(result: SelectionResult) -> SelectionResult:
     """The same selection with every stored weight forced to 1."""
     if result.strategy not in (IWAL, IWAL_NO_WEIGHTS):
         raise InvalidArgumentError("weights can only be stripped from an IWAL result")
-    return replace(result, strategy=IWAL_NO_WEIGHTS, weights=np.ones(result.selected_count),
-                   use_weights=False)
+    return replace(result, strategy=IWAL_NO_WEIGHTS, weights=np.ones(result.selected_count))
 
 
 # ---------------------------------------------------------------------------
-# Trace persistence
+# Trace persistence: the v1 file format
 
 _TRACE_TAG = "# reuselab-trace v1 "
-_TRACE_COLUMNS = "index,g,probability,coin,selected,weight"
+_TRACE_COLUMNS = ("index", "g", "probability", "coin", "selected", "weight")
 
 
-def trace_rows(result: SelectionResult) -> list[TraceRow]:
-    """The v1 trace rows, one per training example.
+def trace_columns(result: SelectionResult) -> dict[str, list]:
+    """The six v1 trace columns, one entry per training example.
 
     ``coin`` and ``selected`` are both 1 on a selected row; ``weight`` is
     its importance weight there and 0 elsewhere. Values are Python
     numbers, so their repr is the plain float text the file holds.
     """
-    selected = np.zeros(len(result.g), dtype=np.int64)
+    n = len(result.g)
+    selected = np.zeros(n, dtype=np.int64)
     selected[result.indices] = 1
-    weight = np.zeros(len(result.g))
+    weight = np.zeros(n)
     weight[result.indices] = result.weights
-    return [
-        TraceRow(i, g, p, s, s, w)
-        for i, (g, p, s, w) in enumerate(zip(
-            result.g.tolist(), result.probability.tolist(), selected.tolist(), weight.tolist()
-        ))
-    ]
+    return dict(zip(_TRACE_COLUMNS, (
+        list(range(n)), result.g.tolist(), result.probability.tolist(),
+        selected.tolist(), selected.tolist(), weight.tolist(),
+    )))
 
 
-def trace_header(
-    result: SelectionResult,
-    dataset_dict: dict,
-    split_dict: dict | None,
-    extra: dict | None = None,
-) -> dict:
-    """Everything needed to re-run a selection pass bit-exactly."""
-    header = {
-        "strategy": result.strategy,
-        "seed": result.seed,
-        "use_weights": result.use_weights,
-        "dataset": dataset_dict,
-        "split": split_dict,
-    }
-    if result.n_requested is not None:
-        header["n"] = result.n_requested
-    if result.config is not None:
-        header.update(
-            c0=result.config.c0,
-            gk_mode=result.config.gk_mode,
-            erm_grid_resolution=result.config.erm_grid_resolution,
-            log_base=result.config.log_base,
-            selector_eta0=result.config.selector_eta0,
-        )
-    if extra:
-        header.update(extra)
-    return header
-
-
-def trace_to_text(
-    result: SelectionResult,
-    dataset_dict: dict,
-    split_dict: dict | None = None,
-    extra: dict | None = None,
-) -> str:
-    header = trace_header(result, dataset_dict, split_dict, extra)
-    lines = [_TRACE_TAG + json.dumps(header, sort_keys=True), _TRACE_COLUMNS]
-    for row in trace_rows(result):
-        lines.append(
-            f"{row.index},{row.g!r},{row.probability!r},{row.coin},{row.selected},{row.weight!r}"
-        )
+def trace_to_text(header: dict, result: SelectionResult) -> str:
+    """A v1 trace: ``header`` as one JSON line, then one row per example."""
+    lines = [_TRACE_TAG + json.dumps(header, sort_keys=True), ",".join(_TRACE_COLUMNS)]
+    lines.extend(
+        f"{i},{g!r},{p!r},{coin},{s},{w!r}"
+        for i, g, p, coin, s, w in zip(*trace_columns(result).values())
+    )
     return "\n".join(lines) + "\n"
 
 
-def save_trace(path, result: SelectionResult, dataset_dict: dict, split_dict: dict | None = None):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(trace_to_text(result, dataset_dict, split_dict))
-
-
-def load_trace(path) -> tuple[dict, list[TraceRow]]:
+def load_trace(path) -> tuple[dict, dict[str, list]]:
+    """The header and the six columns of a v1 trace file."""
     with open(path, encoding="utf-8") as fh:
         lines = [line.rstrip("\n") for line in fh]
     if not lines or not lines[0].startswith(_TRACE_TAG):
@@ -401,7 +341,9 @@ def load_trace(path) -> tuple[dict, list[TraceRow]]:
         header = json.loads(lines[0][len(_TRACE_TAG):])
     except json.JSONDecodeError as exc:
         raise TraceFormatError(f"{path}: corrupt header: {exc}") from exc
-    if len(lines) < 2 or lines[1] != _TRACE_COLUMNS:
+    if not isinstance(header, dict):
+        raise TraceFormatError(f"{path}: header is not a JSON object")
+    if len(lines) < 2 or lines[1] != ",".join(_TRACE_COLUMNS):
         raise TraceFormatError(f"{path}: missing column row")
     rows = []
     for lineno, line in enumerate(lines[2:], start=3):
@@ -411,8 +353,8 @@ def load_trace(path) -> tuple[dict, list[TraceRow]]:
         if len(parts) != 6:
             raise TraceFormatError(f"{path}: line {lineno}: expected 6 fields")
         try:
-            rows.append(TraceRow(int(parts[0]), float(parts[1]), float(parts[2]),
-                                 int(parts[3]), int(parts[4]), float(parts[5])))
+            rows.append((int(parts[0]), float(parts[1]), float(parts[2]),
+                         int(parts[3]), int(parts[4]), float(parts[5])))
         except ValueError as exc:
             raise TraceFormatError(f"{path}: line {lineno}: {exc}") from exc
-    return header, rows
+    return header, {name: [row[j] for row in rows] for j, name in enumerate(_TRACE_COLUMNS)}

@@ -17,7 +17,7 @@ from reuselab.cli import main
 from reuselab.experiments import ConsumerSpec, ExperimentConfig, run_experiment
 from reuselab.learners import LeastSquaresModel
 from reuselab.seeding import derive_seed
-from reuselab.selection import trace_rows
+from reuselab.selection import trace_columns
 from reuselab.standins import car_schema
 
 from dual_oracle import svm_dual_optimum
@@ -202,11 +202,12 @@ def test_criterion_6_formula_and_trace_invariants():
     for seed in range(5):
         train = rl.gen_uniform_line(400, seed=derive_seed(606, seed))
         res = rl.select_iwal(train, rl.IwalConfig(c0=0.7, seed=derive_seed(607, seed)))
-        for row in trace_rows(res):
-            trace_ok &= 0.0 < row.probability <= 1.0
-            if row.selected:
-                trace_ok &= row.weight == 1.0 / row.probability
-                trace_ok &= abs(row.weight * row.probability - 1.0) <= 1e-12
+        cols = trace_columns(res)
+        for p, selected, w in zip(cols["probability"], cols["selected"], cols["weight"]):
+            trace_ok &= 0.0 < p <= 1.0
+            if selected:
+                trace_ok &= w == 1.0 / p
+                trace_ok &= abs(w * p - 1.0) <= 1e-12
 
     lo, hi = [], []
     for s in range(200):

@@ -105,6 +105,23 @@ class TestRun:
         cfg = write_config(tmp_path, bad)
         assert main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("key, value", [
+        ("iwal", 5), ("selector", "x"), ("consumers", 5),
+    ])
+    def test_section_of_wrong_type_is_config_error(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, {**MINIMAL_CONFIG, key: value})
+        assert main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        assert f"config error: config.{key} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("log_base", [1, -2, "e"])
+    def test_bad_log_base_is_config_error(self, tmp_path, capsys, log_base):
+        cfg = write_config(tmp_path, {
+            **MINIMAL_CONFIG, "strategies": ["random", "iwal"], "c0_grid": [1.0],
+            "iwal": {"log_base": log_base},
+        })
+        assert main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        assert "config error: log_base must be a number above 1" in capsys.readouterr().err
+
     def test_missing_config_is_io_error(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json"),
                      "--out-dir", str(tmp_path)]) == 4
@@ -175,17 +192,41 @@ class TestReplay:
         out = capsys.readouterr().out
         assert f"divergence at row {extra}, column index: trace has {extra}, recomputed None" in out
 
-    def test_header_c0_mismatch_detected(self, tmp_path, capsys):
-        trace = [t for t in self._run_with_traces(tmp_path) if "iwal_c0" in t.name][0]
+    @staticmethod
+    def _edit_header(trace, edit):
+        """Rewrite the trace's header line as ``edit(header)`` returns it."""
         lines = trace.read_text().splitlines()
         prefix = "# reuselab-trace v1 "
         header = json.loads(lines[0][len(prefix):])
-        header["c0"] = header["c0"] * 10
-        lines[0] = prefix + json.dumps(header, sort_keys=True)
+        lines[0] = prefix + json.dumps(edit(header), sort_keys=True)
         trace.write_text("\n".join(lines) + "\n")
+
+    def test_header_c0_mismatch_detected(self, tmp_path, capsys):
+        trace = [t for t in self._run_with_traces(tmp_path) if "iwal_c0" in t.name][0]
+        self._edit_header(trace, lambda h: {**h, "c0": h["c0"] * 10})
         assert main(["replay", str(trace)]) == 1
         out = capsys.readouterr().out
         assert "divergence" in out and "probability" in out
+
+    @pytest.mark.parametrize("strategy", ["iwal", "iwal-no-weights"])
+    def test_flipped_use_weights_detected(self, tmp_path, capsys, strategy):
+        trace = [t for t in self._run_with_traces(tmp_path) if f"_{strategy}_c0" in t.name][0]
+        self._edit_header(trace, lambda h: {**h, "use_weights": not h["use_weights"]})
+        assert main(["replay", str(trace)]) == 1
+        assert ", column weight: " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("key", ["c0", "dataset"])
+    def test_header_missing_key_is_trace_error(self, tmp_path, capsys, key):
+        trace = [t for t in self._run_with_traces(tmp_path) if "iwal_c0" in t.name][0]
+        self._edit_header(trace, lambda h: {k: v for k, v in h.items() if k != key})
+        assert main(["replay", str(trace)]) == 2
+        assert f"trace error: trace header lacks {key!r}" in capsys.readouterr().err
+
+    def test_header_not_an_object_is_trace_error(self, tmp_path, capsys):
+        trace = self._run_with_traces(tmp_path)[0]
+        self._edit_header(trace, lambda h: [])
+        assert main(["replay", str(trace)]) == 2
+        assert "header is not a JSON object" in capsys.readouterr().err
 
     def test_corrupt_trace_is_usage_error(self, tmp_path):
         bad = tmp_path / "broken.csv"

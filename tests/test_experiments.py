@@ -271,6 +271,28 @@ class TestDensityHistogram:
         unw = [r.unweighted_mass for r in rows]
         assert unw[4] + unw[5] > unw[0] + unw[9]
 
+    def test_degenerate_pass_skips_only_its_run_and_c0(self, monkeypatch):
+        spec = rl.DatasetSpec(kind="uniform-line", n=200)
+        c0s = (0.5, 2.0)
+        clean = density_histogram(spec, c0_list=c0s, runs=6, bins=5, base_seed=12)
+        real = experiments.select_iwal
+        bad_seed = derive_seed(12, 3, ROLE_SELECTION, 0)
+
+        def select_iwal(train, cfg):
+            if cfg.seed == bad_seed:
+                raise DegenerateGridError("no grid hypothesis disagrees on the candidate")
+            return real(train, cfg)
+
+        monkeypatch.setattr(experiments, "select_iwal", select_iwal)
+        rows = density_histogram(spec, c0_list=c0s, runs=6, bins=5, base_seed=12)
+        by_c0 = {c0: [r for r in rows if r.c0 == c0] for c0 in c0s}
+        clean_by_c0 = {c0: [r for r in clean if r.c0 == c0] for c0 in c0s}
+        assert by_c0[2.0] == clean_by_c0[2.0]
+        assert by_c0[0.5] != clean_by_c0[0.5]
+        for c0 in c0s:
+            assert sum(r.unweighted_mass for r in by_c0[c0]) == pytest.approx(1.0)
+            assert sum(r.weighted_mass for r in by_c0[c0]) == pytest.approx(1.0)
+
     def test_rejects_non_1d_specs(self):
         with pytest.raises(InvalidArgumentError):
             density_histogram(

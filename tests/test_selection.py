@@ -13,7 +13,7 @@ from reuselab.selection import (
     IWAL_NO_WEIGHTS,
     LinearHypothesisGrid,
     load_trace,
-    trace_rows,
+    trace_columns,
     trace_to_text,
 )
 
@@ -212,7 +212,7 @@ class TestSelectRandom:
         res = rl.select_random(train, 20)
         assert res.selected_count == 20
         assert np.all(res.weights == 1.0)
-        assert all(row.probability == 1.0 for row in trace_rows(res))
+        assert all(p == 1.0 for p in trace_columns(res)["probability"])
 
     def test_empty_selection(self):
         train = rl.gen_uniform_line(20, seed=33)
@@ -257,32 +257,34 @@ class TestSelectIwal:
         res = rl.select_iwal(train, rl.IwalConfig(c0=1e9, seed=40))
         assert res.selected_count == 200
         assert np.all(res.weights == 1.0)
-        assert all(row.probability == 1.0 for row in trace_rows(res))
+        assert all(p == 1.0 for p in trace_columns(res)["probability"])
         baseline = rl.select_random(train, 200)
         assert np.array_equal(train.x[res.indices], train.x[baseline.indices])
 
     def test_trace_invariants(self):
         train = rl.gen_uniform_line(500, seed=41)
         res = rl.select_iwal(train, rl.IwalConfig(c0=0.5, seed=42))
-        rows = trace_rows(res)
-        assert len(rows) == 500
-        for row in rows:
-            assert 0.0 < row.probability <= 1.0
-            assert row.coin == row.selected
-            if row.selected:
-                assert row.weight == 1.0 / row.probability
-                assert abs(row.weight * row.probability - 1.0) < 1e-12
+        cols = trace_columns(res)
+        assert len(cols["index"]) == 500
+        for p, coin, selected, w in zip(
+            cols["probability"], cols["coin"], cols["selected"], cols["weight"]
+        ):
+            assert 0.0 < p <= 1.0
+            assert coin == selected
+            if selected:
+                assert w == 1.0 / p
+                assert abs(w * p - 1.0) < 1e-12
             else:
-                assert row.weight == 0.0
-        assert res.selected_count == sum(r.selected for r in rows)
+                assert w == 0.0
+        assert res.selected_count == sum(cols["selected"])
         assert res.selected_count >= 1  # the first example is always labeled
 
     def test_first_example_always_selected(self):
         train = rl.gen_uniform_line(100, seed=43)
         res = rl.select_iwal(train, rl.IwalConfig(c0=1e-9, seed=44))
-        first = trace_rows(res)[0]
-        assert first.probability == 1.0
-        assert first.selected == 1
+        cols = trace_columns(res)
+        assert cols["probability"][0] == 1.0
+        assert cols["selected"][0] == 1
 
     def test_no_weights_variant_keeps_probabilities(self):
         train = rl.gen_uniform_line(300, seed=45)
@@ -291,16 +293,16 @@ class TestSelectIwal:
         assert stripped.strategy == IWAL_NO_WEIGHTS
         assert stripped.selected_count == base.selected_count
         assert np.all(stripped.weights == 1.0)
-        for a, b in zip(trace_rows(base), trace_rows(stripped)):
-            assert a.probability == b.probability
-            assert a.selected == b.selected
-            assert b.weight in (0.0, 1.0)
+        a, b = trace_columns(base), trace_columns(stripped)
+        assert a["probability"] == b["probability"]
+        assert a["selected"] == b["selected"]
+        assert all(w in (0.0, 1.0) for w in b["weight"])
 
     def test_same_seed_reproduces_pass(self):
         train = rl.gen_uniform_line(400, seed=47)
         a = rl.select_iwal(train, rl.IwalConfig(c0=0.7, seed=48))
         b = rl.select_iwal(train, rl.IwalConfig(c0=0.7, seed=48))
-        assert trace_rows(a) == trace_rows(b)
+        assert trace_columns(a) == trace_columns(b)
 
     def test_mean_count_monotone_in_c0(self):
         lo, hi = [], []
@@ -316,8 +318,8 @@ class TestSelectIwal:
             train, rl.IwalConfig(c0=0.01, gk_mode="exact-erm", erm_grid_resolution=32, seed=52)
         )
         assert 1 <= res.selected_count <= 200
-        assert all(0 < r.probability <= 1 for r in trace_rows(res))
-        assert all(r.g >= 0 for r in trace_rows(res))
+        assert all(0 < p <= 1 for p in trace_columns(res)["probability"])
+        assert all(g >= 0 for g in trace_columns(res)["g"])
 
     def test_unbiasedness_quick(self):
         # small version of the weighted-error unbiasedness check
@@ -344,12 +346,12 @@ class TestTraceFormat:
         res, _ = self._result()
         path = tmp_path / "t.csv"
         spec = {"kind": "uniform-line", "n": 50, "seed": 55}
-        rl.save_trace(path, res, spec, None)
-        header, rows = load_trace(path)
+        path.write_text(trace_to_text({"strategy": IWAL, "c0": 0.9, "dataset": spec}, res))
+        header, columns = load_trace(path)
         assert header["strategy"] == IWAL
         assert header["c0"] == 0.9
         assert header["dataset"] == spec
-        assert rows == trace_rows(res)
+        assert columns == trace_columns(res)
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -360,7 +362,7 @@ class TestTraceFormat:
     def test_corrupt_row_rejected(self, tmp_path):
         res, _ = self._result()
         path = tmp_path / "t.csv"
-        text = trace_to_text(res, {"kind": "uniform-line", "n": 50, "seed": 55})
+        text = trace_to_text({"dataset": {"kind": "uniform-line", "n": 50, "seed": 55}}, res)
         lines = text.splitlines()
         lines[5] = "oops"
         path.write_text("\n".join(lines))
