@@ -35,6 +35,6 @@ for p in result.curve:
           f"{p.mean_err:12.4f} {p.std_of_mean:9.4f}")
 
 print("\nverdicts against the matched random cell:")
-for r in result.report.rows:
+for r in result.report:
     print(f"  {r.strategy:<16} {r.consumer:<6} delta={r.delta:+.4f} "
           f"t={r.welch_t:+.2f} -> {r.verdict}")

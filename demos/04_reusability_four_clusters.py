@@ -34,7 +34,7 @@ for p in result.curve:
           f"{p.mean_err:11.4f} {p.std_of_mean:9.4f}")
 
 print("\nactive vs matched random, small to large budgets:")
-for r in result.report.rows:
+for r in result.report:
     print(f"  {r.cell:<14} matched n={r.matched_n:<5} delta={r.delta:+.4f} "
           f"t={r.welch_t:+.2f} -> {r.verdict}")
 print("\nThe gap collapses at the full-pool cell: every curve ends in the same point.")

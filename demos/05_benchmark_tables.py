@@ -15,27 +15,28 @@ from reuselab import DatasetSpec
 from reuselab.experiments import ConsumerSpec, ExperimentConfig, run_experiment
 from reuselab.standins import car_schema, write_car_like_csv, write_mushroom_like_csv
 
-workdir = tempfile.mkdtemp(prefix="reuselab-bench-")
-car_path = os.path.join(workdir, "car_like.csv")
-write_car_like_csv(car_path)
-write_mushroom_like_csv(os.path.join(workdir, "mushroom_like.csv"))
-print(f"benchmark tables written under {workdir}")
+with tempfile.TemporaryDirectory(prefix="reuselab-bench-") as workdir:
+    car_path = os.path.join(workdir, "car_like.csv")
+    write_car_like_csv(car_path)
+    write_mushroom_like_csv(os.path.join(workdir, "mushroom_like.csv"))
+    print(f"benchmark tables written under {workdir}")
 
-config = ExperimentConfig(
-    dataset=DatasetSpec(
-        kind="csv", path=car_path, label_column="class",
-        positive_values=("acc",), schema=car_schema(),
-    ),
-    test_prop=0.10,
-    repetitions=20,
-    strategies=("random", "uncertainty", "iwal", "iwal-no-weights"),
-    consumers=(ConsumerSpec("least-squares"), ConsumerSpec("svm-linear")),
-    n_grid=(25, 100, 400, 1555),
-    c0_grid=(0.5, 5.0, 1e9),
-    base_seed=31,
-)
+    config = ExperimentConfig(
+        dataset=DatasetSpec(
+            kind="csv", path=car_path, label_column="class",
+            positive_values=("acc",), schema=car_schema(),
+        ),
+        test_prop=0.10,
+        repetitions=20,
+        strategies=("random", "uncertainty", "iwal", "iwal-no-weights"),
+        consumers=(ConsumerSpec("least-squares"), ConsumerSpec("svm-linear")),
+        n_grid=(25, 100, 400, 1555),
+        c0_grid=(0.5, 5.0, 1e9),
+        base_seed=31,
+    )
 
-result = run_experiment(config, jobs=4)
+    # every repetition reads the table, so the run stays inside the block
+    result = run_experiment(config, jobs=4)
 
 print(f"\n{'strategy':<16} {'consumer':<14} {'cell':<16} {'labels':>7} {'error':>9} {'sem':>9}")
 for p in result.curve:
@@ -43,6 +44,6 @@ for p in result.curve:
           f"{p.mean_err:9.4f} {p.std_of_mean:9.4f}")
 
 print("\nreusability verdicts (each active cell vs nearest random cell):")
-for r in result.report.rows:
+for r in result.report:
     print(f"  {r.strategy:<16} {r.consumer:<14} {r.cell:<16} "
           f"delta={r.delta:+.4f} -> {r.verdict}")

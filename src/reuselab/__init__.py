@@ -40,11 +40,9 @@ from .experiments import (
     ExperimentConfig,
     ExperimentResult,
     ReusabilityCell,
-    ReusabilityReport,
     density_histogram,
     replay_trace,
     run_experiment,
-    welch_t,
 )
 from .learners import (
     Kernel,
@@ -64,9 +62,6 @@ from .learners import (
 from .selection import (
     IwalConfig,
     SelectionResult,
-    build_linear_grid,
-    exact_error_difference,
-    grid_for_dataset,
     load_trace,
     select_iwal,
     select_random,

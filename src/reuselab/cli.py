@@ -17,6 +17,7 @@ import io
 import json
 import os
 import sys
+from dataclasses import astuple, replace
 from datetime import datetime, timezone
 
 from . import __version__
@@ -44,28 +45,13 @@ def _fmt(value) -> str:
     return repr(float(value)) if isinstance(value, float) else str(value)
 
 
-def curve_csv_text(points) -> str:
+def csv_text(columns, rows) -> str:
+    """A header of ``columns``, then one line per dataclass row, fields in order."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CURVE_COLUMNS)
-    for p in points:
-        writer.writerow([
-            p.strategy, p.consumer, p.cell, _fmt(p.x_position), _fmt(p.mean_err),
-            _fmt(p.std_of_mean), p.reps_used, p.reps_dropped,
-        ])
-    return buf.getvalue()
-
-
-def report_csv_text(report) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(REPORT_COLUMNS)
-    for row in report.rows:
-        writer.writerow([
-            row.strategy, row.consumer, row.cell, _fmt(row.x_position), row.matched_n,
-            _fmt(row.mean_err_al), _fmt(row.mean_err_rd), _fmt(row.delta),
-            _fmt(row.welch_t), row.verdict,
-        ])
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([_fmt(value) for value in astuple(row)])
     return buf.getvalue()
 
 
@@ -79,6 +65,23 @@ _TOP_KEYS = {
 _IWAL_KEYS = {"gk_mode", "erm_grid_resolution", "log_base"}
 _SELECTOR_KEYS = {"eta0"}
 _CONSUMER_KEYS = {"kind", "name", "ridge", "cost", "gamma", "eta0", "passes"}
+
+
+# ExperimentConfig field -> conversion of its config value. A field the
+# config leaves out keeps its default.
+_FIELD_VALUES = {
+    "test_prop": float,
+    "repetitions": lambda v: v,
+    "strategies": tuple,
+    "n_grid": lambda v: tuple(int(n) for n in v),
+    "c0_grid": lambda v: tuple(float(c) for c in v),
+    "base_seed": int,
+    "gk_mode": lambda v: v,
+    "erm_grid_resolution": int,
+    "log_base": lambda v: v,
+    "selector_eta0": float,
+    "save_traces": lambda v: v,
+}
 
 
 def _section(raw: dict, key: str, kind: type, default):
@@ -117,32 +120,24 @@ def parse_config(text: str) -> ExperimentConfig:
     selector = _section(raw, "selector", dict, {})
     _reject_unknown(selector, _SELECTOR_KEYS, "config.selector")
 
-    consumers = []
-    for i, entry in enumerate(_section(raw, "consumers", list, [{"kind": "least-squares"}])):
-        if not isinstance(entry, dict) or "kind" not in entry:
-            raise ConfigError(f"consumer #{i} must be an object with a 'kind'")
-        _reject_unknown(entry, _CONSUMER_KEYS, f"consumer #{i}")
-        try:
-            consumers.append(ConsumerSpec(**entry))
-        except (ReuselabError, TypeError) as exc:
-            raise ConfigError(f"bad consumer #{i}: {exc}") from exc
+    kwargs = {}
+    if "consumers" in raw:
+        consumers = []
+        for i, entry in enumerate(_section(raw, "consumers", list, None)):
+            if not isinstance(entry, dict) or "kind" not in entry:
+                raise ConfigError(f"consumer #{i} must be an object with a 'kind'")
+            _reject_unknown(entry, _CONSUMER_KEYS, f"consumer #{i}")
+            try:
+                consumers.append(ConsumerSpec(**entry))
+            except (ReuselabError, TypeError) as exc:
+                raise ConfigError(f"bad consumer #{i}: {exc}") from exc
+        kwargs["consumers"] = tuple(consumers)
 
+    # the iwal and selector keys share no name with a top-level key
+    values = {**raw, **iwal, **{f"selector_{k}": v for k, v in selector.items()}}
     try:
-        return ExperimentConfig(
-            dataset=dataset,
-            test_prop=float(raw["test_prop"]),
-            repetitions=int(raw.get("repetitions", 100)),
-            strategies=tuple(raw.get("strategies", ["random", "iwal"])),
-            consumers=tuple(consumers),
-            n_grid=tuple(int(v) for v in raw.get("n_grid", [])),
-            c0_grid=tuple(float(v) for v in raw.get("c0_grid", [])),
-            base_seed=int(raw.get("base_seed", 0)),
-            gk_mode=iwal.get("gk_mode", "surrogate"),
-            erm_grid_resolution=int(iwal.get("erm_grid_resolution", 64)),
-            log_base=iwal.get("log_base"),
-            selector_eta0=float(selector.get("eta0", 0.3)),
-            save_traces=bool(raw.get("save_traces", False)),
-        )
+        kwargs.update({k: f(values[k]) for k, f in _FIELD_VALUES.items() if k in values})
+        return ExperimentConfig(dataset=dataset, **kwargs)
     except (ReuselabError, TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -173,7 +168,6 @@ def cmd_run(args) -> int:
         return EXIT_IO
 
     if args.seed is not None:
-        from dataclasses import replace
         config = replace(config, base_seed=args.seed)
 
     out_dir = args.out_dir or os.environ.get("REUSELAB_OUT_DIR") or "."
@@ -193,8 +187,8 @@ def cmd_run(args) -> int:
         print("error: every cell is empty (all repetitions dropped)", file=sys.stderr)
         return EXIT_DEGENERATE
 
-    curve_text = curve_csv_text(result.curve)
-    report_text = report_csv_text(result.report)
+    curve_text = csv_text(CURVE_COLUMNS, result.curve)
+    report_text = csv_text(REPORT_COLUMNS, result.report)
     _write(os.path.join(out_dir, "curve.csv"), curve_text)
     _write(os.path.join(out_dir, "report.csv"), report_text)
     trace_files = []

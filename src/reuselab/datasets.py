@@ -72,11 +72,11 @@ class Dataset:
     def positive_fraction(self) -> float:
         return float(np.mean(self.y == 1))
 
-    def take(self, indices: np.ndarray, name: str | None = None) -> "Dataset":
+    def take(self, indices: np.ndarray) -> "Dataset":
         return Dataset(
             self.x[indices],
             self.y[indices],
-            name=self.name if name is None else name,
+            name=self.name,
             feature_kinds=self.feature_kinds,
             feature_names=self.feature_names,
         )
@@ -88,27 +88,6 @@ class SplitPair:
 
     train: Dataset
     test: Dataset
-    seed: int
-    test_prop: float
-
-
-def one_hot_blocks(dataset: Dataset) -> list[tuple[int, int]]:
-    """Column ranges [start, stop) of the one-hot blocks, by source column."""
-    blocks = []
-    start = None
-    source = None
-    for j, kind in enumerate(dataset.feature_kinds + (NUMERIC,)):
-        col_source = dataset.feature_names[j].split("=")[0] if j < dataset.dim else None
-        if kind == ONE_HOT and source == col_source:
-            continue
-        if start is not None:
-            blocks.append((start, j))
-            start = None
-            source = None
-        if kind == ONE_HOT:
-            start = j
-            source = col_source
-    return blocks
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +330,7 @@ def split(
     train = dataset.take(perm[n_test:])
     if scale_numeric:
         train, test = _scale_pair(train, test)
-    return SplitPair(train=train, test=test, seed=int(seed), test_prop=float(test_prop))
+    return SplitPair(train=train, test=test)
 
 
 def _scale_pair(train: Dataset, test: Dataset):

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields, replace
+from numbers import Integral
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -125,8 +127,10 @@ class ExperimentConfig:
     save_traces: bool = False
 
     def __post_init__(self):
-        if self.repetitions < 1:
-            raise InvalidArgumentError("repetitions must be at least 1")
+        if not isinstance(self.repetitions, Integral) or self.repetitions < 1:
+            raise InvalidArgumentError("repetitions must be an integer of at least 1")
+        if not isinstance(self.save_traces, bool):
+            raise InvalidArgumentError("save_traces must be true or false")
         unknown = set(self.strategies) - set(STRATEGIES)
         if unknown:
             raise InvalidArgumentError(f"unknown strategies {sorted(unknown)}")
@@ -151,13 +155,7 @@ class ExperimentConfig:
             "test_prop": self.test_prop,
             "repetitions": self.repetitions,
             "strategies": list(self.strategies),
-            "consumers": [
-                {
-                    "kind": c.kind, "name": c.name, "ridge": c.ridge, "cost": c.cost,
-                    "gamma": c.gamma, "eta0": c.eta0, "passes": c.passes,
-                }
-                for c in self.consumers
-            ],
+            "consumers": [asdict(c) for c in self.consumers],
             "n_grid": list(self.n_grid),
             "c0_grid": list(self.c0_grid),
             "base_seed": self.base_seed,
@@ -198,27 +196,12 @@ class ReusabilityCell:
 
 
 @dataclass(frozen=True)
-class ReusabilityReport:
-    rows: tuple[ReusabilityCell, ...]
-    threshold: float = T_THRESHOLD
-
-
-@dataclass(frozen=True)
 class ExperimentResult:
     config: ExperimentConfig
     curve: tuple[CurvePoint, ...]
-    report: ReusabilityReport
+    report: tuple[ReusabilityCell, ...]
     n_train: int
     traces: tuple[tuple[str, str], ...] = ()  # (relative filename, text)
-
-
-def welch_t(mean_a: float, sem_a: float, n_a: int, mean_b: float, sem_b: float, n_b: int) -> float:
-    """Welch statistic from summary stats (normal approximation; the
-    repetition counts are accepted for the record but no dof correction
-    is applied)."""
-    if sem_a <= 0 or sem_b <= 0:
-        raise InvalidArgumentError("standard errors must be positive")
-    return _welch_ratio(mean_a - mean_b, sem_a, sem_b)
 
 
 def _welch_ratio(delta: float, sem_a: float, sem_b: float) -> float:
@@ -363,18 +346,11 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run every repetition, aggregate curve points, and judge reusability."""
     config, n_train = _normalize(config)
-    reps = range(config.repetitions)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = []
-            for out in pool.map(_worker, [(config, r) for r in reps]):
-                outcomes.append(out)
-                if progress:
-                    progress(len(outcomes), config.repetitions)
-    else:
+    tasks = [(config, r) for r in range(config.repetitions)]
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
         outcomes = []
-        for r in reps:
-            outcomes.append(_run_repetition(config, r))
+        for out in (pool.map if pool else map)(_worker, tasks):
+            outcomes.append(out)
             if progress:
                 progress(len(outcomes), config.repetitions)
     return aggregate(config, outcomes, n_train)
@@ -443,7 +419,7 @@ def _cell_sort_key(cell: str):
     return (kind, float(value))
 
 
-def build_report(points: Sequence[CurvePoint]) -> ReusabilityReport:
+def build_report(points: Sequence[CurvePoint]) -> tuple[ReusabilityCell, ...]:
     """Compare each active-learning cell with the nearest-size random cell."""
     randoms = [p for p in points if p.strategy == RANDOM]
     rows = []
@@ -472,7 +448,7 @@ def build_report(points: Sequence[CurvePoint]) -> ReusabilityReport:
                             int(round(match.x_position)), p.mean_err, match.mean_err,
                             delta, t, verdict)
         )
-    return ReusabilityReport(rows=tuple(rows))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -498,15 +474,15 @@ def density_histogram(
     runs: int,
     bins: int,
     base_seed: int = 0,
-    gk_mode: str = SURROGATE,
-    erm_grid_resolution: int = 64,
-    selector_eta0: float = 0.3,
+    **iwal_knobs,
 ) -> list[DensityRow]:
     """Average selected mass per bin, raw and importance-weighted.
 
     Each run draws a fresh pool and runs one IWAL pass per c0; masses are
     averaged over runs and normalized to sum to 1 per c0. A pass that
     raises ``DegenerateGridError`` is left out of its c0's average.
+    ``iwal_knobs`` are further ``IwalConfig`` fields, such as ``gk_mode``;
+    the rest keep that class's defaults.
     """
     if dataset_spec.kind == "csv":
         raise InvalidArgumentError("density histograms need a generated 1-D dataset")
@@ -523,13 +499,8 @@ def density_histogram(
     for r in range(runs):
         pool = make_dataset(dataset_spec, seed=derive_seed(base_seed, r, ROLE_POOL))
         for ci, c0 in enumerate(c0_list):
-            cfg = IwalConfig(
-                c0=c0,
-                gk_mode=gk_mode,
-                erm_grid_resolution=erm_grid_resolution,
-                seed=derive_seed(base_seed, r, ROLE_SELECTION, ci),
-                selector_eta0=selector_eta0,
-            )
+            cfg = IwalConfig(c0=c0, seed=derive_seed(base_seed, r, ROLE_SELECTION, ci),
+                             **iwal_knobs)
             try:
                 sel = select_iwal(pool, cfg)
             except DegenerateGridError:
@@ -577,23 +548,28 @@ class ReplayOutcome:
         )
 
 
-def _header_value(header, key: str):
-    """``header[key]``, or a ``TraceFormatError`` that names the missing key."""
+def _header_value(header, key: str, kind=object):
+    """``header[key]``, or a ``TraceFormatError`` that names the key when the
+    header lacks it or its value is not a ``kind``."""
     if not isinstance(header, Mapping) or key not in header:
         raise TraceFormatError(f"trace header lacks {key!r}")
-    return header[key]
+    value = header[key]
+    if not isinstance(value, kind):
+        raise TraceFormatError(f"trace header has a bad {key!r}: {value!r}")
+    return value
 
 
 def rerun_from_header(header: Mapping) -> SelectionResult:
     """Re-execute the selection pass a trace header describes.
 
-    A key the pass needs but the header lacks raises ``TraceFormatError``.
+    A key the pass needs but the header lacks or holds a bad value for
+    raises ``TraceFormatError``.
     """
     strategy = _header_value(header, "strategy")
     if strategy not in STRATEGIES:
         raise InvalidArgumentError(f"unknown strategy {strategy!r} in trace header")
-    dataset = make_dataset(DatasetSpec.from_dict(_header_value(header, "dataset")))
-    split_info = _header_value(header, "split")
+    dataset = make_dataset(DatasetSpec.from_dict(_header_value(header, "dataset", Mapping)))
+    split_info = _header_value(header, "split", Mapping)
     train = split(
         dataset,
         _header_value(split_info, "test_prop"),
@@ -609,7 +585,10 @@ def rerun_from_header(header: Mapping) -> SelectionResult:
             passes=1,
         )
         return select_uncertainty(train, _header_value(header, "n"), ranker)
-    cfg = IwalConfig(**{f.name: _header_value(header, f.name) for f in fields(IwalConfig)})
+    try:
+        cfg = IwalConfig(**{f.name: _header_value(header, f.name) for f in fields(IwalConfig)})
+    except InvalidArgumentError as exc:
+        raise TraceFormatError(f"trace header has a bad IWAL knob: {exc}") from exc
     result = select_iwal(train, cfg)
     return result if _header_value(header, "use_weights") else without_weights(result)
 

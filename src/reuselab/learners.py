@@ -83,12 +83,6 @@ def inv_sqrt_schedule(eta0: float = 0.3) -> Callable[[int], float]:
     return lambda t: eta0 / math.sqrt(t)
 
 
-def constant_schedule(eta: float) -> Callable[[int], float]:
-    if not (0.0 < eta < 0.5):
-        raise InvalidArgumentError("eta must lie in (0, 0.5) for a stable update")
-    return lambda t: eta
-
-
 @dataclass(frozen=True)
 class OnlineLinearModel(_ModelBase):
     kind = "online-linear"

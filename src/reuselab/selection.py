@@ -53,8 +53,8 @@ class IwalConfig:
     selector_eta0: float = 0.3
 
     def __post_init__(self):
-        if self.c0 <= 0:
-            raise InvalidArgumentError("c0 must be positive")
+        if not (isinstance(self.c0, Real) and self.c0 > 0):
+            raise InvalidArgumentError(f"c0 must be a positive number, not {self.c0!r}")
         if self.gk_mode not in (SURROGATE, EXACT_ERM):
             raise InvalidArgumentError(f"unknown gk_mode {self.gk_mode!r}")
         if self.erm_grid_resolution < 2:
@@ -118,45 +118,19 @@ def surrogate_error_difference(score: float, mean_abs_score: float) -> float:
     return abs(score) / mean_abs_score
 
 
-class LinearHypothesisGrid:
-    """A finite set of linear hypotheses sign(w.x - b) for exact-mode ERM.
-
-    Supports 1-D and 2-D data: directions come from angles on the full
-    circle (both orientations of every boundary), offsets from an even
-    grid over the data's projection range.
-    """
-
-    def __init__(self, w: np.ndarray, b: np.ndarray):
-        if w.ndim != 2 or b.shape != (w.shape[0],):
-            raise InvalidArgumentError("need (m, d) directions and (m,) offsets")
-        self.w = w
-        self.b = b
-
-    def __len__(self):
-        return self.w.shape[0]
-
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        """Predictions (+-1) of every hypothesis for one example."""
-        return np.where(self.w @ features - self.b >= 0.0, 1, -1)
-
-
-def build_linear_grid(lo, hi, resolution: int) -> LinearHypothesisGrid:
-    """Grid over (direction, offset) covering the box [lo, hi].
+def _linear_grid(lo, hi, resolution: int) -> tuple[np.ndarray, np.ndarray]:
+    """Directions ``w`` (m, d) and offsets ``b`` (m,) of the hypotheses
+    sign(w.x - b) that exact-mode ERM searches over the box [lo, hi].
 
     1-D: both directions times ``resolution`` thresholds. 2-D:
-    ``resolution`` angles over the full circle times ``resolution``
-    offsets spanning the box's projections.
+    ``resolution`` angles over the full circle (both orientations of every
+    boundary) times ``resolution`` offsets spanning the box's projections.
     """
-    lo = np.atleast_1d(np.asarray(lo, dtype=np.float64))
-    hi = np.atleast_1d(np.asarray(hi, dtype=np.float64))
     d = lo.shape[0]
-    if resolution < 2:
-        raise InvalidArgumentError("resolution must be at least 2")
     if d == 1:
         thresholds = np.linspace(lo[0], hi[0], resolution)
         w = np.concatenate([np.ones(resolution), -np.ones(resolution)])[:, None]
-        b = np.concatenate([thresholds, -thresholds])
-        return LinearHypothesisGrid(w, b)
+        return w, np.concatenate([thresholds, -thresholds])
     if d == 2:
         angles = np.linspace(0.0, 2.0 * np.pi, resolution, endpoint=False)
         dirs = np.column_stack([np.cos(angles), np.sin(angles)])
@@ -166,48 +140,8 @@ def build_linear_grid(lo, hi, resolution: int) -> LinearHypothesisGrid:
         b = np.concatenate([
             np.linspace(proj[i].min(), proj[i].max(), resolution) for i in range(len(dirs))
         ])
-        return LinearHypothesisGrid(w, b)
+        return w, b
     raise InvalidArgumentError("exact-mode grids support only 1-D or 2-D data")
-
-
-def grid_for_dataset(dataset: Dataset, resolution: int) -> LinearHypothesisGrid:
-    return build_linear_grid(dataset.x.min(axis=0), dataset.x.max(axis=0), resolution)
-
-
-class _GridErrors:
-    """Cumulative weighted error of every grid hypothesis on the labeled set."""
-
-    def __init__(self, grid: LinearHypothesisGrid):
-        self.grid = grid
-        self.err = np.zeros(len(grid))
-        self.total_weight = 0.0
-
-    def add(self, features, label, weight):
-        wrong = self.grid.predict(features) != label
-        self.err += weight * wrong
-        self.total_weight += weight
-
-    def difference_at(self, features) -> float:
-        if self.total_weight == 0.0:
-            return 0.0
-        best = int(np.argmin(self.err))
-        preds = self.grid.predict(features)
-        disagree = preds != preds[best]
-        if not disagree.any():
-            raise DegenerateGridError("no grid hypothesis disagrees on the candidate")
-        return float((self.err[disagree].min() - self.err[best]) / self.total_weight)
-
-
-def exact_error_difference(x, y, w, candidate, grid: LinearHypothesisGrid) -> float:
-    """ERM error gap between the best hypothesis and the best one forced
-    to predict the opposite label for the candidate; 0 on an empty set.
-
-    ``(x, y, w)`` are the labeled rows, their labels and their weights.
-    """
-    state = _GridErrors(grid)
-    for features, label, weight in zip(np.asarray(x, dtype=np.float64), y, w):
-        state.add(features, label, weight)
-    return state.difference_at(np.asarray(candidate, dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -251,12 +185,15 @@ def select_iwal(train: Dataset, config: IwalConfig) -> SelectionResult:
     uniforms = pass_uniforms(config.seed, n)
     schedule = inv_sqrt_schedule(config.selector_eta0)
     model = make_online_model(train.dim)
-    grid_errors = None
-    if config.gk_mode == EXACT_ERM:
-        grid_errors = _GridErrors(grid_for_dataset(train, config.erm_grid_resolution))
-
     x = train.x
     y = train.y
+    exact = config.gk_mode == EXACT_ERM
+    if exact:
+        grid_w, grid_b = _linear_grid(x.min(axis=0), x.max(axis=0), config.erm_grid_resolution)
+        # cumulative weighted error of every grid hypothesis on the labeled set
+        err = np.zeros(len(grid_b))
+        total_weight = 0.0
+
     abs_score_sum = 0.0
     picked: list[int] = []
     weights: list[float] = []
@@ -264,19 +201,31 @@ def select_iwal(train: Dataset, config: IwalConfig) -> SelectionResult:
     probabilities = np.empty(n)
     for idx in range(n):
         score = float(x[idx] @ model.theta) + model.bias
-        if grid_errors is not None:
-            g = grid_errors.difference_at(x[idx])
+        if exact:
+            # g: ERM error gap between the best hypothesis and the best one
+            # forced to predict the opposite label; 0 on an empty labeled set
+            preds = np.where(grid_w @ x[idx] - grid_b >= 0.0, 1, -1)
+            if total_weight == 0.0:
+                g = 0.0
+            else:
+                best = int(np.argmin(err))
+                disagree = preds != preds[best]
+                if not disagree.any():
+                    raise DegenerateGridError("no grid hypothesis disagrees on the candidate")
+                g = float((err[disagree].min() - err[best]) / total_weight)
         else:
             g = surrogate_error_difference(score, abs_score_sum / idx if idx else 0.0)
         k = idx + 1
         p = 1.0 if k == 1 else selection_probability(g, k, config.c0, config.log_base)
         if uniforms[idx] < p:
             importance = 1.0 / p
+            label = int(y[idx])
             picked.append(idx)
             weights.append(importance)
-            model = online_linear_update(model, x[idx], int(y[idx]), importance, schedule)
-            if grid_errors is not None:
-                grid_errors.add(x[idx], int(y[idx]), importance)
+            model = online_linear_update(model, x[idx], label, importance, schedule)
+            if exact:
+                err += importance * (preds != label)
+                total_weight += importance
         gs[idx] = g
         probabilities[idx] = p
         abs_score_sum += abs(score)

@@ -115,7 +115,7 @@ def test_criterion_3_reusability_failure():
         base_seed=42,
     )
     res = run_experiment(config, jobs=JOBS)
-    rows = {r.cell: r for r in res.report.rows}
+    rows = {r.cell: r for r in res.report}
     small, mid, largest = rows["c0=0.01"], rows["c0=0.02"], rows["c0=1000000.0"]
     separated = small.welch_t >= 2 and small.delta > 0 and mid.welch_t >= 2 and mid.delta > 0
     shrinks = largest.delta < min(small.delta, mid.delta)

@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
-from reuselab.cli import main
+from reuselab.cli import main, parse_config
+from reuselab.datasets import DatasetSpec
+from reuselab.experiments import ExperimentConfig
 
 MINIMAL_CONFIG = {
     "dataset": {"kind": "uniform-line", "n": 200},
@@ -112,6 +114,21 @@ class TestRun:
         cfg = write_config(tmp_path, {**MINIMAL_CONFIG, key: value})
         assert main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
         assert f"config error: config.{key} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("save_traces", "false", "save_traces must be true or false"),
+        ("repetitions", 2.9, "repetitions must be an integer"),
+    ])
+    def test_bad_value_is_config_error(self, tmp_path, capsys, key, value, message):
+        cfg = write_config(tmp_path, {**MINIMAL_CONFIG, key: value})
+        assert main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+
+    def test_minimal_config_keeps_every_default(self):
+        # the default strategies include IWAL, which needs a c0_grid
+        spec = {"kind": "uniform-line", "n": 200}
+        config = parse_config(json.dumps({"dataset": spec, "test_prop": 0.25, "c0_grid": [1]}))
+        assert config == ExperimentConfig(DatasetSpec(**spec), 0.25, c0_grid=(1.0,))
 
     @pytest.mark.parametrize("log_base", [1, -2, "e"])
     def test_bad_log_base_is_config_error(self, tmp_path, capsys, log_base):
@@ -221,6 +238,14 @@ class TestReplay:
         self._edit_header(trace, lambda h: {k: v for k, v in h.items() if k != key})
         assert main(["replay", str(trace)]) == 2
         assert f"trace error: trace header lacks {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("dataset", 5), ("c0", "x"), ("split", 5)])
+    def test_header_bad_value_is_trace_error(self, tmp_path, capsys, key, value):
+        trace = [t for t in self._run_with_traces(tmp_path) if "iwal_c0" in t.name][0]
+        self._edit_header(trace, lambda h: {**h, key: value})
+        assert main(["replay", str(trace)]) == 2
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err.startswith("trace error: trace header has a bad ") and key in err
 
     def test_header_not_an_object_is_trace_error(self, tmp_path, capsys):
         trace = self._run_with_traces(tmp_path)[0]

@@ -14,7 +14,6 @@ from reuselab.datasets import (
     circle_label,
     export_csv,
     four_cluster_label,
-    one_hot_blocks,
 )
 from reuselab.errors import (
     DataFormatError,
@@ -23,6 +22,25 @@ from reuselab.errors import (
     UnknownCategoryError,
 )
 from reuselab.standins import car_schema, mushroom_schema
+
+
+def one_hot_blocks(dataset):
+    """Column ranges [start, stop) of the one-hot blocks, by source column."""
+    blocks = []
+    start = None
+    source = None
+    for j, kind in enumerate(dataset.feature_kinds + (NUMERIC,)):
+        col_source = dataset.feature_names[j].split("=")[0] if j < dataset.dim else None
+        if kind == ONE_HOT and source == col_source:
+            continue
+        if start is not None:
+            blocks.append((start, j))
+            start = None
+            source = None
+        if kind == ONE_HOT:
+            start = j
+            source = col_source
+    return blocks
 
 
 def binomial_band(p, n, sigmas=5):

@@ -12,12 +12,16 @@ from reuselab.errors import (
 )
 from reuselab.learners import (
     LeastSquaresModel,
-    constant_schedule,
     make_online_model,
 )
 from reuselab.standins import car_schema
 
 from dual_oracle import svm_dual_optimum
+
+
+def constant_schedule(eta: float):
+    """A frozen step size, so k unit updates can be compared with one update of importance k."""
+    return lambda t: eta
 
 
 def qp_dual_oracle(x, y, w, kernel, cost):

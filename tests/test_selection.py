@@ -11,16 +11,11 @@ from reuselab.seeding import derive_seed
 from reuselab.selection import (
     IWAL,
     IWAL_NO_WEIGHTS,
-    LinearHypothesisGrid,
+    _linear_grid,
     load_trace,
     trace_columns,
     trace_to_text,
 )
-
-
-def unit_weight_rows(xs, labels):
-    """(x, y, w) arrays for 1-D points with weight 1."""
-    return np.array(xs, dtype=np.float64)[:, None], np.array(labels), np.ones(len(xs))
 
 
 class TestSelectionProbability:
@@ -110,100 +105,78 @@ class TestSurrogate:
         assert edge.mean() > center.mean()
 
 
-def brute_force_difference(x, y, w, candidate, grid):
+def brute_force_difference(x, y, w, candidate, grid_w, grid_b):
     """Plain-loop ERM over the grid, no numpy vectorization."""
     best_overall, best_overall_idx = None, None
     errs = []
-    for h in range(len(grid)):
+    for h in range(len(grid_b)):
         err = 0.0
         for i in range(len(y)):
             pred = 1 if sum(
-                grid.w[h][j] * x[i][j] for j in range(grid.w.shape[1])
-            ) - grid.b[h] >= 0 else -1
+                grid_w[h][j] * x[i][j] for j in range(grid_w.shape[1])
+            ) - grid_b[h] >= 0 else -1
             if pred != y[i]:
                 err += w[i]
         errs.append(err)
         if best_overall is None or err < best_overall:
             best_overall, best_overall_idx = err, h
     cand_pred_best = 1 if sum(
-        grid.w[best_overall_idx][j] * candidate[j] for j in range(grid.w.shape[1])
-    ) - grid.b[best_overall_idx] >= 0 else -1
+        grid_w[best_overall_idx][j] * candidate[j] for j in range(grid_w.shape[1])
+    ) - grid_b[best_overall_idx] >= 0 else -1
     disagree = []
-    for h in range(len(grid)):
+    for h in range(len(grid_b)):
         pred = 1 if sum(
-            grid.w[h][j] * candidate[j] for j in range(grid.w.shape[1])
-        ) - grid.b[h] >= 0 else -1
+            grid_w[h][j] * candidate[j] for j in range(grid_w.shape[1])
+        ) - grid_b[h] >= 0 else -1
         if pred != cand_pred_best:
             disagree.append(errs[h])
     total = sum(w)
     return (min(disagree) - best_overall) / total
 
 
+def exact_pass(train, c0, resolution, seed=0):
+    config = rl.IwalConfig(c0=c0, gk_mode="exact-erm", erm_grid_resolution=resolution, seed=seed)
+    return rl.select_iwal(train, config)
+
+
 class TestExactErrorDifference:
-    def small_grid(self):
-        # thresholds -0.5, 0.0, 0.4, 0.6 in both directions
-        return rl.build_linear_grid([-0.5], [0.6], 4)
+    @pytest.mark.parametrize("pool", [
+        rl.gen_uniform_line(80, seed=55),
+        rl.gen_circle(60, circle_prob=0.05, seed=57),
+    ], ids=["1-D", "2-D"])
+    def test_every_g_matches_brute_force_on_the_weighted_prefix(self, pool):
+        res = exact_pass(pool, c0=0.01, resolution=8, seed=56)
+        grid = _linear_grid(pool.x.min(axis=0), pool.x.max(axis=0), 8)
+        assert res.weights.max() > 1.0
+        assert res.g[0] == 0.0  # nothing is labeled before the first example
+        for k in range(1, len(pool)):
+            prefix = res.indices < k
+            labeled = pool.x[res.indices[prefix]], pool.y[res.indices[prefix]], res.weights[prefix]
+            oracle = brute_force_difference(*labeled, pool.x[k], *grid)
+            assert res.g[k] == pytest.approx(oracle, abs=1e-12)
+        assert (res.g > 0.0).any() and (res.g[1:] == 0.0).any()
 
-    def test_empty_labeled_set_gives_zero(self):
-        grid = self.small_grid()
-        empty = np.empty((0, 1)), np.empty(0), np.empty(0)
-        assert rl.exact_error_difference(*empty, np.array([0.2]), grid) == 0.0
-
-    def test_hand_enumerated_single_point(self):
-        # one labeled point at x=0.5 (+1). A candidate at x=0.6 can only be
-        # flipped by hypotheses that also misclassify the labeled point, so
-        # the gap is exactly one normalized unit of weight.
-        thresholds = np.array([-0.5, 0.0, 0.4, 0.6])
-        grid = LinearHypothesisGrid(
-            w=np.concatenate([np.ones(4), -np.ones(4)])[:, None],
-            b=np.concatenate([thresholds, -thresholds]),
-        )
-        labeled = unit_weight_rows([0.5], [1])
-        g = rl.exact_error_difference(*labeled, np.array([0.6]), grid)
-        assert g == 1.0
-        # a candidate at x=0.2 can be flipped for free by the threshold at 0.4
-        g2 = rl.exact_error_difference(*labeled, np.array([0.2]), grid)
-        assert g2 == 0.0
-
-    def test_matches_brute_force(self):
-        rng = np.random.default_rng(31)
-        grid = rl.build_linear_grid([-1.0, -1.0], [1.0, 1.0], 7)
-        rows = [
-            (rng.uniform(-1, 1, size=2), 1 if rng.random() < 0.5 else -1, rng.uniform(1, 5))
-            for _ in range(9)
-        ]
-        labeled = tuple(np.array(column) for column in zip(*rows))
-        for _ in range(5):
-            candidate = rng.uniform(-1, 1, size=2)
-            mine = rl.exact_error_difference(*labeled, candidate, grid)
-            oracle = brute_force_difference(*labeled, candidate, grid)
-            assert mine == pytest.approx(oracle, abs=1e-12)
-            assert mine >= 0.0
-
-    def test_separated_set_deep_candidate_has_positive_gap(self):
-        grid = rl.build_linear_grid([-1.0], [1.0], 21)
-        xs = (-0.8, -0.5, -0.2, 0.2, 0.5, 0.8)
-        labeled = unit_weight_rows(xs, [-1 if x < 0 else 1 for x in xs])
-        deep = np.array([0.9])
-        g = rl.exact_error_difference(*labeled, deep, grid)
-        assert g == pytest.approx(brute_force_difference(*labeled, deep, grid), abs=1e-12)
-        assert g > 0.0
-
-    def test_boundary_candidate_has_zero_gap(self):
-        grid = rl.build_linear_grid([-1.0], [1.0], 21)
-        labeled = unit_weight_rows((-0.8, -0.4, 0.4, 0.8), (-1, -1, 1, 1))
-        assert rl.exact_error_difference(*labeled, np.array([0.0]), grid) == 0.0
+    def test_hand_enumerated_gaps(self):
+        # thresholds 0, 0.2, 0.4 and 0.6 in both directions, every example
+        # labeled with weight 1. A candidate at 0.6 can only be flipped by
+        # hypotheses that also misclassify the labeled point at 0.5, so its
+        # gap is one normalized unit of weight; a candidate at 0.2 can be
+        # flipped for free by the threshold at 0.4.
+        pool = rl.Dataset(np.array([[0.5], [0.6], [0.2], [0.0]]), np.array([1, 1, 1, -1]))
+        res = exact_pass(pool, c0=1e9, resolution=4)
+        assert np.all(res.weights == 1.0)
+        assert res.g.tolist() == [0.0, 1.0, 0.0, 0.0]
 
     def test_degenerate_grid(self):
-        # every hypothesis predicts +1 for the candidate
-        grid = LinearHypothesisGrid(w=np.array([[1.0], [1.0]]), b=np.array([-5.0, -4.0]))
-        labeled = unit_weight_rows([0.5], [1])
+        # a constant pool: every hypothesis predicts +1 for every candidate
+        pool = rl.Dataset(np.full((5, 1), 0.5), np.array([1, -1, 1, -1, 1]))
         with pytest.raises(DegenerateGridError):
-            rl.exact_error_difference(*labeled, np.array([0.0]), grid)
+            exact_pass(pool, c0=1.0, resolution=8)
 
     def test_grid_rejects_high_dim(self):
-        with pytest.raises(InvalidArgumentError):
-            rl.build_linear_grid([0, 0, 0], [1, 1, 1], 8)
+        pool = rl.Dataset(np.random.default_rng(58).uniform(size=(10, 3)), np.tile([1, -1], 5))
+        with pytest.raises(InvalidArgumentError, match="only 1-D or 2-D"):
+            exact_pass(pool, c0=1.0, resolution=8)
 
 
 class TestSelectRandom:
