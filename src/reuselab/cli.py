@@ -73,11 +73,11 @@ _FIELD_VALUES = {
     "test_prop": float,
     "repetitions": lambda v: v,
     "strategies": tuple,
-    "n_grid": lambda v: tuple(int(n) for n in v),
+    "n_grid": tuple,
     "c0_grid": lambda v: tuple(float(c) for c in v),
-    "base_seed": int,
+    "base_seed": lambda v: v,
     "gk_mode": lambda v: v,
-    "erm_grid_resolution": int,
+    "erm_grid_resolution": lambda v: v,
     "log_base": lambda v: v,
     "selector_eta0": float,
     "save_traces": lambda v: v,

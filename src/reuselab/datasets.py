@@ -12,6 +12,7 @@ import csv
 import math
 import os
 from dataclasses import dataclass, replace
+from numbers import Integral, Real
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -38,7 +39,6 @@ class Dataset:
 
     x: np.ndarray
     y: np.ndarray
-    name: str = ""
     feature_kinds: tuple[str, ...] = ()
     feature_names: tuple[str, ...] = ()
 
@@ -73,13 +73,7 @@ class Dataset:
         return float(np.mean(self.y == 1))
 
     def take(self, indices: np.ndarray) -> "Dataset":
-        return Dataset(
-            self.x[indices],
-            self.y[indices],
-            name=self.name,
-            feature_kinds=self.feature_kinds,
-            feature_names=self.feature_names,
-        )
+        return replace(self, x=self.x[indices], y=self.y[indices])
 
 
 @dataclass(frozen=True)
@@ -101,7 +95,7 @@ def gen_uniform_line(n: int, seed: int) -> Dataset:
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1.0, 1.0, size=(n, 1))
     y = np.where(x[:, 0] < 0.0, -1, 1)
-    return Dataset(x, y, name="uniform-line")
+    return Dataset(x, y)
 
 
 FOUR_CLUSTER_EDGES = (-7.5, -7.0, 0.0, 7.0, 7.5)
@@ -134,7 +128,7 @@ def gen_four_cluster_line(n: int, seed: int) -> Dataset:
     hi = np.asarray(FOUR_CLUSTER_EDGES[1:])[which]
     x = rng.uniform(lo, hi).reshape(n, 1)
     y = np.asarray(FOUR_CLUSTER_LABELS, dtype=np.int64)[which]
-    return Dataset(x, y, name="four-cluster-line")
+    return Dataset(x, y)
 
 
 CIRCLE_R_INNER = 9.9
@@ -173,7 +167,7 @@ def gen_circle(n: int, circle_prob: float, seed: int) -> Dataset:
     x = np.where(on_ring[:, None], ring, x)
     cluster_side = np.where(x[:, 0] < 0.0, -1, 1)
     y = np.where(on_ring, -cluster_side, cluster_side)
-    return Dataset(x, y, name="circle")
+    return Dataset(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +182,6 @@ def load_csv(
     positive_values: Sequence[str] | str,
     schema: Mapping[str, object],
     header: bool = True,
-    name: str | None = None,
 ) -> Dataset:
     """Load a delimited text file into a Dataset.
 
@@ -250,21 +243,13 @@ def load_csv(
             kinds.extend([ONE_HOT] * len(block_levels))
             names.extend(f"{col}={lev}" for lev in block_levels)
     x = np.column_stack(pieces)
-    return Dataset(
-        x,
-        y,
-        name=name if name is not None else os.path.splitext(os.path.basename(str(path)))[0],
-        feature_kinds=tuple(kinds),
-        feature_names=tuple(names),
-    )
+    return Dataset(x, y, feature_kinds=tuple(kinds), feature_names=tuple(names))
 
 
 def _read_rows(path):
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             return [row for row in csv.reader(fh) if row]
-    except OSError:
-        raise
     except (csv.Error, UnicodeDecodeError) as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
 
@@ -320,8 +305,10 @@ def split(
     blocks pass through untouched).
     """
     n = len(dataset)
-    if not (0.0 < test_prop < 1.0):
-        raise InvalidArgumentError("test_prop must lie in (0, 1)")
+    if not (isinstance(test_prop, Real) and 0.0 < test_prop < 1.0):
+        raise InvalidArgumentError(f"test_prop must be a number in (0, 1), not {test_prop!r}")
+    if not isinstance(seed, Integral):
+        raise InvalidArgumentError(f"split seed must be an integer, not {seed!r}")
     n_test = int(round(n * test_prop))
     if n_test == 0 or n_test == n:
         raise InvalidArgumentError("test_prop leaves train or test empty")
@@ -390,8 +377,14 @@ class DatasetSpec:
             raise InvalidArgumentError(f"unknown dataset kind {self.kind!r}")
         if self.kind == "csv" and not self.path:
             raise InvalidArgumentError("csv dataset spec needs a path")
+        if not isinstance(self.n, Integral):
+            raise InvalidArgumentError(f"dataset n must be an integer, not {self.n!r}")
         if self.kind != "csv" and self.n <= 0:
             raise InvalidArgumentError("generated dataset spec needs n > 0")
+        if not (self.seed is None or isinstance(self.seed, Integral)):
+            raise InvalidArgumentError(f"dataset seed must be an integer or null, not {self.seed!r}")
+        if not isinstance(self.circle_prob, Real):
+            raise InvalidArgumentError(f"circle_prob must be a number, not {self.circle_prob!r}")
 
     def to_dict(self) -> dict:
         if self.kind == "csv":

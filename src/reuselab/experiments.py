@@ -1,12 +1,14 @@
 """Repetition engine and statistics for learning-curve experiments.
 
 A run repeats the same protocol ``repetitions`` times with seeds derived
-from ``base_seed + r``: draw (or load) the pool, split it, run every
-selection strategy over the shared training order, train every consumer on
-each selection, and score it on the test side. Cells are aggregated into
-curve points (mean error, std of the mean, median selected count) and into
-a reusability report that compares each active-learning cell against the
-random cell of the nearest size.
+from ``base_seed + r``: draw (or load) the pool, split it, run one selection
+pass per cell over the shared training order, train every consumer on each
+selection, and score it on the test side. A pass is its trace header, run
+by ``_select`` as ``replay`` runs a saved one. A repetition returns arrays
+over the config's ``_cells``, NaN where a pass or fit was dropped; they
+are aggregated into curve points (mean error, std of the mean, median
+selected count) and into a reusability report that compares each
+active-learning cell against the random cell of the nearest size.
 
 Repetitions are independent jobs; with ``jobs > 1`` they execute in a
 process pool, and aggregation reduces them in repetition order so outputs
@@ -19,6 +21,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields, replace
+from itertools import repeat
 from numbers import Integral
 from typing import Callable, Mapping, Sequence
 
@@ -144,10 +147,15 @@ class ExperimentConfig:
         needs_c0 = {IWAL, IWAL_NO_WEIGHTS} & set(self.strategies)
         if needs_c0 and not self.c0_grid:
             raise InvalidArgumentError("IWAL strategies need a non-empty c0_grid")
-        if any(n < 1 for n in self.n_grid):
-            raise InvalidArgumentError("n_grid entries must be positive")
+        if not isinstance(self.base_seed, Integral):
+            raise InvalidArgumentError(f"base_seed must be an integer, not {self.base_seed!r}")
+        if any(not isinstance(n, Integral) or n < 1 for n in self.n_grid):
+            raise InvalidArgumentError("n_grid entries must be positive integers")
         if any(c <= 0 for c in self.c0_grid):
             raise InvalidArgumentError("c0_grid entries must be positive")
+        for key in ("n_grid", "c0_grid"):
+            if len(set(getattr(self, key))) != len(getattr(self, key)):
+                raise InvalidArgumentError(f"{key} entries must be distinct")
 
     def to_dict(self) -> dict:
         return {
@@ -218,27 +226,97 @@ def _welch_ratio(delta: float, sem_a: float, sem_b: float) -> float:
 _DROP_ERRORS = (MissingClassError, SingularDataError, ConvergenceError)
 
 
-def _cell_label(kind: str, value) -> str:
-    return f"n={value}" if kind == "n" else f"c0={value!r}"
+def _cells(config: ExperimentConfig) -> list[tuple[str, str, object]]:
+    """(strategy, cell label, n or c0) of every cell, in report order:
+    strategies in ``STRATEGIES`` order, each grid ascending."""
+    cells = []
+    for strategy in STRATEGIES:
+        if strategy not in config.strategies:
+            continue
+        if strategy in (RANDOM, UNCERTAINTY):
+            cells += [(strategy, f"n={n}", n) for n in sorted(config.n_grid)]
+        else:
+            cells += [(strategy, f"c0={c0!r}", c0) for c0 in sorted(config.c0_grid)]
+    return cells
 
 
 @dataclass
 class _RepOutcome:
     rep: int
-    counts: dict        # (strategy, cell) -> selected count
-    errors: dict        # (strategy, cell, consumer) -> float or None
+    counts: np.ndarray  # (cells,) selected count; NaN where the pass was dropped
+    errors: np.ndarray  # (cells, consumers) test error; NaN where the fit was dropped
     traces: list        # (filename, text)
 
 
-def _rep_seeds(config: ExperimentConfig, r: int):
-    return (
-        derive_seed(config.base_seed, r, ROLE_POOL),
-        derive_seed(config.base_seed, r, ROLE_SPLIT),
-    )
+def _pass_headers(config: ExperimentConfig, r: int, dataset_dict: dict, split_dict: dict):
+    """(cell label, trace header) of every selection pass of repetition
+    ``r``, one per cell in ``_cells`` order. A header is the pass's recipe."""
+    passes = []
+    for strategy, label, value in _cells(config):
+        header = {"strategy": strategy, "seed": 0, "use_weights": strategy != IWAL_NO_WEIGHTS,
+                  "dataset": dataset_dict, "split": split_dict}
+        if strategy in (IWAL, IWAL_NO_WEIGHTS):
+            # the seed follows the c0's place in the config, not in the report
+            ci = config.c0_grid.index(value)
+            header.update(c0=value, gk_mode=config.gk_mode,
+                          erm_grid_resolution=config.erm_grid_resolution,
+                          seed=derive_seed(config.base_seed, r, ROLE_SELECTION, ci),
+                          log_base=config.log_base, selector_eta0=config.selector_eta0)
+        else:
+            header["n"] = value
+            if strategy == UNCERTAINTY:
+                header["selector_eta0"] = config.selector_eta0
+        passes.append((label, header))
+    return passes
+
+
+def _header_value(header, key: str, kind=object):
+    """``header[key]``, or a ``TraceFormatError`` that names the key when the
+    header lacks it or its value is not a ``kind``."""
+    if not isinstance(header, Mapping) or key not in header:
+        raise TraceFormatError(f"trace header lacks {key!r}")
+    value = header[key]
+    if not isinstance(value, kind):
+        raise TraceFormatError(f"trace header has a bad {key!r}: {value!r}")
+    return value
+
+
+def _select(train, header: Mapping, shared: dict) -> SelectionResult:
+    """Run the selection pass ``header`` describes on ``train``.
+
+    ``shared`` holds what the passes of one repetition have in common: the
+    uncertainty ranker, and each IWAL pass by its seed (or the
+    ``DegenerateGridError`` it raised), which ``iwal`` and
+    ``iwal-no-weights`` both read. Replay passes an empty dict.
+    """
+    strategy = _header_value(header, "strategy")
+    if strategy == RANDOM:
+        return select_random(train, _header_value(header, "n"))
+    if strategy == UNCERTAINTY:
+        if UNCERTAINTY not in shared:
+            shared[UNCERTAINTY] = fit_online_linear(
+                train.x, train.y, np.ones(len(train)),
+                eta0=_header_value(header, "selector_eta0"),
+                passes=1,
+            )
+        return select_uncertainty(train, _header_value(header, "n"), shared[UNCERTAINTY])
+    if strategy not in (IWAL, IWAL_NO_WEIGHTS):
+        raise InvalidArgumentError(f"unknown strategy {strategy!r}")
+    cfg = IwalConfig(**{f.name: _header_value(header, f.name) for f in fields(IwalConfig)})
+    if cfg.seed not in shared:
+        try:
+            shared[cfg.seed] = select_iwal(train, cfg)
+        except DegenerateGridError as exc:
+            shared[cfg.seed] = exc
+    result = shared[cfg.seed]
+    if isinstance(result, DegenerateGridError):
+        raise result
+    return result if _header_value(header, "use_weights") else without_weights(result)
 
 
 def _run_repetition(config: ExperimentConfig, r: int) -> _RepOutcome:
-    pool_seed, split_seed = _rep_seeds(config, r)
+    pool_seed = derive_seed(config.base_seed, r, ROLE_POOL)
+    split_seed = derive_seed(config.base_seed, r, ROLE_SPLIT)
     dataset = make_dataset(config.dataset, seed=pool_seed)
     scale = config.dataset.kind == "csv" and config.dataset.scale_numeric
     pair = split(dataset, config.test_prop, split_seed, scale_numeric=scale)
@@ -246,72 +324,28 @@ def _run_repetition(config: ExperimentConfig, r: int) -> _RepOutcome:
 
     dataset_dict = resolve_spec(config.dataset, pool_seed).to_dict()
     split_dict = {"test_prop": config.test_prop, "seed": split_seed, "scale_numeric": scale}
-
-    # (cell, selection, the knobs its trace header records)
-    selections: list[tuple[str, SelectionResult, dict]] = []
-    dropped = []  # (strategy, cell) of IWAL passes that could not finish
-    if RANDOM in config.strategies:
-        for n in config.n_grid:
-            selections.append((_cell_label("n", n), select_random(train, n), {"n": n}))
-    if UNCERTAINTY in config.strategies:
-        ranker = fit_online_linear(
-            train.x, train.y, np.ones(len(train)), eta0=config.selector_eta0, passes=1
-        )
-        for n in config.n_grid:
-            knobs = {"n": n, "selector_eta0": config.selector_eta0}
-            selections.append((_cell_label("n", n), select_uncertainty(train, n, ranker), knobs))
-    if IWAL in config.strategies or IWAL_NO_WEIGHTS in config.strategies:
-        for ci, c0 in enumerate(config.c0_grid):
-            iwal_config = IwalConfig(
-                c0=c0,
-                gk_mode=config.gk_mode,
-                erm_grid_resolution=config.erm_grid_resolution,
-                seed=derive_seed(config.base_seed, r, ROLE_SELECTION, ci),
-                log_base=config.log_base,
-                selector_eta0=config.selector_eta0,
-            )
-            label = _cell_label("c0", c0)
-            try:
-                weighted = select_iwal(train, iwal_config)
-            except DegenerateGridError:
-                dropped += [(s, label) for s in (IWAL, IWAL_NO_WEIGHTS) if s in config.strategies]
-                continue
-            knobs = asdict(iwal_config)
-            if IWAL in config.strategies:
-                selections.append((label, weighted, knobs))
-            if IWAL_NO_WEIGHTS in config.strategies:
-                selections.append((label, without_weights(weighted), knobs))
-
-    # a dropped pass counts like a failed fit in every consumer: no count, no trace
-    counts, traces = {}, []
-    errors = {(s, label, c.name): None for s, label in dropped for c in config.consumers}
-    for label, sel, knobs in selections:
-        counts[(sel.strategy, label)] = sel.selected_count
+    passes = _pass_headers(config, r, dataset_dict, split_dict)
+    counts = np.full(len(passes), np.nan)
+    errors = np.full((len(passes), len(config.consumers)), np.nan)
+    traces, shared = [], {}
+    for i, (label, header) in enumerate(passes):
+        try:
+            sel = _select(train, header, shared)
+        except DegenerateGridError:
+            continue  # no count, no trace, and a dropped fit in every consumer
+        counts[i] = sel.selected_count
         if config.save_traces:
             fname = f"trace_{sel.strategy}_{label.replace('=', '_')}_r{r:04d}.csv"
-            # IWAL knobs carry the pass's real seed over this 0
-            header = {
-                "strategy": sel.strategy, "seed": 0,
-                "use_weights": sel.strategy != IWAL_NO_WEIGHTS,
-                "dataset": dataset_dict, "split": split_dict, **knobs,
-            }
             traces.append((fname, trace_to_text(header, sel)))
+        if sel.selected_count == 0:
+            continue
         x, y = train.x[sel.indices], train.y[sel.indices]
-        for consumer in config.consumers:
-            key = (sel.strategy, label, consumer.name)
-            if sel.selected_count == 0:
-                errors[key] = None
-                continue
+        for j, consumer in enumerate(config.consumers):
             try:
-                model = consumer.fit(x, y, sel.weights)
-                errors[key] = zero_one_error(model, test)
+                errors[i, j] = zero_one_error(consumer.fit(x, y, sel.weights), test)
             except _DROP_ERRORS:
-                errors[key] = None
+                pass
     return _RepOutcome(rep=r, counts=counts, errors=errors, traces=traces)
-
-
-def _worker(args):
-    return _run_repetition(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -346,10 +380,10 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run every repetition, aggregate curve points, and judge reusability."""
     config, n_train = _normalize(config)
-    tasks = [(config, r) for r in range(config.repetitions)]
+    reps = range(config.repetitions)
     with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
         outcomes = []
-        for out in (pool.map if pool else map)(_worker, tasks):
+        for out in (pool.map if pool else map)(_run_repetition, repeat(config), reps):
             outcomes.append(out)
             if progress:
                 progress(len(outcomes), config.repetitions)
@@ -363,25 +397,16 @@ def aggregate(
 ) -> ExperimentResult:
     """Reduce per-repetition outcomes; invariant to their input order."""
     outcomes = sorted(outcomes, key=lambda o: o.rep)
-    cells: list[tuple[str, str]] = []
-    for out in outcomes:
-        for strategy, cell, _ in out.errors:
-            if (strategy, cell) not in cells:
-                cells.append((strategy, cell))
-    cells.sort(key=lambda sc: (STRATEGIES.index(sc[0]), _cell_sort_key(sc[1])))
-
+    counts = np.stack([o.counts for o in outcomes])  # (reps, cells)
+    errors = np.stack([o.errors for o in outcomes])  # (reps, cells, consumers)
     points = []
-    for strategy, cell in cells:
-        counts = [o.counts[(strategy, cell)] for o in outcomes if (strategy, cell) in o.counts]
-        x_median = float(np.median(counts)) if counts else float("nan")
-        for consumer in config.consumers:
-            errs = [
-                o.errors.get((strategy, cell, consumer.name))
-                for o in outcomes
-                if (strategy, cell, consumer.name) in o.errors
-            ]
-            used = [e for e in errs if e is not None]
-            mean = float(np.mean(used)) if used else float("nan")
+    for i, (strategy, cell, _) in enumerate(_cells(config)):
+        # integer counts keep np.median off its NaN check, which imports numpy.ma
+        kept = counts[:, i][~np.isnan(counts[:, i])].astype(np.int64)
+        x_median = float(np.median(kept)) if len(kept) else float("nan")
+        for j, consumer in enumerate(config.consumers):
+            used = errors[:, i, j][~np.isnan(errors[:, i, j])]
+            mean = float(np.mean(used)) if len(used) else float("nan")
             sem = (
                 float(np.std(used, ddof=1) / math.sqrt(len(used)))
                 if len(used) >= 2
@@ -396,7 +421,7 @@ def aggregate(
                     mean_err=mean,
                     std_of_mean=sem,
                     reps_used=len(used),
-                    reps_dropped=len(errs) - len(used),
+                    reps_dropped=len(outcomes) - len(used),
                 )
             )
 
@@ -412,11 +437,6 @@ def aggregate(
         n_train=n_train,
         traces=tuple(traces),
     )
-
-
-def _cell_sort_key(cell: str):
-    kind, _, value = cell.partition("=")
-    return (kind, float(value))
 
 
 def build_report(points: Sequence[CurvePoint]) -> tuple[ReusabilityCell, ...]:
@@ -548,49 +568,25 @@ class ReplayOutcome:
         )
 
 
-def _header_value(header, key: str, kind=object):
-    """``header[key]``, or a ``TraceFormatError`` that names the key when the
-    header lacks it or its value is not a ``kind``."""
-    if not isinstance(header, Mapping) or key not in header:
-        raise TraceFormatError(f"trace header lacks {key!r}")
-    value = header[key]
-    if not isinstance(value, kind):
-        raise TraceFormatError(f"trace header has a bad {key!r}: {value!r}")
-    return value
-
-
 def rerun_from_header(header: Mapping) -> SelectionResult:
     """Re-execute the selection pass a trace header describes.
 
-    A key the pass needs but the header lacks or holds a bad value for
+    The pass runs through the same ``_select`` as in ``run_experiment``. A
+    key the pass needs but the header lacks or holds a bad value for
     raises ``TraceFormatError``.
     """
-    strategy = _header_value(header, "strategy")
-    if strategy not in STRATEGIES:
-        raise InvalidArgumentError(f"unknown strategy {strategy!r} in trace header")
-    dataset = make_dataset(DatasetSpec.from_dict(_header_value(header, "dataset", Mapping)))
-    split_info = _header_value(header, "split", Mapping)
-    train = split(
-        dataset,
-        _header_value(split_info, "test_prop"),
-        _header_value(split_info, "seed"),
-        scale_numeric=_header_value(split_info, "scale_numeric"),
-    ).train
-    if strategy == RANDOM:
-        return select_random(train, _header_value(header, "n"))
-    if strategy == UNCERTAINTY:
-        ranker = fit_online_linear(
-            train.x, train.y, np.ones(len(train)),
-            eta0=_header_value(header, "selector_eta0"),
-            passes=1,
-        )
-        return select_uncertainty(train, _header_value(header, "n"), ranker)
     try:
-        cfg = IwalConfig(**{f.name: _header_value(header, f.name) for f in fields(IwalConfig)})
+        dataset = make_dataset(DatasetSpec.from_dict(_header_value(header, "dataset", Mapping)))
+        split_info = _header_value(header, "split", Mapping)
+        train = split(
+            dataset,
+            _header_value(split_info, "test_prop"),
+            _header_value(split_info, "seed"),
+            scale_numeric=_header_value(split_info, "scale_numeric"),
+        ).train
+        return _select(train, header, {})
     except InvalidArgumentError as exc:
-        raise TraceFormatError(f"trace header has a bad IWAL knob: {exc}") from exc
-    result = select_iwal(train, cfg)
-    return result if _header_value(header, "use_weights") else without_weights(result)
+        raise TraceFormatError(f"trace header has a bad value: {exc}") from exc
 
 
 def replay_trace(path) -> ReplayOutcome:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Callable
 
 import numpy as np
@@ -78,8 +79,9 @@ class _ModelBase:
 
 def inv_sqrt_schedule(eta0: float = 0.3) -> Callable[[int], float]:
     """Step sizes eta0/sqrt(t) for t = 1, 2, ...; eta0 must stay below 0.5."""
-    if not (0.0 < eta0 < 0.5):
-        raise InvalidArgumentError("eta0 must lie in (0, 0.5) for a stable update")
+    if not (isinstance(eta0, Real) and 0.0 < eta0 < 0.5):
+        raise InvalidArgumentError(
+            f"eta0 must be a number in (0, 0.5) for a stable update, not {eta0!r}")
     return lambda t: eta0 / math.sqrt(t)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from numbers import Real
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -57,8 +57,12 @@ class IwalConfig:
             raise InvalidArgumentError(f"c0 must be a positive number, not {self.c0!r}")
         if self.gk_mode not in (SURROGATE, EXACT_ERM):
             raise InvalidArgumentError(f"unknown gk_mode {self.gk_mode!r}")
-        if self.erm_grid_resolution < 2:
-            raise InvalidArgumentError("erm_grid_resolution must be at least 2")
+        res = self.erm_grid_resolution
+        if not (isinstance(res, Integral) and res >= 2):
+            raise InvalidArgumentError(
+                f"erm_grid_resolution must be an integer of at least 2, not {res!r}")
+        if not isinstance(self.seed, Integral):
+            raise InvalidArgumentError(f"seed must be an integer, not {self.seed!r}")
         base = self.log_base
         if base is not None and not (isinstance(base, Real) and base > 1):
             raise InvalidArgumentError(f"log_base must be a number above 1, not {base!r}")
@@ -150,8 +154,8 @@ def _linear_grid(lo, hi, resolution: int) -> tuple[np.ndarray, np.ndarray]:
 
 def select_random(train: Dataset, n: int) -> SelectionResult:
     """First n examples of the (already shuffled) training order, weight 1."""
-    if n < 0 or n > len(train):
-        raise InvalidArgumentError(f"cannot select {n} of {len(train)} examples")
+    if not (isinstance(n, Integral) and 0 <= n <= len(train)):
+        raise InvalidArgumentError(f"cannot select {n!r} of {len(train)} examples")
     return SelectionResult(
         RANDOM, np.arange(n), np.ones(n), np.zeros(len(train)), np.ones(len(train))
     )
@@ -163,8 +167,8 @@ def select_uncertainty(train: Dataset, n: int, ranking_model) -> SelectionResult
     Examples are ordered by ascending |score| with ties broken by the
     original index; the pool is ranked once, not re-ranked per pick.
     """
-    if n < 0 or n > len(train):
-        raise InvalidArgumentError(f"cannot select {n} of {len(train)} examples")
+    if not (isinstance(n, Integral) and 0 <= n <= len(train)):
+        raise InvalidArgumentError(f"cannot select {n!r} of {len(train)} examples")
     margins = np.abs(np.asarray(ranking_model.score(train.x), dtype=np.float64))
     order = np.lexsort((np.arange(len(train)), margins))
     return SelectionResult(

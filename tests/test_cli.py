@@ -118,11 +118,26 @@ class TestRun:
     @pytest.mark.parametrize("key, value, message", [
         ("save_traces", "false", "save_traces must be true or false"),
         ("repetitions", 2.9, "repetitions must be an integer"),
+        ("n_grid", [10, 10], "n_grid entries must be distinct"),
+        ("c0_grid", [1.0, 1.0], "c0_grid entries must be distinct"),
     ])
     def test_bad_value_is_config_error(self, tmp_path, capsys, key, value, message):
         cfg = write_config(tmp_path, {**MINIMAL_CONFIG, key: value})
         assert main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
         assert f"config error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, key", [
+        ({"base_seed": 2.9}, "base_seed"),
+        ({"n_grid": [10.7]}, "n_grid"),
+        ({"iwal": {"erm_grid_resolution": 64.5}}, "erm_grid_resolution"),
+    ])
+    def test_non_integral_number_is_config_error(self, tmp_path, capsys, edit, key):
+        cfg = write_config(tmp_path, {
+            **MINIMAL_CONFIG, "strategies": ["random", "iwal"], "c0_grid": [1.0], **edit,
+        })
+        assert main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err.startswith("config error: ") and key in err
 
     def test_minimal_config_keeps_every_default(self):
         # the default strategies include IWAL, which needs a c0_grid
@@ -239,13 +254,25 @@ class TestReplay:
         assert main(["replay", str(trace)]) == 2
         assert f"trace error: trace header lacks {key!r}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key, value", [("dataset", 5), ("c0", "x"), ("split", 5)])
-    def test_header_bad_value_is_trace_error(self, tmp_path, capsys, key, value):
+    @pytest.mark.parametrize("path, value, named", [
+        ("dataset", 5, "dataset"), ("c0", "x", "c0"), ("split", 5, "split"),
+        ("seed", "x", "seed"), ("selector_eta0", "x", "eta0"),
+        ("erm_grid_resolution", "x", "erm_grid_resolution"),
+        ("dataset.n", "x", "n must be"), ("split.test_prop", "x", "test_prop"),
+    ])
+    def test_header_bad_value_is_trace_error(self, tmp_path, capsys, path, value, named):
         trace = [t for t in self._run_with_traces(tmp_path) if "iwal_c0" in t.name][0]
-        self._edit_header(trace, lambda h: {**h, key: value})
+
+        def edit(header):
+            *outer, key = path.split(".")
+            inner = header[outer[0]] if outer else header
+            inner[key] = value
+            return header
+
+        self._edit_header(trace, edit)
         assert main(["replay", str(trace)]) == 2
         err = capsys.readouterr().err.splitlines()[-1]
-        assert err.startswith("trace error: trace header has a bad ") and key in err
+        assert err.startswith("trace error: trace header has a bad ") and named in err
 
     def test_header_not_an_object_is_trace_error(self, tmp_path, capsys):
         trace = self._run_with_traces(tmp_path)[0]

@@ -168,17 +168,34 @@ class TestRunExperiment:
 
     def test_degenerate_iwal_pass_drops_only_its_cells(self, monkeypatch):
         config = line_config(
-            strategies=("random", "iwal", "iwal-no-weights"),
+            strategies=("random", "uncertainty", "iwal", "iwal-no-weights"),
             consumers=(ConsumerSpec("least-squares"), ConsumerSpec("lda")),
             save_traces=True,
         )
         clean = run_experiment(config)
         self.degenerate_at(monkeypatch, {1})
+        iwal_seeds, ranker_fits = [], []
+        select_iwal, fit_online_linear = experiments.select_iwal, experiments.fit_online_linear
+
+        def counted_select_iwal(train, cfg):
+            iwal_seeds.append(cfg.seed)
+            return select_iwal(train, cfg)
+
+        def counted_fit_online_linear(*args, **kwargs):
+            ranker_fits.append(1)
+            return fit_online_linear(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "select_iwal", counted_select_iwal)
+        monkeypatch.setattr(experiments, "fit_online_linear", counted_fit_online_linear)
         res = run_experiment(config)
+        # one pass per (repetition, c0) serves both IWAL strategies, also when it raises
+        assert sorted(iwal_seeds) == sorted(
+            derive_seed(100, r, ROLE_SELECTION, 0) for r in range(config.repetitions))
+        assert len(ranker_fits) == config.repetitions
         assert len(res.curve) == len(clean.curve)
         for got, want in zip(res.curve, clean.curve):
             assert got.reps_used + got.reps_dropped == config.repetitions
-            if got.strategy == "random":
+            if got.strategy in ("random", "uncertainty"):
                 assert got == want
             else:
                 assert got.reps_dropped == want.reps_dropped + 1

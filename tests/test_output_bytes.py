@@ -3,12 +3,15 @@
 Replay compares parsed values, so a formatting drift that still parses
 would pass it; these hashes catch any change in the bytes of the curve,
 the report and one trace per strategy. The run covers all four strategies,
-every consumer kind and exact-ERM ``g``. Update a hash only in a change
-that means to alter that file's format or content.
+every consumer kind and exact-ERM ``g``, serially and in a process pool,
+where repetition outcomes reach the parent process pickled. Update a hash
+only in a change that means to alter that file's format or content.
 """
 
 import hashlib
 import json
+
+import pytest
 
 from reuselab.cli import main
 from reuselab.experiments import CONSUMER_KINDS
@@ -42,11 +45,13 @@ EXPECTED = {
 }
 
 
-def test_run_output_bytes_are_pinned(tmp_path):
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_run_output_bytes_are_pinned(tmp_path, jobs):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(CONFIG))
     out = tmp_path / "out"
-    assert main(["run", "--config", str(cfg), "--out-dir", str(out), "--quiet"]) == 0
+    assert main(["run", "--config", str(cfg), "--out-dir", str(out), "--quiet",
+                 "--jobs", jobs]) == 0
     got = {
         name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in EXPECTED
     }
