@@ -17,7 +17,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import astuple, replace
+from dataclasses import MISSING, asdict, astuple, fields, replace
 from datetime import datetime, timezone
 
 from . import __version__
@@ -56,90 +56,68 @@ def csv_text(columns, rows) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Config parsing (strict: unknown keys are errors)
+# Config file <-> ExperimentConfig. The dataclasses are the schema: a file key
+# is a field name, except that these sections nest fields, by key -> field.
 
-_TOP_KEYS = {
-    "dataset", "test_prop", "repetitions", "strategies", "consumers",
-    "n_grid", "c0_grid", "base_seed", "iwal", "selector", "save_traces",
-}
-_IWAL_KEYS = {"gk_mode", "erm_grid_resolution", "log_base"}
-_SELECTOR_KEYS = {"eta0"}
-_CONSUMER_KEYS = {"kind", "name", "ridge", "cost", "gamma", "eta0", "passes"}
-
-
-# ExperimentConfig field -> conversion of its config value. A field the
-# config leaves out keeps its default.
-_FIELD_VALUES = {
-    "test_prop": float,
-    "repetitions": lambda v: v,
-    "strategies": tuple,
-    "n_grid": tuple,
-    "c0_grid": lambda v: tuple(float(c) for c in v),
-    "base_seed": lambda v: v,
-    "gk_mode": lambda v: v,
-    "erm_grid_resolution": lambda v: v,
-    "log_base": lambda v: v,
-    "selector_eta0": float,
-    "save_traces": lambda v: v,
+_SECTIONS = {
+    "iwal": {key: key for key in ("gk_mode", "erm_grid_resolution", "log_base")},
+    "selector": {"eta0": "selector_eta0"},
 }
 
 
-def _section(raw: dict, key: str, kind: type, default):
-    """``raw[key]`` (or ``default``), which must be a JSON object or array."""
-    value = raw.get(key, default)
-    if not isinstance(value, kind):
-        raise ConfigError(f"config.{key} must be a JSON {'object' if kind is dict else 'array'}")
+def _object(value, where: str, allowed) -> dict:
+    """``value``, which must be a JSON object whose keys are all in ``allowed``."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = sorted(set(value) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown keys in {where}: {', '.join(unknown)}")
     return value
 
 
-def _reject_unknown(d: dict, allowed: set, where: str):
-    unknown = sorted(set(d) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {', '.join(unknown)}")
+def _build(cls, value, where: str):
+    """``cls`` from a JSON object of its fields; ``where`` names it in errors."""
+    try:
+        return cls(**_object(value, where, {f.name for f in fields(cls)}))
+    except (ReuselabError, TypeError) as exc:  # TypeError: a required key is missing
+        raise ConfigError(f"bad {where}: {exc}") from exc
 
 
 def parse_config(text: str) -> ExperimentConfig:
+    """The ExperimentConfig of a config file, every value checked."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    _reject_unknown(raw, _TOP_KEYS, "config")
-    for key in ("dataset", "test_prop"):
-        if key not in raw:
-            raise ConfigError(f"config is missing required key {key!r}")
-
+    nested = {name for keys in _SECTIONS.values() for name in keys.values()}
+    top = {f.name for f in fields(ExperimentConfig)} - nested | set(_SECTIONS)
+    kwargs = {k: v for k, v in _object(raw, "config", top).items() if k not in _SECTIONS}
+    for section, keys in _SECTIONS.items():
+        values = _object(raw.get(section, {}), f"config.{section}", keys)
+        kwargs.update((keys[k], v) for k, v in values.items())
+    for f in fields(ExperimentConfig):
+        if f.default is MISSING and f.name not in kwargs:
+            raise ConfigError(f"config is missing required key {f.name!r}")
+    kwargs["dataset"] = _build(DatasetSpec, kwargs["dataset"], "dataset spec")
+    if "consumers" in kwargs:
+        if not isinstance(kwargs["consumers"], list):
+            raise ConfigError("config.consumers must be a JSON array")
+        kwargs["consumers"] = [_build(ConsumerSpec, c, f"consumer #{i}")
+                               for i, c in enumerate(kwargs["consumers"])]
     try:
-        dataset = DatasetSpec.from_dict(raw["dataset"])
-    except (ReuselabError, TypeError) as exc:
-        raise ConfigError(f"bad dataset spec: {exc}") from exc
-
-    iwal = _section(raw, "iwal", dict, {})
-    _reject_unknown(iwal, _IWAL_KEYS, "config.iwal")
-    selector = _section(raw, "selector", dict, {})
-    _reject_unknown(selector, _SELECTOR_KEYS, "config.selector")
-
-    kwargs = {}
-    if "consumers" in raw:
-        consumers = []
-        for i, entry in enumerate(_section(raw, "consumers", list, None)):
-            if not isinstance(entry, dict) or "kind" not in entry:
-                raise ConfigError(f"consumer #{i} must be an object with a 'kind'")
-            _reject_unknown(entry, _CONSUMER_KEYS, f"consumer #{i}")
-            try:
-                consumers.append(ConsumerSpec(**entry))
-            except (ReuselabError, TypeError) as exc:
-                raise ConfigError(f"bad consumer #{i}: {exc}") from exc
-        kwargs["consumers"] = tuple(consumers)
-
-    # the iwal and selector keys share no name with a top-level key
-    values = {**raw, **iwal, **{f"selector_{k}": v for k, v in selector.items()}}
-    try:
-        kwargs.update({k: f(values[k]) for k, f in _FIELD_VALUES.items() if k in values})
-        return ExperimentConfig(dataset=dataset, **kwargs)
-    except (ReuselabError, TypeError, ValueError) as exc:
+        return ExperimentConfig(**kwargs)
+    except ReuselabError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def config_to_dict(config: ExperimentConfig) -> dict:
+    """The JSON object that ``parse_config`` reads back as ``config``."""
+    out = {f.name: getattr(config, f.name) for f in fields(config)}
+    for section, keys in _SECTIONS.items():
+        out[section] = {k: out.pop(name) for k, name in keys.items()}
+    out["dataset"] = config.dataset.to_dict()
+    out["consumers"] = [asdict(c) for c in config.consumers]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -147,10 +125,9 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def cmd_gen(args) -> int:
-    spec_kwargs = {"kind": args.kind, "n": args.n, "seed": args.seed}
-    if args.kind == "circle":
-        spec_kwargs["circle_prob"] = args.circle_prob
-    dataset = make_dataset(DatasetSpec(**spec_kwargs))
+    # circle_prob is read by the circle kind only
+    spec = DatasetSpec(kind=args.kind, n=args.n, seed=args.seed, circle_prob=args.circle_prob)
+    dataset = make_dataset(spec)
     export_csv(dataset, args.out)
     print(
         f"wrote {args.out}: instances={len(dataset)} dim={dataset.dim} "
@@ -204,7 +181,7 @@ def cmd_run(args) -> int:
         "generated_at": datetime.now(timezone.utc).isoformat(),
         "base_seed": result.config.base_seed,
         "n_train": result.n_train,
-        "config": result.config.to_dict(),
+        "config": config_to_dict(result.config),
         "outputs": {"curve": "curve.csv", "report": "report.csv", "traces": trace_files},
     }
     _write(os.path.join(out_dir, "manifest.json"),
@@ -295,11 +272,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except TraceFormatError as exc:
-        print(f"trace error: {exc}", file=sys.stderr)
+    except (ConfigError, TraceFormatError, InvalidArgumentError) as exc:
+        prefix = {ConfigError: "config ", TraceFormatError: "trace "}.get(type(exc), "")
+        print(f"{prefix}error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -11,8 +11,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, replace
-from numbers import Integral, Real
+from dataclasses import dataclass, fields, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -22,6 +21,8 @@ from .errors import (
     InvalidArgumentError,
     SingleClassDataError,
     UnknownCategoryError,
+    is_int,
+    is_number,
 )
 
 NUMERIC = "numeric"
@@ -209,7 +210,9 @@ def load_csv(
         if len(row) != width:
             raise DataFormatError(f"{path}: row {i} has {len(row)} fields, expected {width}")
 
-    label_name = columns[label_column] if isinstance(label_column, int) else str(label_column)
+    if is_int(label_column) and not -width <= label_column < width:
+        raise DataFormatError(f"{path}: label column index {label_column} is out of range")
+    label_name = columns[label_column] if is_int(label_column) else str(label_column)
     if label_name not in columns:
         raise DataFormatError(f"{path}: no label column {label_name!r}")
     label_idx = columns.index(label_name)
@@ -305,9 +308,9 @@ def split(
     blocks pass through untouched).
     """
     n = len(dataset)
-    if not (isinstance(test_prop, Real) and 0.0 < test_prop < 1.0):
+    if not (is_number(test_prop) and 0.0 < test_prop < 1.0):
         raise InvalidArgumentError(f"test_prop must be a number in (0, 1), not {test_prop!r}")
-    if not isinstance(seed, Integral):
+    if not is_int(seed):
         raise InvalidArgumentError(f"split seed must be an integer, not {seed!r}")
     n_test = int(round(n * test_prop))
     if n_test == 0 or n_test == n:
@@ -358,7 +361,7 @@ class DatasetSpec:
 
     ``seed=None`` on a generated kind means the caller supplies the seed at
     build time (the experiment harness uses this for fresh pools per
-    repetition).
+    repetition). ``positive_values`` becomes a tuple.
     """
 
     kind: str
@@ -375,16 +378,30 @@ class DatasetSpec:
     def __post_init__(self):
         if self.kind not in GENERATOR_KINDS + ("csv",):
             raise InvalidArgumentError(f"unknown dataset kind {self.kind!r}")
+        if not (self.path is None or isinstance(self.path, str)):
+            raise InvalidArgumentError(f"path must be a string or null, not {self.path!r}")
         if self.kind == "csv" and not self.path:
             raise InvalidArgumentError("csv dataset spec needs a path")
-        if not isinstance(self.n, Integral):
+        if not is_int(self.n):
             raise InvalidArgumentError(f"dataset n must be an integer, not {self.n!r}")
         if self.kind != "csv" and self.n <= 0:
             raise InvalidArgumentError("generated dataset spec needs n > 0")
-        if not (self.seed is None or isinstance(self.seed, Integral)):
+        if not (self.seed is None or is_int(self.seed)):
             raise InvalidArgumentError(f"dataset seed must be an integer or null, not {self.seed!r}")
-        if not isinstance(self.circle_prob, Real):
+        if not is_number(self.circle_prob):
             raise InvalidArgumentError(f"circle_prob must be a number, not {self.circle_prob!r}")
+        if not (isinstance(self.label_column, str) or is_int(self.label_column)):
+            raise InvalidArgumentError(
+                f"label_column must be a string or an integer, not {self.label_column!r}")
+        pv = self.positive_values
+        if not (isinstance(pv, (list, tuple)) and all(isinstance(v, str) for v in pv)):
+            raise InvalidArgumentError(f"positive_values must be an array of strings, not {pv!r}")
+        object.__setattr__(self, "positive_values", tuple(pv))
+        for key, value in (("header", self.header), ("scale_numeric", self.scale_numeric)):
+            if not isinstance(value, bool):
+                raise InvalidArgumentError(f"{key} must be true or false, not {value!r}")
+        if not (self.schema is None or isinstance(self.schema, Mapping)):
+            raise InvalidArgumentError(f"schema must be an object or null, not {self.schema!r}")
 
     def to_dict(self) -> dict:
         if self.kind == "csv":
@@ -404,17 +421,10 @@ class DatasetSpec:
 
     @staticmethod
     def from_dict(d: Mapping[str, object]) -> "DatasetSpec":
-        allowed = {
-            "kind", "n", "circle_prob", "seed", "path", "label_column",
-            "positive_values", "header", "schema", "scale_numeric",
-        }
-        unknown = set(d) - allowed
+        unknown = set(d) - {f.name for f in fields(DatasetSpec)}
         if unknown:
             raise InvalidArgumentError(f"unknown dataset spec keys {sorted(unknown)}")
-        kwargs = dict(d)
-        if "positive_values" in kwargs:
-            kwargs["positive_values"] = tuple(kwargs["positive_values"])
-        return DatasetSpec(**kwargs)
+        return DatasetSpec(**d)
 
 
 def make_dataset(spec: DatasetSpec, seed: int | None = None) -> Dataset:

@@ -1,4 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types, and the JSON value rules, shared across the package."""
+
+from numbers import Integral, Real
+
+
+def is_int(value) -> bool:
+    """A JSON integer: an ``Integral`` that is not a bool."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    """A JSON number: a ``Real`` that is not a bool."""
+    return isinstance(value, Real) and not isinstance(value, bool)
 
 
 class ReuselabError(Exception):

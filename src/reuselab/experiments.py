@@ -22,7 +22,6 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields, replace
 from itertools import repeat
-from numbers import Integral
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -35,6 +34,8 @@ from .errors import (
     MissingClassError,
     SingularDataError,
     TraceFormatError,
+    is_int,
+    is_number,
 )
 from .learners import (
     fit_lda,
@@ -42,6 +43,7 @@ from .learners import (
     fit_online_linear,
     fit_qda,
     fit_svm,
+    inv_sqrt_schedule,
     linear_kernel,
     poly3_kernel,
     rbf_kernel,
@@ -105,6 +107,17 @@ class ConsumerSpec:
     def __post_init__(self):
         if self.kind not in CONSUMER_KINDS:
             raise InvalidArgumentError(f"unknown consumer kind {self.kind!r}")
+        if not isinstance(self.name, str):
+            raise InvalidArgumentError(f"name must be a string, not {self.name!r}")
+        if not (is_number(self.ridge) and self.ridge >= 0):
+            raise InvalidArgumentError(f"ridge must be a number >= 0, not {self.ridge!r}")
+        for key in ("cost", "gamma"):
+            value = getattr(self, key)
+            if not (is_number(value) and value > 0 or key == "gamma" and value is None):
+                raise InvalidArgumentError(f"{key} must be a positive number, not {value!r}")
+        inv_sqrt_schedule(self.eta0)  # raises on an eta0 the schedule cannot take
+        if not (is_int(self.passes) and self.passes >= 1):
+            raise InvalidArgumentError(f"passes must be an integer >= 1, not {self.passes!r}")
         if not self.name:
             object.__setattr__(self, "name", self.kind)
 
@@ -115,6 +128,9 @@ class ConsumerSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """An experiment, every value checked when built. Sequence fields become
+    tuples, and ``iwal_configs`` holds each c0's ``IwalConfig`` (seed 0)."""
+
     dataset: DatasetSpec
     test_prop: float
     repetitions: int = 100
@@ -130,13 +146,19 @@ class ExperimentConfig:
     save_traces: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.repetitions, Integral) or self.repetitions < 1:
+        for key in ("strategies", "consumers", "n_grid", "c0_grid"):
+            if not isinstance(getattr(self, key), (list, tuple)):
+                raise InvalidArgumentError(f"{key} must be an array, not {getattr(self, key)!r}")
+            object.__setattr__(self, key, tuple(getattr(self, key)))
+        if not (is_number(self.test_prop) and 0 < self.test_prop < 1):
+            raise InvalidArgumentError("test_prop must be a number in (0, 1)")
+        if not is_int(self.repetitions) or self.repetitions < 1:
             raise InvalidArgumentError("repetitions must be an integer of at least 1")
         if not isinstance(self.save_traces, bool):
             raise InvalidArgumentError("save_traces must be true or false")
-        unknown = set(self.strategies) - set(STRATEGIES)
+        unknown = [s for s in self.strategies if s not in STRATEGIES]
         if unknown:
-            raise InvalidArgumentError(f"unknown strategies {sorted(unknown)}")
+            raise InvalidArgumentError(f"unknown strategies {unknown}")
         if not self.strategies:
             raise InvalidArgumentError("need at least one strategy")
         if not self.consumers:
@@ -147,34 +169,19 @@ class ExperimentConfig:
         needs_c0 = {IWAL, IWAL_NO_WEIGHTS} & set(self.strategies)
         if needs_c0 and not self.c0_grid:
             raise InvalidArgumentError("IWAL strategies need a non-empty c0_grid")
-        if not isinstance(self.base_seed, Integral):
+        if not is_int(self.base_seed):
             raise InvalidArgumentError(f"base_seed must be an integer, not {self.base_seed!r}")
-        if any(not isinstance(n, Integral) or n < 1 for n in self.n_grid):
+        if not all(is_int(n) and n >= 1 for n in self.n_grid):
             raise InvalidArgumentError("n_grid entries must be positive integers")
-        if any(c <= 0 for c in self.c0_grid):
-            raise InvalidArgumentError("c0_grid entries must be positive")
+        if not all(is_number(c) and c > 0 for c in self.c0_grid):
+            raise InvalidArgumentError("c0_grid entries must be positive numbers")
+        object.__setattr__(self, "c0_grid", tuple(float(c) for c in self.c0_grid))
         for key in ("n_grid", "c0_grid"):
             if len(set(getattr(self, key))) != len(getattr(self, key)):
                 raise InvalidArgumentError(f"{key} entries must be distinct")
-
-    def to_dict(self) -> dict:
-        return {
-            "dataset": self.dataset.to_dict(),
-            "test_prop": self.test_prop,
-            "repetitions": self.repetitions,
-            "strategies": list(self.strategies),
-            "consumers": [asdict(c) for c in self.consumers],
-            "n_grid": list(self.n_grid),
-            "c0_grid": list(self.c0_grid),
-            "base_seed": self.base_seed,
-            "iwal": {
-                "gk_mode": self.gk_mode,
-                "erm_grid_resolution": self.erm_grid_resolution,
-                "log_base": self.log_base,
-            },
-            "selector": {"eta0": self.selector_eta0},
-            "save_traces": self.save_traces,
-        }
+        knobs = IwalConfig(1.0, self.gk_mode, self.erm_grid_resolution, 0, self.log_base,
+                           self.selector_eta0)
+        object.__setattr__(self, "iwal_configs", tuple(replace(knobs, c0=c) for c in self.c0_grid))
 
 
 @dataclass(frozen=True)
@@ -258,10 +265,8 @@ def _pass_headers(config: ExperimentConfig, r: int, dataset_dict: dict, split_di
         if strategy in (IWAL, IWAL_NO_WEIGHTS):
             # the seed follows the c0's place in the config, not in the report
             ci = config.c0_grid.index(value)
-            header.update(c0=value, gk_mode=config.gk_mode,
-                          erm_grid_resolution=config.erm_grid_resolution,
-                          seed=derive_seed(config.base_seed, r, ROLE_SELECTION, ci),
-                          log_base=config.log_base, selector_eta0=config.selector_eta0)
+            seed = derive_seed(config.base_seed, r, ROLE_SELECTION, ci)
+            header.update(asdict(replace(config.iwal_configs[ci], seed=seed)))
         else:
             header["n"] = value
             if strategy == UNCERTAINTY:
@@ -578,12 +583,8 @@ def rerun_from_header(header: Mapping) -> SelectionResult:
     try:
         dataset = make_dataset(DatasetSpec.from_dict(_header_value(header, "dataset", Mapping)))
         split_info = _header_value(header, "split", Mapping)
-        train = split(
-            dataset,
-            _header_value(split_info, "test_prop"),
-            _header_value(split_info, "seed"),
-            scale_numeric=_header_value(split_info, "scale_numeric"),
-        ).train
+        keys = ("test_prop", "seed", "scale_numeric")
+        train = split(dataset, *(_header_value(split_info, key) for key in keys)).train
         return _select(train, header, {})
     except InvalidArgumentError as exc:
         raise TraceFormatError(f"trace header has a bad value: {exc}") from exc

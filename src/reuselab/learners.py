@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Real
 from typing import Callable
 
 import numpy as np
@@ -23,6 +22,7 @@ from .errors import (
     InvalidArgumentError,
     MissingClassError,
     SingularDataError,
+    is_number,
 )
 
 # Condition-number ceiling beyond which a normal/covariance matrix is
@@ -79,7 +79,7 @@ class _ModelBase:
 
 def inv_sqrt_schedule(eta0: float = 0.3) -> Callable[[int], float]:
     """Step sizes eta0/sqrt(t) for t = 1, 2, ...; eta0 must stay below 0.5."""
-    if not (isinstance(eta0, Real) and 0.0 < eta0 < 0.5):
+    if not (is_number(eta0) and 0.0 < eta0 < 0.5):
         raise InvalidArgumentError(
             f"eta0 must be a number in (0, 0.5) for a stable update, not {eta0!r}")
     return lambda t: eta0 / math.sqrt(t)

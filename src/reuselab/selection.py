@@ -14,12 +14,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from numbers import Integral, Real
 
 import numpy as np
 
 from .datasets import Dataset
-from .errors import DegenerateGridError, InvalidArgumentError, TraceFormatError
+from .errors import DegenerateGridError, InvalidArgumentError, TraceFormatError, is_int, is_number
 from .learners import (
     inv_sqrt_schedule,
     make_online_model,
@@ -53,19 +52,19 @@ class IwalConfig:
     selector_eta0: float = 0.3
 
     def __post_init__(self):
-        if not (isinstance(self.c0, Real) and self.c0 > 0):
+        if not (is_number(self.c0) and self.c0 > 0):
             raise InvalidArgumentError(f"c0 must be a positive number, not {self.c0!r}")
         if self.gk_mode not in (SURROGATE, EXACT_ERM):
             raise InvalidArgumentError(f"unknown gk_mode {self.gk_mode!r}")
         res = self.erm_grid_resolution
-        if not (isinstance(res, Integral) and res >= 2):
-            raise InvalidArgumentError(
-                f"erm_grid_resolution must be an integer of at least 2, not {res!r}")
-        if not isinstance(self.seed, Integral):
+        if not (is_int(res) and res >= 2):
+            raise InvalidArgumentError(f"erm_grid_resolution must be an integer >= 2, not {res!r}")
+        if not is_int(self.seed):
             raise InvalidArgumentError(f"seed must be an integer, not {self.seed!r}")
         base = self.log_base
-        if base is not None and not (isinstance(base, Real) and base > 1):
+        if base is not None and not (is_number(base) and base > 1):
             raise InvalidArgumentError(f"log_base must be a number above 1, not {base!r}")
+        inv_sqrt_schedule(self.selector_eta0)  # raises on an eta0 it cannot take
 
 
 @dataclass(frozen=True)
@@ -154,7 +153,7 @@ def _linear_grid(lo, hi, resolution: int) -> tuple[np.ndarray, np.ndarray]:
 
 def select_random(train: Dataset, n: int) -> SelectionResult:
     """First n examples of the (already shuffled) training order, weight 1."""
-    if not (isinstance(n, Integral) and 0 <= n <= len(train)):
+    if not (is_int(n) and 0 <= n <= len(train)):
         raise InvalidArgumentError(f"cannot select {n!r} of {len(train)} examples")
     return SelectionResult(
         RANDOM, np.arange(n), np.ones(n), np.zeros(len(train)), np.ones(len(train))
@@ -167,7 +166,7 @@ def select_uncertainty(train: Dataset, n: int, ranking_model) -> SelectionResult
     Examples are ordered by ascending |score| with ties broken by the
     original index; the pool is ranked once, not re-ranked per pick.
     """
-    if not (isinstance(n, Integral) and 0 <= n <= len(train)):
+    if not (is_int(n) and 0 <= n <= len(train)):
         raise InvalidArgumentError(f"cannot select {n!r} of {len(train)} examples")
     margins = np.abs(np.asarray(ranking_model.score(train.x), dtype=np.float64))
     order = np.lexsort((np.arange(len(train)), margins))
@@ -286,8 +285,11 @@ def trace_to_text(header: dict, result: SelectionResult) -> str:
 
 def load_trace(path) -> tuple[dict, dict[str, list]]:
     """The header and the six columns of a v1 trace file."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [line.rstrip("\n") for line in fh]
+    except UnicodeDecodeError as exc:
+        raise TraceFormatError(f"{path}: {exc}") from exc
     if not lines or not lines[0].startswith(_TRACE_TAG):
         raise TraceFormatError(f"{path}: missing trace header")
     try:

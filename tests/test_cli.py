@@ -5,8 +5,9 @@ import sys
 
 import pytest
 
+from reuselab import experiments
 from reuselab.cli import main, parse_config
-from reuselab.datasets import DatasetSpec
+from reuselab.datasets import DatasetSpec, export_csv, make_dataset
 from reuselab.experiments import ExperimentConfig
 
 MINIMAL_CONFIG = {
@@ -18,6 +19,53 @@ MINIMAL_CONFIG = {
     "n_grid": [10, 40, 100],
     "base_seed": 3,
 }
+
+
+# Every consumer kind, each with non-default values.
+EVERY_CONSUMER = [
+    {"kind": "online-linear", "eta0": 0.2, "passes": 2, "name": "ol-2"},
+    {"kind": "least-squares", "ridge": 0.01},
+    {"kind": "lda", "name": "lda-a"},
+    {"kind": "qda", "name": "qda-a"},
+    {"kind": "svm-linear", "cost": 2.0},
+    {"kind": "svm-poly3", "cost": 0.5},
+    {"kind": "svm-rbf", "cost": 3.0, "gamma": 0.7},
+]
+SECTIONS = {
+    "iwal": {"gk_mode": "exact-erm", "erm_grid_resolution": 16, "log_base": 2},
+    "selector": {"eta0": 0.2},
+}
+# A CSV spec whose file is never read: its checks come first.
+CSV_SPEC = {"kind": "csv", "path": "never-read.csv", "label_column": "label",
+            "positive_values": ["y"], "schema": {"a": "numeric"}}
+# (test id, config edit, the key the error must name)
+BAD_VALUES = [
+    ("test_prop-x", {"test_prop": "x"}, "test_prop"),
+    ("test_prop-1.5", {"test_prop": 1.5}, "test_prop"),
+    ("c0_grid-x", {"c0_grid": ["x"]}, "c0_grid"),
+    ("base_seed-true", {"base_seed": True}, "base_seed"),
+    ("n_grid-true", {"n_grid": [True, 10]}, "n_grid"),
+    ("repetitions-true", {"repetitions": True}, "repetitions"),
+    ("strategies-string", {"strategies": "random"}, "strategies"),
+    ("iwal.log_base-1", {"iwal": {"log_base": 1}}, "log_base"),
+    ("iwal.erm_grid_resolution-64.5", {"iwal": {"erm_grid_resolution": 64.5}},
+     "erm_grid_resolution"),
+    ("selector.eta0-0.9", {"selector": {"eta0": 0.9}}, "eta0"),
+    ("consumer.cost-x", {"consumers": [{"kind": "svm-rbf", "cost": "x"}]}, "cost"),
+    ("consumer.gamma-x", {"consumers": [{"kind": "svm-rbf", "gamma": "x"}]}, "gamma"),
+    ("consumer.passes-2.5", {"consumers": [{"kind": "online-linear", "passes": 2.5}]}, "passes"),
+    ("consumer.eta0-0.9", {"consumers": [{"kind": "online-linear", "eta0": 0.9}]}, "eta0"),
+    ("consumer.ridge-x", {"consumers": [{"kind": "least-squares", "ridge": "x"}]}, "ridge"),
+    ("consumer.name-5", {"consumers": [{"kind": "lda", "name": 5}]}, "name"),
+    ("dataset.header-no", {"dataset": {**CSV_SPEC, "header": "no"}}, "header"),
+    ("dataset.scale_numeric-no", {"dataset": {**CSV_SPEC, "scale_numeric": "no"}},
+     "scale_numeric"),
+    ("dataset.positive_values-yes", {"dataset": {**CSV_SPEC, "positive_values": "yes"}},
+     "positive_values"),
+    ("dataset.schema-5", {"dataset": {**CSV_SPEC, "schema": 5}}, "schema"),
+    ("dataset.label_column-1.5", {"dataset": {**CSV_SPEC, "label_column": 1.5}}, "label_column"),
+    ("dataset.path-5", {"dataset": {**CSV_SPEC, "path": 5}}, "path"),
+]
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -47,6 +95,16 @@ class TestGen:
         frac = float(text.split("positive_fraction=")[1].split()[0])
         # binomial 5-sigma band around 0.5 at n=1000
         assert abs(frac - 0.5) < 0.08
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--n", "1"], "n must be at least 2"),
+        (["--n", "100", "--circle-prob", "0.7"], "circle_prob must lie in (0, 0.5)"),
+    ], ids=["n-1", "circle-prob-0.7"])
+    def test_bad_value_is_usage_error(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "ring.csv"
+        assert main(["gen", "circle", *argv, "--out", str(out)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_same_seed_same_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -178,6 +236,46 @@ class TestRun:
         assert main(["run", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 3
 
 
+class TestConfigSchema:
+    @pytest.mark.parametrize("source", ["generated", "csv"])
+    def test_manifest_snapshot_parses_back_to_the_config(self, tmp_path, source):
+        dataset = {"kind": "circle", "n": 240, "circle_prob": 0.05}
+        if source == "csv":
+            path = tmp_path / "circle.csv"
+            export_csv(make_dataset(DatasetSpec(**dataset), seed=3), path)
+            dataset = {"kind": "csv", "path": str(path), "label_column": 2,
+                       "positive_values": ["1"], "schema": {"f0": "numeric", "f1": "numeric"},
+                       "header": True, "scale_numeric": False}
+        payload = {
+            "dataset": dataset, "test_prop": 0.25, "repetitions": 2,
+            "strategies": ["random", "uncertainty", "iwal", "iwal-no-weights"],
+            "consumers": EVERY_CONSUMER, "n_grid": [40, 20], "c0_grid": [1, 0.05],
+            "base_seed": 5, "save_traces": True, **SECTIONS,
+        }
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, payload)
+        assert main(["run", "--config", cfg, "--out-dir", str(out), "--quiet"]) == 0
+        snapshot = json.loads((out / "manifest.json").read_text())["config"]
+        config = parse_config(json.dumps(payload))
+        assert parse_config(json.dumps(snapshot)) == config
+        assert {key: snapshot[key] for key in SECTIONS} == SECTIONS
+        assert config.c0_grid == (1.0, 0.05)
+        assert [c.name for c in config.consumers][:4] == ["ol-2", "least-squares", "lda-a", "qda-a"]
+
+    @pytest.mark.parametrize("edit, key", [case[1:] for case in BAD_VALUES],
+                             ids=[case[0] for case in BAD_VALUES])
+    def test_bad_value_stops_the_run_before_any_pool(self, tmp_path, capsys, monkeypatch,
+                                                     edit, key):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was drawn before the config was checked")
+
+        monkeypatch.setattr(experiments, "make_dataset", no_pool)
+        cfg = write_config(tmp_path, {**MINIMAL_CONFIG, **edit})
+        assert main(["run", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err.startswith("config error: ") and key in err
+
+
 class TestReplay:
     def _run_with_traces(self, tmp_path):
         payload = {**MINIMAL_CONFIG,
@@ -279,6 +377,12 @@ class TestReplay:
         self._edit_header(trace, lambda h: [])
         assert main(["replay", str(trace)]) == 2
         assert "header is not a JSON object" in capsys.readouterr().err
+
+    def test_non_utf8_trace_is_trace_error(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(b'# reuselab-trace v1 {"strategy": "caf\xe9"}\n')
+        assert main(["replay", str(bad)]) == 2
+        assert "trace error: " in capsys.readouterr().err
 
     def test_corrupt_trace_is_usage_error(self, tmp_path):
         bad = tmp_path / "broken.csv"

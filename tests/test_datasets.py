@@ -191,6 +191,19 @@ class TestLoadCsv:
         with pytest.raises(UnknownCategoryError):
             rl.load_csv(path, "label", "y", schema)
 
+    @pytest.mark.parametrize("index", [3, 7, -4])
+    def test_label_column_index_out_of_range(self, tmp_path, index):
+        path = tmp_path / "three.csv"
+        path.write_text("a,b,label\n1,2,y\n3,4,n\n")
+        with pytest.raises(DataFormatError, match=f"label column index {index} is out of range"):
+            rl.load_csv(path, index, "y", {"a": "numeric", "b": "numeric"})
+
+    def test_negative_label_column_index_counts_from_the_end(self, tmp_path):
+        path = tmp_path / "three.csv"
+        path.write_text("a,b,label\n1,2,y\n3,4,n\n")
+        ds = rl.load_csv(path, -1, "y", {"a": "numeric", "b": "numeric"})
+        assert ds.y.tolist() == [1, -1]
+
     def test_headerless_file(self, tmp_path):
         path = tmp_path / "nohead.csv"
         path.write_text("1.0,y\n2.0,n\n")
