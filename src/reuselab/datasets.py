@@ -312,6 +312,8 @@ def split(
         raise InvalidArgumentError(f"test_prop must be a number in (0, 1), not {test_prop!r}")
     if not is_int(seed):
         raise InvalidArgumentError(f"split seed must be an integer, not {seed!r}")
+    if not isinstance(scale_numeric, bool):
+        raise InvalidArgumentError(f"scale_numeric must be true or false, not {scale_numeric!r}")
     n_test = int(round(n * test_prop))
     if n_test == 0 or n_test == n:
         raise InvalidArgumentError("test_prop leaves train or test empty")
@@ -424,6 +426,8 @@ class DatasetSpec:
         unknown = set(d) - {f.name for f in fields(DatasetSpec)}
         if unknown:
             raise InvalidArgumentError(f"unknown dataset spec keys {sorted(unknown)}")
+        if "kind" not in d:
+            raise InvalidArgumentError("dataset spec lacks 'kind'")
         return DatasetSpec(**d)
 
 

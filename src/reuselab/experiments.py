@@ -509,13 +509,15 @@ def density_histogram(
     ``iwal_knobs`` are further ``IwalConfig`` fields, such as ``gk_mode``;
     the rest keep that class's defaults.
     """
+    if not (is_int(runs) and runs >= 1 and is_int(bins) and bins >= 1 and c0_list):
+        raise InvalidArgumentError(
+            f"need integers runs >= 1 and bins >= 1 and a non-empty c0 list, "
+            f"not runs={runs!r}, bins={bins!r}, c0_list={c0_list!r}")
     if dataset_spec.kind == "csv":
         raise InvalidArgumentError("density histograms need a generated 1-D dataset")
     probe = make_dataset(dataset_spec, seed=derive_seed(base_seed, 0, ROLE_POOL))
     if probe.dim != 1:
         raise InvalidArgumentError("density histograms need a 1-D dataset")
-    if runs < 1 or bins < 1 or not c0_list:
-        raise InvalidArgumentError("need runs >= 1, bins >= 1 and a non-empty c0 list")
     lo, hi = _SUPPORT.get(dataset_spec.kind, (float(probe.x.min()), float(probe.x.max())))
     edges = np.linspace(lo, hi, bins + 1)
 

@@ -103,6 +103,11 @@ def selection_probability(g: float, k: int, c0: float, log_base: float | None = 
         raise InvalidArgumentError("k must be at least 2")
     if g < 0:
         raise InvalidArgumentError("g must be non-negative")
+    return _probability(g, k, c0, log_base)
+
+
+def _probability(g: float, k: int, c0: float, log_base: float | None) -> float:
+    """``selection_probability`` without its argument checks."""
     if g == 0.0:
         return 1.0
     log_k = math.log(k) if log_base is None else math.log(k, log_base)
@@ -181,63 +186,75 @@ def select_iwal(train: Dataset, config: IwalConfig) -> SelectionResult:
     Every selected example is stored with weight 1/p and the online
     selector is updated with importance 1/p. The first streamed example is
     always labeled. The selected-set size is a random variable.
+
+    Exact-ERM ``g`` caches the best grid hypothesis until a label changes
+    the errors. Per example it takes one GEMV, one ``>=`` into a bool mask
+    of +1 predictions (exactly ``s - b >= 0`` for finite doubles) and one
+    min over the side of the mask the best hypothesis is not on. The GEMV
+    stays per example: a GEMM over the pool rounds differently and flips
+    some signs, which would change traces.
     """
     n = len(train)
     if n == 0:
         raise InvalidArgumentError("training pool is empty")
-    uniforms = pass_uniforms(config.seed, n)
+    uniforms = pass_uniforms(config.seed, n).tolist()
     schedule = inv_sqrt_schedule(config.selector_eta0)
     model = make_online_model(train.dim)
     x = train.x
-    y = train.y
+    labels = train.y.tolist()
     exact = config.gk_mode == EXACT_ERM
     if exact:
         grid_w, grid_b = _linear_grid(x.min(axis=0), x.max(axis=0), config.erm_grid_resolution)
         # cumulative weighted error of every grid hypothesis on the labeled set
         err = np.zeros(len(grid_b))
         total_weight = 0.0
+        best = None  # argmin of err, cleared whenever err changes
+        proj = np.empty(len(grid_b))
+        above = np.empty(len(grid_b), dtype=bool)
 
     abs_score_sum = 0.0
     picked: list[int] = []
     weights: list[float] = []
-    gs = np.empty(n)
-    probabilities = np.empty(n)
+    gs: list[float] = []
+    probabilities: list[float] = []
     for idx in range(n):
-        score = float(x[idx] @ model.theta) + model.bias
         if exact:
             # g: ERM error gap between the best hypothesis and the best one
             # forced to predict the opposite label; 0 on an empty labeled set
-            preds = np.where(grid_w @ x[idx] - grid_b >= 0.0, 1, -1)
+            np.greater_equal(np.matmul(grid_w, x[idx], out=proj), grid_b, out=above)
             if total_weight == 0.0:
                 g = 0.0
             else:
-                best = int(np.argmin(err))
-                disagree = preds != preds[best]
-                if not disagree.any():
+                if best is None:
+                    best = int(np.argmin(err))
+                    best_err = err[best]
+                disagree = err[~above] if above[best] else err[above]
+                if not disagree.size:
                     raise DegenerateGridError("no grid hypothesis disagrees on the candidate")
-                g = float((err[disagree].min() - err[best]) / total_weight)
+                g = float((disagree.min() - best_err) / total_weight)
         else:
+            score = float(x[idx] @ model.theta) + model.bias
             g = surrogate_error_difference(score, abs_score_sum / idx if idx else 0.0)
-        k = idx + 1
-        p = 1.0 if k == 1 else selection_probability(g, k, config.c0, config.log_base)
+            abs_score_sum += abs(score)
+        p = 1.0 if idx == 0 else _probability(g, idx + 1, config.c0, config.log_base)
         if uniforms[idx] < p:
             importance = 1.0 / p
-            label = int(y[idx])
+            label = labels[idx]
             picked.append(idx)
             weights.append(importance)
             model = online_linear_update(model, x[idx], label, importance, schedule)
             if exact:
-                err += importance * (preds != label)
+                np.add(err, importance, out=err, where=~above if label == 1 else above)
                 total_weight += importance
-        gs[idx] = g
-        probabilities[idx] = p
-        abs_score_sum += abs(score)
+                best = None
+        gs.append(g)
+        probabilities.append(p)
     return SelectionResult(
         IWAL,
         np.asarray(picked, dtype=np.intp),
         np.asarray(weights, dtype=np.float64),
-        gs,
-        probabilities,
+        np.asarray(gs, dtype=np.float64),
+        np.asarray(probabilities, dtype=np.float64),
     )
 
 

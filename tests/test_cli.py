@@ -357,6 +357,7 @@ class TestReplay:
         ("seed", "x", "seed"), ("selector_eta0", "x", "eta0"),
         ("erm_grid_resolution", "x", "erm_grid_resolution"),
         ("dataset.n", "x", "n must be"), ("split.test_prop", "x", "test_prop"),
+        ("split.scale_numeric", "no", "scale_numeric"),
     ])
     def test_header_bad_value_is_trace_error(self, tmp_path, capsys, path, value, named):
         trace = [t for t in self._run_with_traces(tmp_path) if "iwal_c0" in t.name][0]
@@ -371,6 +372,14 @@ class TestReplay:
         assert main(["replay", str(trace)]) == 2
         err = capsys.readouterr().err.splitlines()[-1]
         assert err.startswith("trace error: trace header has a bad ") and named in err
+
+    def test_header_dataset_without_kind_is_trace_error(self, tmp_path, capsys):
+        trace = [t for t in self._run_with_traces(tmp_path) if "iwal_c0" in t.name][0]
+        self._edit_header(trace, lambda h: {**h, "dataset": {
+            k: v for k, v in h["dataset"].items() if k != "kind"}})
+        assert main(["replay", str(trace)]) == 2
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err == "trace error: trace header has a bad value: dataset spec lacks 'kind'"
 
     def test_header_not_an_object_is_trace_error(self, tmp_path, capsys):
         trace = self._run_with_traces(tmp_path)[0]

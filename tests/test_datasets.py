@@ -243,6 +243,12 @@ class TestSplit:
             with pytest.raises(InvalidArgumentError):
                 rl.split(ds, bad, seed=1)
 
+    def test_non_boolean_scale_numeric_rejected(self):
+        ds = rl.gen_uniform_line(10, seed=18)
+        for bad in ("no", 0, 1, None):
+            with pytest.raises(InvalidArgumentError, match="scale_numeric"):
+                rl.split(ds, 0.5, seed=1, scale_numeric=bad)
+
     def test_numeric_scaling_uses_train_stats(self, tmp_path):
         path = tmp_path / "scale.csv"
         rows = ["x,label"] + [f"{v},{'y' if v % 2 else 'n'}" for v in range(20)]
@@ -268,6 +274,10 @@ class TestSpecAndExport:
         spec = DatasetSpec(kind="circle", n=100, circle_prob=0.002, seed=5)
         again = DatasetSpec.from_dict(spec.to_dict())
         assert again == spec
+
+    def test_spec_without_kind_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="kind"):
+            DatasetSpec.from_dict({"n": 10, "seed": 1})
 
     def test_spec_rejects_unknown_keys(self):
         with pytest.raises(InvalidArgumentError):

@@ -312,6 +312,15 @@ class TestDensityHistogram:
             assert sum(r.unweighted_mass for r in by_c0[c0]) == pytest.approx(1.0)
             assert sum(r.weighted_mass for r in by_c0[c0]) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("runs, bins", [
+        (2.5, 4), (2, 2.5), (True, 4), (2, True), (0, 4), (2, 0), ("2", 4),
+    ])
+    def test_rejects_non_integer_runs_and_bins(self, runs, bins):
+        with pytest.raises(InvalidArgumentError, match="runs >= 1 and bins >= 1"):
+            density_histogram(
+                rl.DatasetSpec(kind="uniform-line", n=50), c0_list=(1.0,), runs=runs, bins=bins
+            )
+
     def test_rejects_non_1d_specs(self):
         with pytest.raises(InvalidArgumentError):
             density_histogram(

@@ -7,11 +7,16 @@ from hypothesis import strategies as st
 
 import reuselab as rl
 from reuselab.errors import DegenerateGridError, InvalidArgumentError, TraceFormatError
-from reuselab.seeding import derive_seed
+from reuselab.learners import inv_sqrt_schedule, make_online_model, online_linear_update
+from reuselab.seeding import derive_seed, pass_uniforms
 from reuselab.selection import (
+    EXACT_ERM,
     IWAL,
     IWAL_NO_WEIGHTS,
+    SelectionResult,
     _linear_grid,
+    selection_probability,
+    surrogate_error_difference,
     load_trace,
     trace_columns,
     trace_to_text,
@@ -308,6 +313,102 @@ class TestSelectIwal:
         ]
         se = np.std(vals, ddof=1) / math.sqrt(len(vals))
         assert abs(np.mean(vals) - truth) <= 5 * se
+
+
+def reference_select_iwal(train, config):
+    """The per-example IWAL loop before the cached best hypothesis and the
+    bool prediction mask, kept verbatim as a reference."""
+    n = len(train)
+    uniforms = pass_uniforms(config.seed, n)
+    schedule = inv_sqrt_schedule(config.selector_eta0)
+    model = make_online_model(train.dim)
+    x = train.x
+    y = train.y
+    exact = config.gk_mode == EXACT_ERM
+    if exact:
+        grid_w, grid_b = _linear_grid(x.min(axis=0), x.max(axis=0), config.erm_grid_resolution)
+        # cumulative weighted error of every grid hypothesis on the labeled set
+        err = np.zeros(len(grid_b))
+        total_weight = 0.0
+
+    abs_score_sum = 0.0
+    picked: list[int] = []
+    weights: list[float] = []
+    gs = np.empty(n)
+    probabilities = np.empty(n)
+    for idx in range(n):
+        score = float(x[idx] @ model.theta) + model.bias
+        if exact:
+            # g: ERM error gap between the best hypothesis and the best one
+            # forced to predict the opposite label; 0 on an empty labeled set
+            preds = np.where(grid_w @ x[idx] - grid_b >= 0.0, 1, -1)
+            if total_weight == 0.0:
+                g = 0.0
+            else:
+                best = int(np.argmin(err))
+                disagree = preds != preds[best]
+                if not disagree.any():
+                    raise DegenerateGridError("no grid hypothesis disagrees on the candidate")
+                g = float((err[disagree].min() - err[best]) / total_weight)
+        else:
+            g = surrogate_error_difference(score, abs_score_sum / idx if idx else 0.0)
+        k = idx + 1
+        p = 1.0 if k == 1 else selection_probability(g, k, config.c0, config.log_base)
+        if uniforms[idx] < p:
+            importance = 1.0 / p
+            label = int(y[idx])
+            picked.append(idx)
+            weights.append(importance)
+            model = online_linear_update(model, x[idx], label, importance, schedule)
+            if exact:
+                err += importance * (preds != label)
+                total_weight += importance
+        gs[idx] = g
+        probabilities[idx] = p
+        abs_score_sum += abs(score)
+    return SelectionResult(
+        IWAL,
+        np.asarray(picked, dtype=np.intp),
+        np.asarray(weights, dtype=np.float64),
+        gs,
+        probabilities,
+    )
+
+
+BIT_IDENTITY_POOLS = {
+    "circle": rl.gen_circle(300, circle_prob=0.05, seed=60),
+    "uniform-line": rl.gen_uniform_line(300, seed=61),
+    "four-cluster-line": rl.gen_four_cluster_line(300, seed=62),
+    "constant": rl.Dataset(np.full((5, 1), 0.5), np.array([1, -1, 1, -1, 1])),
+}
+
+
+class TestIwalPassBitIdentity:
+    """``select_iwal`` gives the reference loop's bits, or its error."""
+
+    @pytest.mark.parametrize("gk_mode", ["surrogate", "exact-erm"])
+    @pytest.mark.parametrize("pool", BIT_IDENTITY_POOLS.values(), ids=BIT_IDENTITY_POOLS.keys())
+    def test_same_bits_as_reference(self, pool, gk_mode):
+        resolutions = (16, 64) if gk_mode == EXACT_ERM else (64,)
+        passes = 0
+        for resolution in resolutions:
+            for log_base in (None, 2.0):
+                for c0 in (0.01, 0.1, 0.3, 1.0, 3.0):
+                    config = rl.IwalConfig(
+                        c0=c0, gk_mode=gk_mode, erm_grid_resolution=resolution,
+                        seed=derive_seed(63, passes), log_base=log_base,
+                    )
+                    passes += 1
+                    try:
+                        want = reference_select_iwal(pool, config)
+                    except DegenerateGridError as exc:
+                        with pytest.raises(DegenerateGridError, match=str(exc)):
+                            rl.select_iwal(pool, config)
+                        continue
+                    got = rl.select_iwal(pool, config)
+                    for column in ("indices", "weights", "g", "probability"):
+                        a, b = getattr(got, column), getattr(want, column)
+                        assert a.dtype == b.dtype and np.array_equal(a, b), (config, column)
 
 
 class TestTraceFormat:
