@@ -2,8 +2,10 @@
 
 Subcommands: ``gen`` (write a synthetic dataset CSV), ``run`` (execute an
 experiment from a JSON config), ``replay`` (verify a selection trace), and
-``report-merge`` (concatenate report CSVs). Exit codes: 0 success, 2
-usage/config error, 3 degenerate results, 4 I/O failure. ``run`` keeps
+``report-merge`` (concatenate report CSVs). Exit codes: 0 success, 1 a
+``replay`` divergence or a data error (such as ``DataFormatError``,
+``SingleClassDataError`` or ``UnknownCategoryError``), 2 usage/config
+error, 3 degenerate results, 4 I/O failure. ``run`` keeps
 standard output free of progress text: progress goes to standard error,
 and with ``--quiet`` the curve CSV is streamed to standard output with
 nothing else.
@@ -21,7 +23,7 @@ from dataclasses import MISSING, asdict, astuple, fields, replace
 from datetime import datetime, timezone
 
 from . import __version__
-from .datasets import DatasetSpec, export_csv, make_dataset
+from .datasets import GENERATOR_KINDS, DatasetSpec, export_csv, make_dataset
 from .errors import ConfigError, InvalidArgumentError, ReuselabError, TraceFormatError
 from .experiments import (
     ConsumerSpec,
@@ -137,6 +139,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_run(args) -> int:
+    if args.jobs < 1:
+        raise InvalidArgumentError(f"--jobs must be at least 1, not {args.jobs}")
     try:
         with open(args.config, encoding="utf-8") as fh:
             config = parse_config(fh.read())
@@ -236,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a synthetic dataset CSV")
-    gen.add_argument("kind", choices=["uniform-line", "four-cluster-line", "circle"])
+    gen.add_argument("kind", choices=GENERATOR_KINDS)
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--circle-prob", type=float, default=0.001)

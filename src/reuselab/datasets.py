@@ -198,6 +198,8 @@ def load_csv(
         positive_values = (positive_values,)
     positive = set(positive_values)
     rows = _read_rows(path)
+    if not rows:
+        raise DataFormatError(f"{path}: empty file")
     if header:
         columns = rows[0]
         rows = rows[1:]
@@ -205,6 +207,9 @@ def load_csv(
         columns = [str(i) for i in range(len(rows[0]))]
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
+    if len(set(columns)) < len(columns):
+        dup = sorted({c for c in columns if columns.count(c) > 1})
+        raise DataFormatError(f"{path}: duplicate column names {dup}")
     width = len(columns)
     for i, row in enumerate(rows):
         if len(row) != width:
@@ -274,6 +279,10 @@ def _numeric_column(values, col, path):
             out[i] = float(v)
         except ValueError as exc:
             raise DataFormatError(f"{path}: row {i}, column {col!r}: not numeric: {v!r}") from exc
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        i = bad[0]
+        raise DataFormatError(f"{path}: row {i}, column {col!r}: not finite: {values[i]!r}")
     return out[:, None]
 
 

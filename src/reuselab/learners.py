@@ -2,10 +2,12 @@
 
 The online linear model is the selector used during active selection; the
 batch learners (weighted least squares, LDA, QDA, kernel SVM) are the
-consumers trained on a finished selection. Every batch learner satisfies
-two identities that the tests rely on: training on ``(x, y, w=k)`` with
-integer ``k`` equals training on ``k`` unit-weight copies, and scaling all
-weights by a positive constant leaves predictions unchanged.
+consumers trained on a finished selection. Every model has a ``kind`` and
+a ``score`` over the rows of an (n, d) float64 array; ``predict`` is its
+sign, ties going to +1. Every batch learner satisfies two identities that
+the tests rely on: training on ``(x, y, w=k)`` with integer ``k`` equals
+training on ``k`` unit-weight copies, and scaling all weights by a
+positive constant leaves predictions unchanged.
 """
 
 from __future__ import annotations
@@ -55,22 +57,24 @@ def _require_both_classes(y):
         raise MissingClassError("training set contains a single class")
 
 
-def _scores(model, features) -> np.ndarray:
-    x = np.asarray(features, dtype=np.float64)
-    single = x.ndim == 1
-    s = model.score_matrix(np.atleast_2d(x))
-    return s[0] if single else s
-
-
 class _ModelBase:
-    """Shared prediction plumbing; subclasses provide ``score_matrix``."""
+    """Labels from the sign of ``score``; subclasses have ``kind`` and ``score``."""
 
-    def score(self, features):
-        return _scores(self, features)
+    def predict(self, x):
+        return np.where(self.score(x) >= 0.0, 1, -1)
 
-    def predict(self, features):
-        s = self.score(features)
-        return np.where(np.asarray(s) >= 0.0, 1, -1) if np.ndim(s) else (1 if s >= 0.0 else -1)
+
+@dataclass(frozen=True)
+class LinearModel(_ModelBase):
+    """``x @ theta + bias``; ``updates`` counts the online selector's steps."""
+
+    kind: str  # online-linear | least-squares
+    theta: np.ndarray
+    bias: float
+    updates: int = 0
+
+    def score(self, x):
+        return x @ self.theta + self.bias
 
 
 # ---------------------------------------------------------------------------
@@ -85,31 +89,19 @@ def inv_sqrt_schedule(eta0: float = 0.3) -> Callable[[int], float]:
     return lambda t: eta0 / math.sqrt(t)
 
 
-@dataclass(frozen=True)
-class OnlineLinearModel(_ModelBase):
-    kind = "online-linear"
-
-    theta: np.ndarray
-    bias: float
-    updates: int = 0
-
-    def score_matrix(self, x):
-        return x @ self.theta + self.bias
-
-
-def make_online_model(dim: int) -> OnlineLinearModel:
+def make_online_model(dim: int) -> LinearModel:
     if dim <= 0:
         raise InvalidArgumentError("dim must be positive")
-    return OnlineLinearModel(theta=np.zeros(dim), bias=0.0, updates=0)
+    return LinearModel("online-linear", theta=np.zeros(dim), bias=0.0)
 
 
 def online_linear_update(
-    model: OnlineLinearModel,
+    model: LinearModel,
     features: np.ndarray,
     label: float,
     importance: float,
     schedule: Callable[[int], float] | None = None,
-) -> OnlineLinearModel:
+) -> LinearModel:
     """One importance-weighted squared-hinge gradient step.
 
     The step is scaled so that an importance of ``k`` reproduces exactly
@@ -138,14 +130,15 @@ def online_linear_update(
         raise InvalidArgumentError("schedule step must lie in (0, 0.5)")
     combined = (1.0 - (1.0 - q) ** importance) / q
     coef = 2.0 * (eta / norm2) * (1.0 - margin) * label * combined
-    return OnlineLinearModel(
+    return LinearModel(
+        "online-linear",
         theta=model.theta + coef * x,
         bias=model.bias + coef,
         updates=t,
     )
 
 
-def fit_online_linear(x, y, w, eta0: float = 0.3, passes: int = 1) -> OnlineLinearModel:
+def fit_online_linear(x, y, w, eta0: float = 0.3, passes: int = 1) -> LinearModel:
     """Train the online linear model by streaming over the rows in order."""
     x, y, w = as_arrays(x, y, w)
     schedule = inv_sqrt_schedule(eta0)
@@ -160,19 +153,7 @@ def fit_online_linear(x, y, w, eta0: float = 0.3, passes: int = 1) -> OnlineLine
 # Weighted least squares
 
 
-@dataclass(frozen=True)
-class LeastSquaresModel(_ModelBase):
-    kind = "least-squares"
-
-    theta: np.ndarray
-    bias: float
-    ridge: float = 0.0
-
-    def score_matrix(self, x):
-        return x @ self.theta + self.bias
-
-
-def fit_least_squares(x, y, w, ridge: float = 0.0) -> LeastSquaresModel:
+def fit_least_squares(x, y, w, ridge: float = 0.0) -> LinearModel:
     """Minimize sum_i w_i (theta.x_i + b - y_i)^2 + ridge * |theta|^2.
 
     Weights are normalized to sum to one internally, so duplicating a
@@ -193,7 +174,7 @@ def fit_least_squares(x, y, w, ridge: float = 0.0) -> LeastSquaresModel:
         sol = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularDataError("normal equations are singular; use ridge > 0") from exc
-    return LeastSquaresModel(theta=sol[:-1], bias=float(sol[-1]), ridge=float(ridge))
+    return LinearModel("least-squares", theta=sol[:-1], bias=float(sol[-1]))
 
 
 def _cond_exceeds(a, limit=_COND_LIMIT):
@@ -207,29 +188,25 @@ def _cond_exceeds(a, limit=_COND_LIMIT):
 
 @dataclass(frozen=True)
 class GaussianModel(_ModelBase):
-    """Two-class Gaussian discriminant; ``kind`` is "lda" or "qda"."""
+    """Two-class Gaussian discriminant; ``kind`` is "lda" or "qda".
+
+    The fit keeps the terms ``score`` needs, so scoring calls no LAPACK.
+    """
 
     kind: str
-    means: np.ndarray       # (2, d), row 0 = class -1, row 1 = class +1
+    means: np.ndarray        # (2, d), row 0 = class -1, row 1 = class +1
     covariances: np.ndarray  # (2, d, d); identical rows for LDA
     log_priors: np.ndarray   # (2,)
+    precisions: np.ndarray   # (2, d, d) inverses of the covariances
+    logdets: np.ndarray      # (2,) log-determinants of the covariances
 
-    def score_matrix(self, x):
+    def score(self, x):
         out = np.zeros(x.shape[0])
         for c, sign in ((1, +1.0), (0, -1.0)):
             diff = x - self.means[c]
-            inv = _inverse(self.covariances[c])
-            quad = np.einsum("ij,jk,ik->i", diff, inv, diff)
-            _, logdet = np.linalg.slogdet(self.covariances[c])
-            out += sign * (-0.5 * quad - 0.5 * logdet + self.log_priors[c])
+            quad = np.einsum("ij,jk,ik->i", diff, self.precisions[c], diff)
+            out += sign * (-0.5 * quad - 0.5 * self.logdets[c] + self.log_priors[c])
         return out
-
-
-def _inverse(cov):
-    try:
-        return np.linalg.inv(cov)
-    except np.linalg.LinAlgError as exc:
-        raise SingularDataError("covariance is singular") from exc
 
 
 def _weighted_moments(x, y, w):
@@ -248,10 +225,24 @@ def _weighted_moments(x, y, w):
     return stats
 
 
-def _check_covariance(cov):
+def _covariance_terms(cov):
+    """The inverse and log-determinant of ``cov``; SingularDataError if it is singular."""
     sign, logdet = np.linalg.slogdet(cov)
     if sign <= 0 or not np.isfinite(logdet) or _cond_exceeds(cov):
         raise SingularDataError("covariance is singular")
+    return np.linalg.inv(cov), logdet
+
+
+def _gaussian_model(kind, stats, covs, terms) -> GaussianModel:
+    precisions, logdets = zip(*terms)
+    return GaussianModel(
+        kind=kind,
+        means=np.stack([stats[0][1], stats[1][1]]),
+        covariances=np.stack(covs),
+        log_priors=np.log(np.asarray([stats[0][0], stats[1][0]])),
+        precisions=np.stack(precisions),
+        logdets=np.asarray(logdets),
+    )
 
 
 def fit_lda(x, y, w) -> GaussianModel:
@@ -260,13 +251,7 @@ def fit_lda(x, y, w) -> GaussianModel:
     _require_both_classes(y)
     stats = _weighted_moments(x, y, w)
     pooled = (stats[0][2] + stats[1][2]) / w.sum()
-    _check_covariance(pooled)
-    return GaussianModel(
-        kind="lda",
-        means=np.stack([stats[0][1], stats[1][1]]),
-        covariances=np.stack([pooled, pooled]),
-        log_priors=np.log(np.asarray([stats[0][0], stats[1][0]])),
-    )
+    return _gaussian_model("lda", stats, [pooled] * 2, [_covariance_terms(pooled)] * 2)
 
 
 def fit_qda(x, y, w) -> GaussianModel:
@@ -274,17 +259,8 @@ def fit_qda(x, y, w) -> GaussianModel:
     x, y, w = as_arrays(x, y, w)
     _require_both_classes(y)
     stats = _weighted_moments(x, y, w)
-    covs = []
-    for prior, mean, scatter, weight in stats:
-        cov = scatter / weight
-        _check_covariance(cov)
-        covs.append(cov)
-    return GaussianModel(
-        kind="qda",
-        means=np.stack([stats[0][1], stats[1][1]]),
-        covariances=np.stack(covs),
-        log_priors=np.log(np.asarray([stats[0][0], stats[1][0]])),
-    )
+    covs = [scatter / weight for _, _, scatter, weight in stats]
+    return _gaussian_model("qda", stats, covs, [_covariance_terms(c) for c in covs])
 
 
 # ---------------------------------------------------------------------------
@@ -353,11 +329,8 @@ class SvmModel(_ModelBase):
     dual_objective: float
     iterations: int
 
-    def score_matrix(self, x):
+    def score(self, x):
         return self.kernel.matrix(x, self.support_x) @ self.dual_coef + self.bias
-
-
-_SVM_KIND = {"linear": "svm-linear", "poly3": "svm-poly3", "rbf": "svm-rbf"}
 
 
 def fit_svm(
@@ -388,8 +361,6 @@ def fit_svm(
         raise InvalidArgumentError("cost must be positive")
     x, y, w = as_arrays(x, y, w)
     _require_both_classes(y)
-    if kernel.kind == "rbf" and kernel.gamma is None:
-        kernel = Kernel("rbf", gamma=1.0 / x.shape[1])
     n = len(y)
     box = cost * w
     k = kernel.matrix(x, x)
@@ -440,7 +411,7 @@ def fit_svm(
 
     support = alpha > 1e-12
     return SvmModel(
-        kind=_SVM_KIND[kernel.kind],
+        kind=f"svm-{kernel.kind}",
         kernel=kernel,
         support_x=x[support],
         dual_coef=alpha[support] * y[support],

@@ -173,7 +173,7 @@ def select_uncertainty(train: Dataset, n: int, ranking_model) -> SelectionResult
     """
     if not (is_int(n) and 0 <= n <= len(train)):
         raise InvalidArgumentError(f"cannot select {n!r} of {len(train)} examples")
-    margins = np.abs(np.asarray(ranking_model.score(train.x), dtype=np.float64))
+    margins = np.abs(ranking_model.score(train.x))
     order = np.lexsort((np.arange(len(train)), margins))
     return SelectionResult(
         UNCERTAINTY, order[:n], np.ones(n), margins, np.ones(len(train))

@@ -15,7 +15,7 @@ import pytest
 import reuselab as rl
 from reuselab.cli import main
 from reuselab.experiments import ConsumerSpec, ExperimentConfig, run_experiment
-from reuselab.learners import LeastSquaresModel
+from reuselab.learners import LinearModel
 from reuselab.seeding import derive_seed
 from reuselab.selection import trace_columns
 from reuselab.standins import car_schema
@@ -159,7 +159,7 @@ def test_criterion_4_density():
 
 def test_criterion_5_unbiasedness():
     pool = rl.gen_uniform_line(4000, seed=404)
-    model = LeastSquaresModel(theta=np.array([1.0]), bias=0.15)
+    model = LinearModel("least-squares", theta=np.array([1.0]), bias=0.15)
     truth = rl.zero_one_error(model, pool)
     selections = (
         rl.select_iwal(pool, rl.IwalConfig(c0=3.0, seed=derive_seed(505, r))) for r in range(1000)

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from reuselab import experiments
+from reuselab import cli, experiments
 from reuselab.cli import main, parse_config
 from reuselab.datasets import DatasetSpec, export_csv, make_dataset
 from reuselab.experiments import ExperimentConfig
@@ -105,6 +105,12 @@ class TestGen:
         assert main(["gen", "circle", *argv, "--out", str(out)]) == 2
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_kinds_come_from_the_generator_kinds(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "GENERATOR_KINDS", ("circle",))
+        out = tmp_path / "line.csv"
+        assert main(["gen", "uniform-line", "--n", "10", "--out", str(out)]) == 2
+        assert main(["gen", "circle", "--n", "10", "--out", str(out)]) == 0
 
     def test_same_seed_same_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -433,3 +439,13 @@ class TestEntrypoint:
 
     def test_usage_error_exit_code(self):
         assert main(["run"]) == 2  # missing --config
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_is_usage_error(self, tmp_path, capsys, monkeypatch, jobs):
+        def no_run(*a, **k):
+            raise AssertionError("run_experiment must not be reached")
+
+        monkeypatch.setattr(cli, "run_experiment", no_run)
+        cfg = write_config(tmp_path, MINIMAL_CONFIG)
+        assert main(["run", "--config", cfg, "--out-dir", str(tmp_path), "--jobs", jobs]) == 2
+        assert f"--jobs must be at least 1, not {jobs}" in capsys.readouterr().err

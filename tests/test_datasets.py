@@ -210,6 +210,26 @@ class TestLoadCsv:
         ds = rl.load_csv(path, 1, "y", {"0": "numeric"}, header=False)
         assert len(ds) == 2 and ds.dim == 1
 
+    @pytest.mark.parametrize("header", [True, False])
+    def test_empty_file(self, tmp_path, header):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(DataFormatError, match="empty file"):
+            rl.load_csv(path, 0, "y", {}, header=header)
+
+    def test_duplicate_column_names(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text("a,a,label\n1,5,y\n2,6,n\n3,7,y\n")
+        with pytest.raises(DataFormatError, match=r"duplicate column names \['a'\]"):
+            rl.load_csv(path, "label", "y", {"a": "numeric"})
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_non_finite_numeric_value(self, tmp_path, value):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"a,b,label\n1,2,y\n3,{value},n\n")
+        with pytest.raises(DataFormatError, match=f"row 1, column 'b': not finite: '{value}'"):
+            rl.load_csv(path, "label", "y", {"a": "numeric", "b": "numeric"})
+
 
 class TestSplit:
     def test_small_split_sizes(self):

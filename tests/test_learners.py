@@ -10,10 +10,7 @@ from reuselab.errors import (
     MissingClassError,
     SingularDataError,
 )
-from reuselab.learners import (
-    LeastSquaresModel,
-    make_online_model,
-)
+from reuselab.learners import LinearModel, make_online_model
 from reuselab.standins import car_schema
 
 from dual_oracle import svm_dual_optimum
@@ -68,7 +65,7 @@ class TestOnlineLinear:
 
     def test_confident_example_is_noop(self):
         model = rl.online_linear_update(make_online_model(1), np.array([1.0]), 1, 1.0)
-        assert model.score(np.array([5.0])) * 1 >= 1.0
+        assert model.score(np.array([[5.0]]))[0] * 1 >= 1.0
         again = rl.online_linear_update(model, np.array([5.0]), 1, 1.0)
         assert again is model
 
@@ -97,7 +94,11 @@ class TestOnlineLinear:
     def test_huge_importance_saturates_margin(self):
         x = np.array([0.5, 0.5])
         model = rl.online_linear_update(make_online_model(2), x, 1, 1e9, constant_schedule(0.2))
-        assert float(model.score(x)) == pytest.approx(1.0, abs=1e-9)
+        assert model.score(x[None, :])[0] == pytest.approx(1.0, abs=1e-9)
+
+    def test_kind(self):
+        fitted = rl.fit_online_linear(np.array([[1.0], [-1.0]]), np.array([1, -1]), np.ones(2))
+        assert make_online_model(1).kind == fitted.kind == "online-linear"
 
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidArgumentError):
@@ -168,9 +169,8 @@ class TestGaussianDiscriminants:
         right = [([2.0 + d], 1, 1.0) for d in (-0.1, 0.0, 0.1)]
         for fit in (rl.fit_lda, rl.fit_qda):
             model = fit(*columns(left + right))
-            assert float(model.score(np.array([0.0]))) == pytest.approx(0.0, abs=1e-9)
-            assert model.predict(np.array([1.0])) == 1
-            assert model.predict(np.array([-1.0])) == -1
+            assert model.score(np.array([[0.0]]))[0] == pytest.approx(0.0, abs=1e-9)
+            assert np.array_equal(model.predict(np.array([[1.0], [-1.0]])), [1, -1])
 
     def test_weight_scale_invariance(self):
         rng = np.random.default_rng(2)
@@ -231,7 +231,7 @@ class TestSvm:
         x, y = np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([1, -1])
         model = rl.fit_svm(x, y, np.ones(2), rl.linear_kernel)
         for features, label in zip(x, y):
-            margin = label * float(model.score(features))
+            margin = label * model.score(features[None, :])[0]
             assert margin >= 1 - 1e-6
 
     def test_duplicate_equals_double_weight_on_decision_values(self):
@@ -429,6 +429,45 @@ class TestKernelMatrixBits:
         assert np.array_equal(kernel.matrix(a, b), plain_kernel_matrix(kernel, a, b))
 
 
+class TestSvmDefaultGamma:
+    """rbf_kernel() scores with gamma 1/d, resolved by Kernel.matrix at fit and score time."""
+
+    @pytest.mark.parametrize("seed,n,d", [(14, 30, 1), (15, 60, 2), (16, 120, 5)])
+    def test_same_model_as_explicit_gamma(self, seed, n, d):
+        samples = overlapping_two_class(seed, n, d)
+        probe = np.random.default_rng(seed).normal(size=(50, d))
+        a = rl.fit_svm(*samples, rl.rbf_kernel(), tol=1e-6)
+        b = rl.fit_svm(*samples, rl.rbf_kernel(1.0 / d), tol=1e-6)
+        assert a.kind == b.kind == "svm-rbf"
+        assert a.bias == b.bias
+        assert np.array_equal(a.dual_coef, b.dual_coef)
+        assert np.array_equal(a.score(probe), b.score(probe))
+
+
+def reference_gaussian_score(model, x):
+    """The score that inverted both covariances on every call, kept as a reference."""
+    out = np.zeros(x.shape[0])
+    for c, sign in ((1, +1.0), (0, -1.0)):
+        diff = x - model.means[c]
+        inv = np.linalg.inv(model.covariances[c])
+        quad = np.einsum("ij,jk,ik->i", diff, inv, diff)
+        _, logdet = np.linalg.slogdet(model.covariances[c])
+        out += sign * (-0.5 * quad - 0.5 * logdet + model.log_priors[c])
+    return out
+
+
+class TestGaussianScoreBits:
+    """GaussianModel.score, with the terms kept from the fit, equals the per-call score."""
+
+    @pytest.mark.parametrize("fit", [rl.fit_lda, rl.fit_qda], ids=["lda", "qda"])
+    @pytest.mark.parametrize("seed,n,d", [(21, 40, 1), (22, 200, 2), (23, 500, 5)])
+    def test_equals_per_call_inverse(self, fit, seed, n, d):
+        samples = overlapping_two_class(seed, n, d)
+        probe = np.random.default_rng(seed).normal(scale=2.0, size=(300, d))
+        model = fit(*samples)
+        assert np.array_equal(model.score(probe), reference_gaussian_score(model, probe))
+
+
 def batch_fits():
     # named like the fits they wrap, so the test ids stay lda-fit_lda and qda-fit_qda
     def fit_lda(s):
@@ -462,6 +501,10 @@ class TestBatchLearnerIdentities:
         )
         assert np.array_equal(a.predict(probe), b.predict(probe))
 
+    @pytest.mark.parametrize("name,fit", batch_fits())
+    def test_kind_names_the_consumer(self, name, fit):
+        assert fit(random_two_class(np.random.default_rng(10), 12, 2)).kind == name
+
     @pytest.mark.parametrize("name,fit", [f for f in batch_fits() if not f[0].startswith("svm")])
     def test_global_weight_scaling_invariance(self, name, fit):
         rng = np.random.default_rng(9)
@@ -484,12 +527,12 @@ class TestBatchLearnerIdentities:
 class TestErrorMeasures:
     def test_perfect_model_zero_error(self):
         ds = rl.gen_uniform_line(100, seed=21)
-        model = LeastSquaresModel(theta=np.array([1.0]), bias=0.0)
+        model = LinearModel("least-squares", theta=np.array([1.0]), bias=0.0)
         assert rl.zero_one_error(model, ds) == 0.0
 
     def test_counting_oracle(self):
         ds = rl.gen_uniform_line(257, seed=22)
-        model = LeastSquaresModel(theta=np.array([1.0]), bias=0.3)
+        model = LinearModel("least-squares", theta=np.array([1.0]), bias=0.3)
         wrong = sum(
             1 for i in range(len(ds))
             if (1 if ds.x[i, 0] + 0.3 >= 0 else -1) != ds.y[i]
@@ -499,13 +542,13 @@ class TestErrorMeasures:
     def test_constant_model_error_is_negative_fraction(self, car_like_path):
         ds = rl.load_csv(car_like_path, "class", ("acc",), car_schema())
         pair = rl.split(ds, 0.10, seed=23)
-        always_positive = LeastSquaresModel(theta=np.zeros(ds.dim), bias=1.0)
+        always_positive = LinearModel("least-squares", theta=np.zeros(ds.dim), bias=1.0)
         err = rl.zero_one_error(always_positive, pair.test)
         assert err == pytest.approx(1 - pair.test.positive_fraction(), abs=1e-12)
         assert 0.65 <= err <= 0.75  # about 70% of rows are negative
 
     def test_weighted_error_arithmetic(self):
-        model = LeastSquaresModel(theta=np.array([1.0]), bias=0.0)
+        model = LinearModel("least-squares", theta=np.array([1.0]), bias=0.0)
         samples = columns([
             ([1.0], 1, 4.0),   # correct
             ([-1.0], -1, 3.0),  # correct
@@ -515,12 +558,12 @@ class TestErrorMeasures:
 
     def test_uniform_weights_match_zero_one(self):
         ds = rl.gen_uniform_line(100, seed=24)
-        model = LeastSquaresModel(theta=np.array([1.0]), bias=0.2)
+        model = LinearModel("least-squares", theta=np.array([1.0]), bias=0.2)
         weights = np.full(len(ds), 2.5)
         assert rl.weighted_error(model, ds.x, ds.y, weights) == rl.zero_one_error(model, ds)
 
     def test_empty_inputs_rejected(self):
-        model = LeastSquaresModel(theta=np.array([1.0]), bias=0.0)
+        model = LinearModel("least-squares", theta=np.array([1.0]), bias=0.0)
         with pytest.raises(InvalidArgumentError):
             rl.weighted_error(model, np.empty((0, 1)), np.empty(0), np.empty(0))
 
@@ -534,6 +577,6 @@ class TestErrorMeasures:
             fit(x, y[:1], np.ones(2))
 
     def test_tie_goes_to_positive(self):
-        model = LeastSquaresModel(theta=np.array([1.0]), bias=0.0)
-        assert model.predict(np.array([0.0])) == 1
+        model = LinearModel("least-squares", theta=np.array([1.0]), bias=0.0)
+        assert np.array_equal(model.predict(np.array([[0.0]])), [1])
 

@@ -302,7 +302,7 @@ class TestSelectIwal:
     def test_unbiasedness_quick(self):
         # small version of the weighted-error unbiasedness check
         pool = rl.gen_uniform_line(2000, seed=53)
-        model = rl.learners.LeastSquaresModel(theta=np.array([1.0]), bias=0.2)
+        model = rl.learners.LinearModel("least-squares", theta=np.array([1.0]), bias=0.2)
         truth = rl.zero_one_error(model, pool)
         selections = (
             rl.select_iwal(pool, rl.IwalConfig(c0=3.0, seed=derive_seed(54, r))) for r in range(200)
