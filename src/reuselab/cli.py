@@ -228,14 +228,8 @@ def cmd_report_merge(args) -> int:
 # Argument parsing
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="reuselab")
+    parser = argparse.ArgumentParser(prog="reuselab")
     parser.add_argument("--version", action="version", version=f"reuselab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -193,6 +193,12 @@ def select_iwal(train: Dataset, config: IwalConfig) -> SelectionResult:
     min over the side of the mask the best hypothesis is not on. The GEMV
     stays per example: a GEMM over the pool rounds differently and flips
     some signs, which would change traces.
+
+    The surrogate score on a 1-D pool is ``x * theta + bias`` on Python
+    floats, read back from the selector after each label: a length-1 dot is
+    one rounded multiply, so the bits are numpy's. Wider pools keep the
+    numpy dot: at length 2 it differed from ``x0*t0 + x1*t1`` on about a
+    quarter of random pairs.
     """
     n = len(train)
     if n == 0:
@@ -203,6 +209,9 @@ def select_iwal(train: Dataset, config: IwalConfig) -> SelectionResult:
     x = train.x
     labels = train.y.tolist()
     exact = config.gk_mode == EXACT_ERM
+    # the 1-D surrogate reads x and the selector's state as Python floats
+    xs = x[:, 0].tolist() if not exact and train.dim == 1 else None
+    theta, bias = 0.0, model.bias
     if exact:
         grid_w, grid_b = _linear_grid(x.min(axis=0), x.max(axis=0), config.erm_grid_resolution)
         # cumulative weighted error of every grid hypothesis on the labeled set
@@ -233,7 +242,10 @@ def select_iwal(train: Dataset, config: IwalConfig) -> SelectionResult:
                     raise DegenerateGridError("no grid hypothesis disagrees on the candidate")
                 g = float((disagree.min() - best_err) / total_weight)
         else:
-            score = float(x[idx] @ model.theta) + model.bias
+            if xs is None:
+                score = float(x[idx] @ model.theta) + model.bias
+            else:
+                score = xs[idx] * theta + bias
             g = surrogate_error_difference(score, abs_score_sum / idx if idx else 0.0)
             abs_score_sum += abs(score)
         p = 1.0 if idx == 0 else _probability(g, idx + 1, config.c0, config.log_base)
@@ -243,6 +255,8 @@ def select_iwal(train: Dataset, config: IwalConfig) -> SelectionResult:
             picked.append(idx)
             weights.append(importance)
             model = online_linear_update(model, x[idx], label, importance, schedule)
+            if xs is not None:
+                theta, bias = model.theta.item(), model.bias
             if exact:
                 np.add(err, importance, out=err, where=~above if label == 1 else above)
                 total_weight += importance

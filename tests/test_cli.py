@@ -440,6 +440,16 @@ class TestEntrypoint:
     def test_usage_error_exit_code(self):
         assert main(["run"]) == 2  # missing --config
 
+    @pytest.mark.parametrize("argv, message", [
+        (["gen", "bogus", "--n", "10", "--out", "x.csv"], "invalid choice: 'bogus'"),
+        (["run", "--config", "c.json", "--jobs", "x"], "invalid int value: 'x'"),
+    ], ids=["gen-kind", "run-jobs"])
+    def test_usage_error_names_the_bad_argument(self, capsys, argv, message):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: reuselab ")
+        assert message in err
+
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_is_usage_error(self, tmp_path, capsys, monkeypatch, jobs):
         def no_run(*a, **k):

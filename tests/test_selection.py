@@ -410,6 +410,39 @@ class TestIwalPassBitIdentity:
                         a, b = getattr(got, column), getattr(want, column)
                         assert a.dtype == b.dtype and np.array_equal(a, b), (config, column)
 
+    def test_surrogate_line_at_criterion_5_size(self):
+        # the 1-D surrogate scores on Python floats; pin it on a long pool
+        pool = rl.gen_uniform_line(4000, seed=404)
+        passes = 0
+        for log_base in (None, 2.0):
+            for c0 in (0.3, 1.0, 3.0, 10.0):
+                config = rl.IwalConfig(c0=c0, seed=derive_seed(405, passes), log_base=log_base)
+                passes += 1
+                got, want = rl.select_iwal(pool, config), reference_select_iwal(pool, config)
+                for column in ("indices", "weights", "g", "probability"):
+                    a, b = getattr(got, column), getattr(want, column)
+                    assert a.dtype == b.dtype and np.array_equal(a, b), (config, column)
+
+
+class TestSelectorUpdates:
+    """Every path updates the online selector once per label, no more."""
+
+    @pytest.mark.parametrize("gk_mode", ["surrogate", "exact-erm"])
+    @pytest.mark.parametrize("pool", [
+        rl.gen_uniform_line(400, seed=70), rl.gen_circle(400, circle_prob=0.05, seed=71),
+    ], ids=["1-d", "2-d"])
+    def test_one_update_per_label(self, monkeypatch, pool, gk_mode):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return online_linear_update(*args, **kwargs)
+
+        monkeypatch.setattr(rl.selection, "online_linear_update", counted)
+        res = rl.select_iwal(pool, rl.IwalConfig(c0=0.3, gk_mode=gk_mode, seed=72))
+        assert 0 < res.selected_count < len(pool)
+        assert len(calls) == res.selected_count
+
 
 class TestTraceFormat:
     def _result(self):
