@@ -365,45 +365,49 @@ def fit_svm(
     box = cost * w
     k = kernel.matrix(x, x)
 
-    alpha = np.zeros(n)
     state = np.empty((3, n))
     neg_yg, up_vals, low_vals = state
     neg_yg[:] = y  # grad = Q alpha - 1 = -1 at alpha = 0
     # at alpha = 0 an index can only move away from 0: up if y > 0, down if y < 0
-    has_room = alpha < box - 1e-12
+    has_room = 0.0 < box - 1e-12
     up_vals[:] = np.where((y > 0) & has_room, neg_yg, -np.inf)
     low_vals[:] = np.where((y < 0) & has_room, neg_yg, np.inf)
     delta = np.empty(n)
+    # the pair bookkeeping reads and writes single entries: Python floats
+    alpha = [0.0] * n
+    box_f, y_f, diag = box.tolist(), y.tolist(), k.diagonal().tolist()
     max_iter = max_passes * n
     iterations = 0
     while True:
-        i = int(np.argmax(up_vals))
-        j = int(np.argmin(low_vals))
-        violation = up_vals[i] - low_vals[j]  # -inf when either side is empty
+        i = up_vals.argmax()
+        j = low_vals.argmin()
+        violation = up_vals.item(i) - low_vals.item(j)  # -inf when either side is empty
         if violation <= tol:
             break
         if iterations >= max_iter:
             raise ConvergenceError(
                 f"SMO did not reach tol={tol} within {max_passes} passes",
-                duality_gap=_duality_gap(alpha, -y * neg_yg, y, box),
+                duality_gap=_duality_gap(np.array(alpha), -y * neg_yg, y, box),
             )
         # curvature along the feasible pair direction: |phi(x_i) - phi(x_j)|^2
-        curvature = k[i, i] + k[j, j] - 2.0 * k[i, j]
-        step = violation / curvature if curvature > 1e-15 else np.inf
-        room_i = (box[i] - alpha[i]) if y[i] > 0 else alpha[i]
-        room_j = alpha[j] if y[j] > 0 else (box[j] - alpha[j])
+        curvature = diag[i] + diag[j] - 2.0 * k.item(i, j)
+        step = violation / curvature if curvature > 1e-15 else math.inf
+        room_i = (box_f[i] - alpha[i]) if y_f[i] > 0 else alpha[i]
+        room_j = alpha[j] if y_f[j] > 0 else (box_f[j] - alpha[j])
         step = min(step, room_i, room_j)
-        alpha[i] += y[i] * step
-        alpha[j] -= y[j] * step
+        alpha[i] += y_f[i] * step
+        alpha[j] -= y_f[j] * step
         np.subtract(k[i], k[j], out=delta)
         delta *= step
         state -= delta
         for t in (i, j):
-            below, above = alpha[t] < box[t] - 1e-12, alpha[t] > 1e-12
-            up_vals[t] = neg_yg[t] if (below if y[t] > 0 else above) else -np.inf
-            low_vals[t] = neg_yg[t] if (above if y[t] > 0 else below) else np.inf
+            below, above = alpha[t] < box_f[t] - 1e-12, alpha[t] > 1e-12
+            value = neg_yg.item(t)
+            up_vals[t] = value if (below if y_f[t] > 0 else above) else -math.inf
+            low_vals[t] = value if (above if y_f[t] > 0 else below) else math.inf
         iterations += 1
 
+    alpha = np.array(alpha)
     hi, lo = up_vals.max(), low_vals.min()
     bias = float(((hi if np.isfinite(hi) else 0.0) + (lo if np.isfinite(lo) else 0.0)) / 2.0)
     ay = alpha * y

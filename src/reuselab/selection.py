@@ -95,14 +95,17 @@ def selection_probability(g: float, k: int, c0: float, log_base: float | None = 
     """Labeling probability of the k-th streamed example.
 
     Returns ``min(1, (1/g^2 + 1/g) * c0 * log(k) / (k - 1))``; the g -> 0
-    limit saturates the clamp, so g = 0 maps to 1.
+    limit saturates the clamp, so g = 0 maps to 1. ``log_base=None`` means
+    the natural logarithm; otherwise it must be a number above 1.
     """
-    if c0 <= 0:
-        raise InvalidArgumentError("c0 must be positive")
-    if k < 2:
-        raise InvalidArgumentError("k must be at least 2")
-    if g < 0:
-        raise InvalidArgumentError("g must be non-negative")
+    if not (is_number(g) and g >= 0):
+        raise InvalidArgumentError(f"g must be a non-negative number, not {g!r}")
+    if not (is_int(k) and k >= 2):
+        raise InvalidArgumentError(f"k must be an integer >= 2, not {k!r}")
+    if not (is_number(c0) and c0 > 0):
+        raise InvalidArgumentError(f"c0 must be a positive number, not {c0!r}")
+    if log_base is not None and not (is_number(log_base) and log_base > 1):
+        raise InvalidArgumentError(f"log_base must be a number above 1, not {log_base!r}")
     return _probability(g, k, c0, log_base)
 
 
@@ -127,29 +130,43 @@ def surrogate_error_difference(score: float, mean_abs_score: float) -> float:
 
 
 def _linear_grid(lo, hi, resolution: int) -> tuple[np.ndarray, np.ndarray]:
-    """Directions ``w`` (m, d) and offsets ``b`` (m,) of the hypotheses
-    sign(w.x - b) that exact-mode ERM searches over the box [lo, hi].
+    """Directions ``dirs`` (A, d) and offsets (A, resolution) of the
+    hypotheses sign(w.x - b) that exact-mode ERM searches over the box
+    [lo, hi]. Hypothesis ``a * resolution + j`` has direction ``dirs[a]``
+    and offset ``offsets[a, j]``.
 
-    1-D: both directions times ``resolution`` thresholds. 2-D:
-    ``resolution`` angles over the full circle (both orientations of every
-    boundary) times ``resolution`` offsets spanning the box's projections.
+    1-D: A = 2 directions, +1 and -1, each with ``resolution`` thresholds.
+    2-D: A = ``resolution`` angles over the full circle (both orientations
+    of every boundary), each with ``resolution`` offsets spanning the box's
+    projections.
     """
     d = lo.shape[0]
     if d == 1:
-        thresholds = np.linspace(lo[0], hi[0], resolution)
-        w = np.concatenate([np.ones(resolution), -np.ones(resolution)])[:, None]
-        return w, np.concatenate([thresholds, -thresholds])
+        thresholds = _linspace_rows(lo, hi, resolution)
+        return np.array([[1.0], [-1.0]]), np.concatenate([thresholds, -thresholds])
     if d == 2:
         angles = np.linspace(0.0, 2.0 * np.pi, resolution, endpoint=False)
         dirs = np.column_stack([np.cos(angles), np.sin(angles)])
         corners = np.array([[lo[0], lo[1]], [lo[0], hi[1]], [hi[0], lo[1]], [hi[0], hi[1]]])
         proj = dirs @ corners.T
-        w = np.repeat(dirs, resolution, axis=0)
-        b = np.concatenate([
-            np.linspace(proj[i].min(), proj[i].max(), resolution) for i in range(len(dirs))
-        ])
-        return w, b
+        return dirs, _linspace_rows(proj.min(axis=1), proj.max(axis=1), resolution)
     raise InvalidArgumentError("exact-mode grids support only 1-D or 2-D data")
+
+
+def _linspace_rows(start, stop, num: int) -> np.ndarray:
+    """Row a is ``np.linspace(start[a], stop[a], num)``, bit for bit.
+
+    numpy's scalar path multiplies the ramp by the step, or divides it
+    first where the step underflows to 0; one broadcast ``np.linspace``
+    would send every row down the divide-first path if any row did.
+    """
+    start, stop = start[:, None], stop[:, None]
+    delta = stop - start
+    step = delta / (num - 1)
+    ramp = np.arange(num, dtype=np.float64)
+    rows = np.where(step == 0, ramp / (num - 1) * delta, ramp * step) + start
+    rows[:, -1] = stop[:, 0]
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -187,12 +204,15 @@ def select_iwal(train: Dataset, config: IwalConfig) -> SelectionResult:
     selector is updated with importance 1/p. The first streamed example is
     always labeled. The selected-set size is a random variable.
 
-    Exact-ERM ``g`` caches the best grid hypothesis until a label changes
-    the errors. Per example it takes one GEMV, one ``>=`` into a bool mask
-    of +1 predictions (exactly ``s - b >= 0`` for finite doubles) and one
-    min over the side of the mask the best hypothesis is not on. The GEMV
-    stays per example: a GEMM over the pool rounds differently and flips
-    some signs, which would change traces.
+    Exact-ERM ``g`` projects the pool onto the grid's A directions once per
+    pass, with ``np.matmul(dirs, x[:, :, None])``: numpy's matrix-vector
+    branch makes one GEMV over the A rows per example. A GEMM over the pool
+    rounds differently and flips some signs, which would change traces.
+    Per example the pass compares the A projections with the (A, res)
+    offsets into a bool mask of +1 predictions (exactly ``s - b >= 0`` for
+    finite doubles) and takes one min over the side of the mask the best
+    hypothesis is not on. The best hypothesis is cached until a label
+    changes the errors.
 
     The surrogate score on a 1-D pool is ``x * theta + bias`` on Python
     floats, read back from the selector after each label: a length-1 dot is
@@ -213,13 +233,15 @@ def select_iwal(train: Dataset, config: IwalConfig) -> SelectionResult:
     xs = x[:, 0].tolist() if not exact and train.dim == 1 else None
     theta, bias = 0.0, model.bias
     if exact:
-        grid_w, grid_b = _linear_grid(x.min(axis=0), x.max(axis=0), config.erm_grid_resolution)
+        dirs, offsets = _linear_grid(x.min(axis=0), x.max(axis=0), config.erm_grid_resolution)
+        # (n, A, 1): numpy's matrix-vector branch, one GEMV over A rows per example
+        proj = np.matmul(dirs, x[:, :, None])
         # cumulative weighted error of every grid hypothesis on the labeled set
-        err = np.zeros(len(grid_b))
+        err = np.zeros(offsets.size)
         total_weight = 0.0
         best = None  # argmin of err, cleared whenever err changes
-        proj = np.empty(len(grid_b))
-        above = np.empty(len(grid_b), dtype=bool)
+        above = np.empty(offsets.size, dtype=bool)
+        above_grid = above.reshape(offsets.shape)
 
     abs_score_sum = 0.0
     picked: list[int] = []
@@ -230,17 +252,17 @@ def select_iwal(train: Dataset, config: IwalConfig) -> SelectionResult:
         if exact:
             # g: ERM error gap between the best hypothesis and the best one
             # forced to predict the opposite label; 0 on an empty labeled set
-            np.greater_equal(np.matmul(grid_w, x[idx], out=proj), grid_b, out=above)
+            np.greater_equal(proj[idx], offsets, out=above_grid)
             if total_weight == 0.0:
                 g = 0.0
             else:
                 if best is None:
-                    best = int(np.argmin(err))
+                    best = int(err.argmin())
                     best_err = err[best]
                 disagree = err[~above] if above[best] else err[above]
                 if not disagree.size:
                     raise DegenerateGridError("no grid hypothesis disagrees on the candidate")
-                g = float((disagree.min() - best_err) / total_weight)
+                g = float((np.minimum.reduce(disagree) - best_err) / total_weight)
         else:
             if xs is None:
                 score = float(x[idx] @ model.theta) + model.bias

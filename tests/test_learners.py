@@ -11,7 +11,7 @@ from reuselab.errors import (
     SingularDataError,
 )
 from reuselab.learners import LinearModel, make_online_model
-from reuselab.standins import car_schema
+from reuselab.standins import car_schema, mushroom_schema
 
 from dual_oracle import svm_dual_optimum
 
@@ -364,6 +364,22 @@ class TestSvmBitIdentity:
             *samples, kernel, cost=1.0, tol=1e-6
         )
         assert np.any(alpha >= box - 1e-12)  # some alphas reach the box
+        assert model.iterations == iterations
+        assert model.bias == bias
+        assert np.array_equal(model.dual_coef, dual_coef)
+        assert np.array_equal(model.support_x, support_x)
+        assert model.dual_objective == objective
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.kind)
+    @pytest.mark.parametrize("n", [40, 160])
+    def test_same_model_on_one_hot_rows(self, mushroom_like_path, kernel, n):
+        dataset = rl.load_csv(mushroom_like_path, "class", ("e",), mushroom_schema())
+        train = rl.split(dataset, 0.5, seed=n).train.take(np.arange(n))
+        w = np.random.default_rng(n).choice([0.5, 1.0, 2.5, 4.0], size=n)
+        model = rl.fit_svm(train.x, train.y, w, kernel, cost=0.5, tol=1e-6)
+        iterations, bias, dual_coef, support_x, objective, _, _ = reference_smo(
+            train.x, train.y, w, kernel, cost=0.5, tol=1e-6
+        )
         assert model.iterations == iterations
         assert model.bias == bias
         assert np.array_equal(model.dual_coef, dual_coef)

@@ -65,6 +65,20 @@ class TestSelectionProbability:
             rl.selection_probability(-1.0, 5, 0.1)
         with pytest.raises(InvalidArgumentError):
             rl.selection_probability(1.0, 5, 0.0)
+        bad = [
+            ((math.nan, 5, 0.1), "g"),
+            ((True, 5, 0.1), "g"),
+            ((1.0, 2.5, 0.1), "k"),
+            ((1.0, True, 0.1), "k"),
+            ((1.0, 5, math.nan), "c0"),
+            ((1.0, 5, "0.1"), "c0"),
+            ((1.0, 5, 0.1, 1), "log_base"),
+            ((1.0, 5, 0.1, -2), "log_base"),
+            ((1.0, 5, 0.1, math.nan), "log_base"),
+        ]
+        for args, name in bad:
+            with pytest.raises(InvalidArgumentError, match=f"^{name} must be"):
+                rl.selection_probability(*args)
 
     @given(
         g1=st.floats(1e-6, 1e3), g2=st.floats(1e-6, 1e3),
@@ -110,6 +124,69 @@ class TestSurrogate:
         assert edge.mean() > center.mean()
 
 
+def reference_linear_grid(lo, hi, resolution: int) -> tuple[np.ndarray, np.ndarray]:
+    """Directions ``w`` (m, d) and offsets ``b`` (m,) of the hypotheses
+    sign(w.x - b) that exact-mode ERM searches over the box [lo, hi].
+
+    1-D: both directions times ``resolution`` thresholds. 2-D:
+    ``resolution`` angles over the full circle (both orientations of every
+    boundary) times ``resolution`` offsets spanning the box's projections.
+    """
+    d = lo.shape[0]
+    if d == 1:
+        thresholds = np.linspace(lo[0], hi[0], resolution)
+        w = np.concatenate([np.ones(resolution), -np.ones(resolution)])[:, None]
+        return w, np.concatenate([thresholds, -thresholds])
+    if d == 2:
+        angles = np.linspace(0.0, 2.0 * np.pi, resolution, endpoint=False)
+        dirs = np.column_stack([np.cos(angles), np.sin(angles)])
+        corners = np.array([[lo[0], lo[1]], [lo[0], hi[1]], [hi[0], lo[1]], [hi[0], hi[1]]])
+        proj = dirs @ corners.T
+        w = np.repeat(dirs, resolution, axis=0)
+        b = np.concatenate([
+            np.linspace(proj[i].min(), proj[i].max(), resolution) for i in range(len(dirs))
+        ])
+        return w, b
+    raise InvalidArgumentError("exact-mode grids support only 1-D or 2-D data")
+
+
+GRID_BOXES = {
+    "line": ([-1.0], [1.0]),
+    "line-point": ([0.5], [0.5]),
+    "line-denormal": ([0.0], [2e-323]),
+    "square": ([-1.0, -1.0], [1.0, 1.0]),
+    "wide": ([-3e8, 2.0], [1e8, 2.5]),
+    # x0 fixed: the angle-0 direction (1, 0) projects the box onto one point
+    "segment": ([0.3, -1.0], [0.3, 2.0]),
+    "point": ([0.5, -0.25], [0.5, -0.25]),
+    "denormal": ([0.0, 0.0], [1e-320, 2e-323]),
+}
+
+
+class TestLinearGrid:
+    @pytest.mark.parametrize("box", GRID_BOXES.values(), ids=GRID_BOXES.keys())
+    def test_same_hypotheses_as_reference(self, box):
+        lo, hi = np.array(box[0]), np.array(box[1])
+        for resolution in range(2, 81):
+            dirs, offsets = _linear_grid(lo, hi, resolution)
+            w, b = reference_linear_grid(lo, hi, resolution)
+            assert offsets.shape == (len(dirs), resolution)
+            got_w, got_b = np.repeat(dirs, resolution, axis=0), offsets.ravel()
+            for got, want in ((got_w, w), (got_b, b)):
+                assert np.array_equal(got, want), resolution
+                assert np.array_equal(np.signbit(got), np.signbit(want)), resolution
+
+    def test_boxes_reach_both_linspace_paths(self):
+        # the segment box mixes a zero-span row with spanning rows
+        _, offsets = _linear_grid(*map(np.array, GRID_BOXES["segment"]), 80)
+        zero_span = offsets[:, -1] == offsets[:, 0]
+        assert zero_span.any() and not zero_span.all()
+        # denormal spans: the step underflows to 0 but the ramp does not
+        for name in ("line-denormal", "denormal"):
+            _, offsets = _linear_grid(*map(np.array, GRID_BOXES[name]), 80)
+            assert ((offsets[:, 1] == offsets[:, 0]) & (offsets[:, -2] != offsets[:, 0])).any()
+
+
 def brute_force_difference(x, y, w, candidate, grid_w, grid_b):
     """Plain-loop ERM over the grid, no numpy vectorization."""
     best_overall, best_overall_idx = None, None
@@ -151,7 +228,7 @@ class TestExactErrorDifference:
     ], ids=["1-D", "2-D"])
     def test_every_g_matches_brute_force_on_the_weighted_prefix(self, pool):
         res = exact_pass(pool, c0=0.01, resolution=8, seed=56)
-        grid = _linear_grid(pool.x.min(axis=0), pool.x.max(axis=0), 8)
+        grid = reference_linear_grid(pool.x.min(axis=0), pool.x.max(axis=0), 8)
         assert res.weights.max() > 1.0
         assert res.g[0] == 0.0  # nothing is labeled before the first example
         for k in range(1, len(pool)):
@@ -326,7 +403,9 @@ def reference_select_iwal(train, config):
     y = train.y
     exact = config.gk_mode == EXACT_ERM
     if exact:
-        grid_w, grid_b = _linear_grid(x.min(axis=0), x.max(axis=0), config.erm_grid_resolution)
+        grid_w, grid_b = reference_linear_grid(
+            x.min(axis=0), x.max(axis=0), config.erm_grid_resolution
+        )
         # cumulative weighted error of every grid hypothesis on the labeled set
         err = np.zeros(len(grid_b))
         total_weight = 0.0
@@ -383,6 +462,18 @@ BIT_IDENTITY_POOLS = {
 }
 
 
+def segment_pool(n, seed):
+    """2-D points on the vertical segment x0 = 0.3, labeled by the side of x1 = 0.5."""
+    x1 = np.random.default_rng(seed).uniform(-1.0, 2.0, size=n)
+    return rl.Dataset(np.column_stack([np.full(n, 0.3), x1]), np.where(x1 >= 0.5, 1, -1))
+
+
+ODD_RESOLUTION_POOLS = {
+    "circle": BIT_IDENTITY_POOLS["circle"],
+    "uniform-line": BIT_IDENTITY_POOLS["uniform-line"],
+    "segment": segment_pool(300, seed=64),
+}
+
 class TestIwalPassBitIdentity:
     """``select_iwal`` gives the reference loop's bits, or its error."""
 
@@ -419,6 +510,29 @@ class TestIwalPassBitIdentity:
                 config = rl.IwalConfig(c0=c0, seed=derive_seed(405, passes), log_base=log_base)
                 passes += 1
                 got, want = rl.select_iwal(pool, config), reference_select_iwal(pool, config)
+                for column in ("indices", "weights", "g", "probability"):
+                    a, b = getattr(got, column), getattr(want, column)
+                    assert a.dtype == b.dtype and np.array_equal(a, b), (config, column)
+
+
+    @pytest.mark.parametrize("pool", ODD_RESOLUTION_POOLS.values(), ids=ODD_RESOLUTION_POOLS.keys())
+    def test_exact_at_odd_resolutions(self, pool):
+        # row tails of the projection product differ from 16 and 64 here
+        passes = 0
+        for resolution in (3, 5, 7, 13):
+            for c0 in (0.01, 0.3, 3.0):
+                config = rl.IwalConfig(
+                    c0=c0, gk_mode=EXACT_ERM, erm_grid_resolution=resolution,
+                    seed=derive_seed(65, passes),
+                )
+                passes += 1
+                try:
+                    want = reference_select_iwal(pool, config)
+                except DegenerateGridError as exc:
+                    with pytest.raises(DegenerateGridError, match=str(exc)):
+                        rl.select_iwal(pool, config)
+                    continue
+                got = rl.select_iwal(pool, config)
                 for column in ("indices", "weights", "g", "probability"):
                     a, b = getattr(got, column), getattr(want, column)
                     assert a.dtype == b.dtype and np.array_equal(a, b), (config, column)
