@@ -370,9 +370,9 @@ GENERATOR_KINDS = ("uniform-line", "four-cluster-line", "circle")
 class DatasetSpec:
     """Declarative recipe for a dataset, JSON-friendly for configs and traces.
 
-    ``seed=None`` on a generated kind means the caller supplies the seed at
-    build time (the experiment harness uses this for fresh pools per
-    repetition). ``positive_values`` becomes a tuple.
+    ``seed=None`` on a generated kind asks for a fresh pool per repetition:
+    ``resolve_spec`` fills in the repetition's pool seed, and only a spec
+    with a seed can be built. ``positive_values`` becomes a tuple.
     """
 
     kind: str
@@ -440,8 +440,8 @@ class DatasetSpec:
         return DatasetSpec(**d)
 
 
-def make_dataset(spec: DatasetSpec, seed: int | None = None) -> Dataset:
-    """Materialize a spec; ``seed`` fills in a generated spec's null seed."""
+def make_dataset(spec: DatasetSpec) -> Dataset:
+    """Materialize a spec; a generated one needs a seed (see ``resolve_spec``)."""
     if spec.kind == "csv":
         return load_csv(
             spec.path,
@@ -450,18 +450,17 @@ def make_dataset(spec: DatasetSpec, seed: int | None = None) -> Dataset:
             spec.schema or {},
             header=spec.header,
         )
-    use_seed = spec.seed if spec.seed is not None else seed
-    if use_seed is None:
+    if spec.seed is None:
         raise InvalidArgumentError("generated dataset spec needs a seed")
     if spec.kind == "uniform-line":
-        return gen_uniform_line(spec.n, use_seed)
+        return gen_uniform_line(spec.n, spec.seed)
     if spec.kind == "four-cluster-line":
-        return gen_four_cluster_line(spec.n, use_seed)
-    return gen_circle(spec.n, spec.circle_prob, use_seed)
+        return gen_four_cluster_line(spec.n, spec.seed)
+    return gen_circle(spec.n, spec.circle_prob, spec.seed)
 
 
-def resolve_spec(spec: DatasetSpec, seed: int | None) -> DatasetSpec:
-    """Bake the effective seed into a spec (for replayable trace headers)."""
+def resolve_spec(spec: DatasetSpec, seed: int) -> DatasetSpec:
+    """``spec`` with ``seed`` in place of a null generated seed; nothing else fills one."""
     if spec.kind == "csv" or spec.seed is not None:
         return spec
     return replace(spec, seed=seed)

@@ -1,5 +1,6 @@
 """Exception types, and the JSON value rules, shared across the package."""
 
+import math
 from numbers import Integral, Real
 
 
@@ -9,8 +10,8 @@ def is_int(value) -> bool:
 
 
 def is_number(value) -> bool:
-    """A JSON number: a ``Real`` that is not a bool."""
-    return isinstance(value, Real) and not isinstance(value, bool)
+    """A finite JSON number: a ``Real`` that is not a bool, inf or NaN."""
+    return isinstance(value, Real) and not isinstance(value, bool) and abs(value) < math.inf
 
 
 class ReuselabError(Exception):

@@ -3,12 +3,13 @@
 A run repeats the same protocol ``repetitions`` times with seeds derived
 from ``base_seed + r``: draw (or load) the pool, split it, run one selection
 pass per cell over the shared training order, train every consumer on each
-selection, and score it on the test side. A pass is its trace header, run
-by ``_select`` as ``replay`` runs a saved one. A repetition returns arrays
-over the config's ``_cells``, NaN where a pass or fit was dropped; they
-are aggregated into curve points (mean error, std of the mean, median
-selected count) and into a reusability report that compares each
-active-learning cell against the random cell of the nearest size.
+selection, and score it on the test side. A pass is its trace header: its
+pool and split come from the header's recipe by ``_draw_split`` and it runs
+by ``_select``, as ``replay`` runs a saved one. A repetition returns arrays
+over the config's ``_cells``, NaN where a pass or fit was dropped; they are
+aggregated into curve points (mean error, std of the mean, median selected
+count) and into a reusability report that compares each active-learning
+cell against the random cell of the nearest size.
 
 Repetitions are independent jobs; with ``jobs > 1`` they execute in a
 process pool, and aggregation reduces them in repetition order so outputs
@@ -26,7 +27,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .datasets import DatasetSpec, make_dataset, resolve_spec, split
+from .datasets import DatasetSpec, SplitPair, make_dataset, resolve_spec, split
 from .errors import (
     ConvergenceError,
     DegenerateGridError,
@@ -255,13 +256,23 @@ class _RepOutcome:
     traces: list        # (filename, text)
 
 
-def _pass_headers(config: ExperimentConfig, r: int, dataset_dict: dict, split_dict: dict):
+def _recipe(config: ExperimentConfig, r: int) -> dict:
+    """The ``dataset`` and ``split`` entries that every pass header of
+    repetition ``r`` shares; ``_draw_split`` turns them into data."""
+    spec, seed = config.dataset, config.base_seed
+    dataset = resolve_spec(spec, derive_seed(seed, r, ROLE_POOL)).to_dict()
+    split_info = {"test_prop": config.test_prop, "seed": derive_seed(seed, r, ROLE_SPLIT),
+                  "scale_numeric": spec.kind == "csv" and spec.scale_numeric}
+    return {"dataset": dataset, "split": split_info}
+
+
+def _pass_headers(config: ExperimentConfig, r: int, recipe: dict):
     """(cell label, trace header) of every selection pass of repetition
     ``r``, one per cell in ``_cells`` order. A header is the pass's recipe."""
     passes = []
     for strategy, label, value in _cells(config):
         header = {"strategy": strategy, "seed": 0, "use_weights": strategy != IWAL_NO_WEIGHTS,
-                  "dataset": dataset_dict, "split": split_dict}
+                  **recipe}
         if strategy in (IWAL, IWAL_NO_WEIGHTS):
             # the seed follows the c0's place in the config, not in the report
             ci = config.c0_grid.index(value)
@@ -284,6 +295,15 @@ def _header_value(header, key: str, kind=object):
     if not isinstance(value, kind):
         raise TraceFormatError(f"trace header has a bad {key!r}: {value!r}")
     return value
+
+
+def _draw_split(recipe: Mapping) -> SplitPair:
+    """The train/test pair that a recipe (a trace header, or ``_recipe``)
+    names: the only route from a recipe to data."""
+    dataset = make_dataset(DatasetSpec.from_dict(_header_value(recipe, "dataset", Mapping)))
+    split_info = _header_value(recipe, "split", Mapping)
+    keys = ("test_prop", "seed", "scale_numeric")
+    return split(dataset, *(_header_value(split_info, key) for key in keys))
 
 
 def _select(train, header: Mapping, shared: dict) -> SelectionResult:
@@ -320,16 +340,10 @@ def _select(train, header: Mapping, shared: dict) -> SelectionResult:
 
 
 def _run_repetition(config: ExperimentConfig, r: int) -> _RepOutcome:
-    pool_seed = derive_seed(config.base_seed, r, ROLE_POOL)
-    split_seed = derive_seed(config.base_seed, r, ROLE_SPLIT)
-    dataset = make_dataset(config.dataset, seed=pool_seed)
-    scale = config.dataset.kind == "csv" and config.dataset.scale_numeric
-    pair = split(dataset, config.test_prop, split_seed, scale_numeric=scale)
+    recipe = _recipe(config, r)
+    pair = _draw_split(recipe)
     train, test = pair.train, pair.test
-
-    dataset_dict = resolve_spec(config.dataset, pool_seed).to_dict()
-    split_dict = {"test_prop": config.test_prop, "seed": split_seed, "scale_numeric": scale}
-    passes = _pass_headers(config, r, dataset_dict, split_dict)
+    passes = _pass_headers(config, r, recipe)
     counts = np.full(len(passes), np.nan)
     errors = np.full((len(passes), len(config.consumers)), np.nan)
     traces, shared = [], {}
@@ -365,11 +379,7 @@ def default_n_grid(n_train: int, points: int = 10) -> tuple[int, ...]:
 
 
 def _normalize(config: ExperimentConfig) -> tuple[ExperimentConfig, int]:
-    probe_seed = derive_seed(config.base_seed, 0, ROLE_POOL)
-    probe = make_dataset(config.dataset, seed=probe_seed)
-    n_total = len(probe)
-    n_test = int(round(n_total * config.test_prop))
-    n_train = n_total - n_test
+    n_train = len(_draw_split(_recipe(config, 0)).train)
     needs_n = {RANDOM, UNCERTAINTY} & set(config.strategies)
     if needs_n and not config.n_grid:
         config = replace(config, n_grid=default_n_grid(n_train))
@@ -470,7 +480,7 @@ def build_report(points: Sequence[CurvePoint]) -> tuple[ReusabilityCell, ...]:
             verdict = NOT_REUSABLE
         rows.append(
             ReusabilityCell(p.strategy, p.consumer, p.cell, p.x_position,
-                            int(round(match.x_position)), p.mean_err, match.mean_err,
+                            round(match.x_position), p.mean_err, match.mean_err,
                             delta, t, verdict)
         )
     return tuple(rows)
@@ -503,7 +513,8 @@ def density_histogram(
 ) -> list[DensityRow]:
     """Average selected mass per bin, raw and importance-weighted.
 
-    Each run draws a fresh pool and runs one IWAL pass per c0; masses are
+    Each run draws a pool of ``dataset_spec``, a uniform-line or
+    four-cluster-line spec, and runs one IWAL pass per c0; masses are
     averaged over runs and normalized to sum to 1 per c0. A pass that
     raises ``DegenerateGridError`` is left out of its c0's average.
     ``iwal_knobs`` are further ``IwalConfig`` fields, such as ``gk_mode``;
@@ -513,18 +524,14 @@ def density_histogram(
         raise InvalidArgumentError(
             f"need integers runs >= 1 and bins >= 1 and a non-empty c0 list, "
             f"not runs={runs!r}, bins={bins!r}, c0_list={c0_list!r}")
-    if dataset_spec.kind == "csv":
-        raise InvalidArgumentError("density histograms need a generated 1-D dataset")
-    probe = make_dataset(dataset_spec, seed=derive_seed(base_seed, 0, ROLE_POOL))
-    if probe.dim != 1:
-        raise InvalidArgumentError("density histograms need a 1-D dataset")
-    lo, hi = _SUPPORT.get(dataset_spec.kind, (float(probe.x.min()), float(probe.x.max())))
-    edges = np.linspace(lo, hi, bins + 1)
+    if dataset_spec.kind not in _SUPPORT:
+        raise InvalidArgumentError(f"density histograms need a kind in {tuple(_SUPPORT)}")
+    edges = np.linspace(*_SUPPORT[dataset_spec.kind], bins + 1)
 
     raw = np.zeros((len(c0_list), bins))
     weighted_mass = np.zeros((len(c0_list), bins))
     for r in range(runs):
-        pool = make_dataset(dataset_spec, seed=derive_seed(base_seed, r, ROLE_POOL))
+        pool = make_dataset(resolve_spec(dataset_spec, derive_seed(base_seed, r, ROLE_POOL)))
         for ci, c0 in enumerate(c0_list):
             cfg = IwalConfig(c0=c0, seed=derive_seed(base_seed, r, ROLE_SELECTION, ci),
                              **iwal_knobs)
@@ -583,17 +590,13 @@ def rerun_from_header(header: Mapping) -> SelectionResult:
     raises ``TraceFormatError``.
     """
     try:
-        dataset = make_dataset(DatasetSpec.from_dict(_header_value(header, "dataset", Mapping)))
-        split_info = _header_value(header, "split", Mapping)
-        keys = ("test_prop", "seed", "scale_numeric")
-        train = split(dataset, *(_header_value(split_info, key) for key in keys)).train
-        return _select(train, header, {})
+        return _select(_draw_split(header).train, header, {})
     except InvalidArgumentError as exc:
         raise TraceFormatError(f"trace header has a bad value: {exc}") from exc
 
 
 def replay_trace(path) -> ReplayOutcome:
-    """Re-run a trace's pass and compare it with the file, column by column.
+    """Re-run a trace's pass and compare it with the file, row by row.
 
     The outcome names the first row that differs and, within that row, the
     first column in v1 order. A row that only one side has is reported in
@@ -601,19 +604,14 @@ def replay_trace(path) -> ReplayOutcome:
     """
     header, recorded = load_trace(path)
     recomputed = trace_columns(rerun_from_header(header))
-    n_recorded, n_recomputed = len(recorded["index"]), len(recomputed["index"])
-    common = min(n_recorded, n_recomputed)
-    first = None  # (row, column, recorded value, recomputed value)
-    for column in recorded:  # v1 order, so a tie in row keeps the earlier column
-        was, now = recorded[column][:common], recomputed[column][:common]
+    names = list(recorded)  # v1 order, as trace_columns keeps it
+    for row, (was, now) in enumerate(zip(zip(*recorded.values()), zip(*recomputed.values()))):
         if was != now:
-            row = next(i for i, (a, b) in enumerate(zip(was, now)) if a != b)
-            if first is None or row < first[0]:
-                first = (row, column, was[row], now[row])
-    if first is not None:
-        return ReplayOutcome(False, *first)
-    if n_recorded != n_recomputed:
-        return ReplayOutcome(False, common, "index",
-                             recorded["index"][common] if common < n_recorded else None,
-                             recomputed["index"][common] if common < n_recomputed else None)
-    return ReplayOutcome(True)
+            j = next(j for j, (a, b) in enumerate(zip(was, now)) if a != b)
+            return ReplayOutcome(False, row, names[j], was[j], now[j])
+    row = min(len(recorded["index"]), len(recomputed["index"]))
+    extra = [side["index"][row] if row < len(side["index"]) else None
+             for side in (recorded, recomputed)]
+    if extra == [None, None]:
+        return ReplayOutcome(True)
+    return ReplayOutcome(False, row, "index", *extra)

@@ -3,11 +3,16 @@
 ``perfbench/spans.py`` replaces functions by name in ``reuselab.experiments``,
 ``reuselab.selection`` and ``reuselab.cli``. A refactor that renames or
 unbinds one of them breaks the benchmark, so this installs the tracer and
-restores it without running a workload.
+restores it without running a workload, and then checks on a small run that
+every pool draw and split still passes through the wrapped names.
 """
 
 import importlib.util
 from pathlib import Path
+
+from reuselab import cli
+from reuselab.datasets import DatasetSpec
+from reuselab.experiments import ExperimentConfig
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -31,3 +36,19 @@ def test_tracer_patches_resolve_and_restore():
         tracer.restore()
     for module, attr, original in patches:
         assert getattr(module, attr) is original, f"{module.__name__}.{attr}"
+
+
+def test_tracer_sees_the_size_probe_and_every_repetition():
+    config = ExperimentConfig(DatasetSpec(kind="uniform-line", n=80), test_prop=0.25,
+                              repetitions=3, strategies=("random",), n_grid=(10,))
+    tracer = load_spans().Tracer()
+    try:
+        tracer.install()
+        cli.run_experiment(config)
+    finally:
+        tracer.restore()
+    names = [span[1] for span in tracer.spans]
+    # the size probe, then one pool draw and one split per repetition
+    assert names.count("datasets.make_dataset") == 4
+    assert names.count("datasets.split") == 4
+    assert len(tracer.rep_latencies()) == 3

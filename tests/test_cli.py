@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from reuselab import cli, experiments
 from reuselab.cli import main, parse_config
 from reuselab.datasets import DatasetSpec, export_csv, make_dataset
 from reuselab.experiments import ExperimentConfig
+from reuselab.selection import load_trace
 
 MINIMAL_CONFIG = {
     "dataset": {"kind": "uniform-line", "n": 200},
@@ -43,19 +45,26 @@ BAD_VALUES = [
     ("test_prop-x", {"test_prop": "x"}, "test_prop"),
     ("test_prop-1.5", {"test_prop": 1.5}, "test_prop"),
     ("c0_grid-x", {"c0_grid": ["x"]}, "c0_grid"),
+    ("c0_grid-Infinity", {"c0_grid": [math.inf]}, "c0_grid"),
     ("base_seed-true", {"base_seed": True}, "base_seed"),
     ("n_grid-true", {"n_grid": [True, 10]}, "n_grid"),
     ("repetitions-true", {"repetitions": True}, "repetitions"),
     ("strategies-string", {"strategies": "random"}, "strategies"),
     ("iwal.log_base-1", {"iwal": {"log_base": 1}}, "log_base"),
+    ("iwal.log_base-Infinity", {"iwal": {"log_base": math.inf}}, "log_base"),
     ("iwal.erm_grid_resolution-64.5", {"iwal": {"erm_grid_resolution": 64.5}},
      "erm_grid_resolution"),
     ("selector.eta0-0.9", {"selector": {"eta0": 0.9}}, "eta0"),
     ("consumer.cost-x", {"consumers": [{"kind": "svm-rbf", "cost": "x"}]}, "cost"),
     ("consumer.gamma-x", {"consumers": [{"kind": "svm-rbf", "gamma": "x"}]}, "gamma"),
+    ("consumer.cost-Infinity", {"consumers": [{"kind": "svm-rbf", "cost": math.inf}]}, "cost"),
+    ("consumer.gamma-Infinity", {"consumers": [{"kind": "svm-rbf", "gamma": math.inf}]},
+     "gamma"),
     ("consumer.passes-2.5", {"consumers": [{"kind": "online-linear", "passes": 2.5}]}, "passes"),
     ("consumer.eta0-0.9", {"consumers": [{"kind": "online-linear", "eta0": 0.9}]}, "eta0"),
     ("consumer.ridge-x", {"consumers": [{"kind": "least-squares", "ridge": "x"}]}, "ridge"),
+    ("consumer.ridge-Infinity",
+     {"consumers": [{"kind": "least-squares", "ridge": math.inf}]}, "ridge"),
     ("consumer.name-5", {"consumers": [{"kind": "lda", "name": 5}]}, "name"),
     ("dataset.header-no", {"dataset": {**CSV_SPEC, "header": "no"}}, "header"),
     ("dataset.scale_numeric-no", {"dataset": {**CSV_SPEC, "scale_numeric": "no"}},
@@ -65,6 +74,8 @@ BAD_VALUES = [
     ("dataset.schema-5", {"dataset": {**CSV_SPEC, "schema": 5}}, "schema"),
     ("dataset.label_column-1.5", {"dataset": {**CSV_SPEC, "label_column": 1.5}}, "label_column"),
     ("dataset.path-5", {"dataset": {**CSV_SPEC, "path": 5}}, "path"),
+    ("dataset.circle_prob-NaN", {"dataset": {"kind": "circle", "n": 200, "circle_prob": math.nan}},
+     "circle_prob"),
 ]
 
 
@@ -248,7 +259,7 @@ class TestConfigSchema:
         dataset = {"kind": "circle", "n": 240, "circle_prob": 0.05}
         if source == "csv":
             path = tmp_path / "circle.csv"
-            export_csv(make_dataset(DatasetSpec(**dataset), seed=3), path)
+            export_csv(make_dataset(DatasetSpec(**dataset, seed=3)), path)
             dataset = {"kind": "csv", "path": str(path), "label_column": 2,
                        "positive_values": ["1"], "schema": {"f0": "numeric", "f1": "numeric"},
                        "header": True, "scale_numeric": False}
@@ -298,6 +309,31 @@ class TestReplay:
         for trace in self._run_with_traces(tmp_path):
             assert main(["replay", str(trace)]) == 0
             assert capsys.readouterr().out.strip() == "ok"
+
+    def test_scaled_csv_traces_verify(self, tmp_path, capsys):
+        data = tmp_path / "circle.csv"
+        export_csv(make_dataset(DatasetSpec(kind="circle", n=240, circle_prob=0.05, seed=8)), data)
+        cfg = write_config(tmp_path, {
+            "dataset": {"kind": "csv", "path": str(data), "label_column": "label",
+                        "positive_values": ["1"], "schema": {"f0": "numeric", "f1": "numeric"}},
+            "test_prop": 0.25, "repetitions": 2, "n_grid": [20], "c0_grid": [0.1],
+            "strategies": ["random", "uncertainty", "iwal", "iwal-no-weights"],
+            "save_traces": True, "base_seed": 4,
+        })
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out-dir", str(out), "--quiet"]) == 0
+        capsys.readouterr()
+        traces = sorted((out / "traces").iterdir())
+        assert len(traces) == 8
+        for trace in traces:
+            assert main(["replay", str(trace)]) == 0
+            assert capsys.readouterr().out.strip() == "ok"
+        # the scaling is part of the recipe: replayed unscaled, the pass differs
+        trace = [t for t in traces if "iwal_c0" in t.name][0]
+        assert load_trace(trace)[0]["split"]["scale_numeric"] is True
+        self._edit_header(trace, lambda h: {**h, "split": {**h["split"], "scale_numeric": False}})
+        assert main(["replay", str(trace)]) == 1
+        assert "divergence" in capsys.readouterr().out
 
     def test_flipped_coin_detected(self, tmp_path, capsys):
         trace = self._run_with_traces(tmp_path)[-1]

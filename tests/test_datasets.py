@@ -290,10 +290,26 @@ class TestSpecAndExport:
         assert np.array_equal(back.x, ds.x)
         assert np.array_equal(back.y, ds.y)
 
-    def test_spec_round_trip(self):
-        spec = DatasetSpec(kind="circle", n=100, circle_prob=0.002, seed=5)
+    # A run draws its pool from the spec that its trace headers record, so
+    # every kind must come back from to_dict unchanged and build the same pool.
+    @pytest.mark.parametrize("fields", [
+        {"kind": "uniform-line", "n": 60, "seed": 4},
+        {"kind": "four-cluster-line", "n": 60, "seed": 6},
+        {"kind": "circle", "n": 100, "circle_prob": 0.002, "seed": 5},
+        {"kind": "csv", "label_column": 2, "positive_values": ["a", "b"], "header": False,
+         "schema": {"0": "numeric", "1": {"kind": "categorical", "levels": ["p", "q", "r"]}},
+         "scale_numeric": False},
+    ], ids=lambda fields: fields["kind"])
+    def test_spec_round_trip(self, tmp_path, fields):
+        if fields["kind"] == "csv":
+            path = tmp_path / "plain.csv"
+            path.write_text("0.5,p,a\n1.5,q,c\n-2.0,p,b\n3.0,r,c\n")
+            fields = {**fields, "path": str(path)}
+        spec = DatasetSpec(**fields)
         again = DatasetSpec.from_dict(spec.to_dict())
         assert again == spec
+        pool, pool_again = rl.make_dataset(spec), rl.make_dataset(again)
+        assert np.array_equal(pool.x, pool_again.x) and np.array_equal(pool.y, pool_again.y)
 
     def test_spec_without_kind_rejected(self):
         with pytest.raises(InvalidArgumentError, match="kind"):

@@ -20,7 +20,7 @@ from reuselab.experiments import (
     rerun_from_header,
     run_experiment,
 )
-from reuselab.seeding import ROLE_SELECTION, derive_seed
+from reuselab.seeding import ROLE_POOL, ROLE_SELECTION, derive_seed
 from reuselab.selection import load_trace
 
 
@@ -321,7 +321,23 @@ class TestDensityHistogram:
                 rl.DatasetSpec(kind="uniform-line", n=50), c0_list=(1.0,), runs=runs, bins=bins
             )
 
-    def test_rejects_non_1d_specs(self):
+    def test_draws_one_pool_per_run(self, monkeypatch):
+        real, specs = experiments.make_dataset, []
+
+        def make_dataset(spec):
+            specs.append(spec)
+            return real(spec)
+
+        monkeypatch.setattr(experiments, "make_dataset", make_dataset)
+        density_histogram(rl.DatasetSpec(kind="uniform-line", n=50), c0_list=(1.0,), runs=3,
+                          bins=4, base_seed=7)
+        assert [s.seed for s in specs] == [derive_seed(7, r, ROLE_POOL) for r in range(3)]
+
+    def test_rejects_non_1d_specs(self, monkeypatch):
+        def no_pool(spec):
+            raise AssertionError("a pool was drawn for a kind without a density support")
+
+        monkeypatch.setattr(experiments, "make_dataset", no_pool)
         with pytest.raises(InvalidArgumentError):
             density_histogram(
                 rl.DatasetSpec(kind="circle", n=100), c0_list=(1.0,), runs=2, bins=4

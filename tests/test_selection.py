@@ -75,10 +75,17 @@ class TestSelectionProbability:
             ((1.0, 5, 0.1, 1), "log_base"),
             ((1.0, 5, 0.1, -2), "log_base"),
             ((1.0, 5, 0.1, math.nan), "log_base"),
+            ((math.inf, 5, 0.1), "g"),
+            ((1.0, 5, math.inf), "c0"),
+            ((1.0, 5, 0.1, math.inf), "log_base"),
         ]
         for args, name in bad:
             with pytest.raises(InvalidArgumentError, match=f"^{name} must be"):
                 rl.selection_probability(*args)
+        for knobs, name in [({"c0": math.inf}, "c0"),
+                            ({"c0": 1.0, "log_base": math.inf}, "log_base")]:
+            with pytest.raises(InvalidArgumentError, match=f"^{name} must be"):
+                rl.IwalConfig(**knobs)
 
     @given(
         g1=st.floats(1e-6, 1e3), g2=st.floats(1e-6, 1e3),
