@@ -14,8 +14,6 @@ nothing else.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
@@ -23,7 +21,7 @@ from dataclasses import MISSING, asdict, astuple, fields, replace
 from datetime import datetime, timezone
 
 from . import __version__
-from .datasets import GENERATOR_KINDS, DatasetSpec, export_csv, make_dataset
+from .datasets import GENERATOR_KINDS, DatasetSpec, csv_text, export_csv, make_dataset, write_text
 from .errors import ConfigError, InvalidArgumentError, ReuselabError, TraceFormatError
 from .experiments import (
     ConsumerSpec,
@@ -41,20 +39,6 @@ CURVE_COLUMNS = ("strategy", "consumer", "cell", "x_median", "mean_err", "sem",
                  "reps_used", "reps_dropped")
 REPORT_COLUMNS = ("strategy", "consumer", "cell", "x_median", "matched_n",
                   "mean_err_al", "mean_err_rd", "delta", "welch_t", "verdict")
-
-
-def _fmt(value) -> str:
-    return repr(float(value)) if isinstance(value, float) else str(value)
-
-
-def csv_text(columns, rows) -> str:
-    """A header of ``columns``, then one line per dataclass row, fields in order."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_fmt(value) for value in astuple(row)])
-    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -168,16 +152,16 @@ def cmd_run(args) -> int:
         print("error: every cell is empty (all repetitions dropped)", file=sys.stderr)
         return EXIT_DEGENERATE
 
-    curve_text = csv_text(CURVE_COLUMNS, result.curve)
-    report_text = csv_text(REPORT_COLUMNS, result.report)
-    _write(os.path.join(out_dir, "curve.csv"), curve_text)
-    _write(os.path.join(out_dir, "report.csv"), report_text)
+    curve_text = csv_text(CURVE_COLUMNS, map(astuple, result.curve))
+    write_text(os.path.join(out_dir, "curve.csv"), curve_text)
+    write_text(os.path.join(out_dir, "report.csv"),
+               csv_text(REPORT_COLUMNS, map(astuple, result.report)))
     trace_files = []
     if result.traces:
         trace_dir = os.path.join(out_dir, "traces")
         os.makedirs(trace_dir, exist_ok=True)
         for fname, text in result.traces:
-            _write(os.path.join(trace_dir, fname), text)
+            write_text(os.path.join(trace_dir, fname), text)
             trace_files.append(os.path.join("traces", fname))
     manifest = {
         "tool": "reuselab",
@@ -188,19 +172,14 @@ def cmd_run(args) -> int:
         "config": config_to_dict(result.config),
         "outputs": {"curve": "curve.csv", "report": "report.csv", "traces": trace_files},
     }
-    _write(os.path.join(out_dir, "manifest.json"),
-           json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_text(os.path.join(out_dir, "manifest.json"),
+               json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
     if args.quiet:
         sys.stdout.write(curve_text)
     else:
         print(f"wrote {out_dir}/curve.csv, report.csv, manifest.json", file=sys.stderr)
     return EXIT_OK
-
-
-def _write(path, text):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
 
 
 def cmd_replay(args) -> int:
@@ -219,7 +198,7 @@ def cmd_report_merge(args) -> int:
             print(f"error: {path} is not a report CSV", file=sys.stderr)
             return EXIT_USAGE
         rows.extend(lines[1:])
-    _write(args.out, "\n".join([header] + rows) + "\n")
+    write_text(args.out, "\n".join([header] + rows) + "\n")
     print(f"merged {len(args.reports)} reports ({len(rows)} rows) into {args.out}")
     return EXIT_OK
 

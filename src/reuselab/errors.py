@@ -1,7 +1,7 @@
 """Exception types, and the JSON value rules, shared across the package."""
 
-import math
 from numbers import Integral, Real
+from sys import float_info
 
 
 def is_int(value) -> bool:
@@ -10,8 +10,8 @@ def is_int(value) -> bool:
 
 
 def is_number(value) -> bool:
-    """A finite JSON number: a ``Real`` that is not a bool, inf or NaN."""
-    return isinstance(value, Real) and not isinstance(value, bool) and abs(value) < math.inf
+    """A JSON number that fits a float: a ``Real``, not a bool, inf, NaN or a huge integer."""
+    return isinstance(value, Real) and not isinstance(value, bool) and abs(value) <= float_info.max
 
 
 class ReuselabError(Exception):

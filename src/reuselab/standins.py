@@ -12,10 +12,11 @@ exact positive counts.
 
 from __future__ import annotations
 
-import csv
 import itertools
 
 import numpy as np
+
+from .datasets import csv_text, write_text
 
 CAR_COLUMNS = ("buying", "maint", "doors", "persons", "lug_boot", "safety")
 CAR_LEVELS = {
@@ -64,14 +65,14 @@ MUSHROOM_ROWS = 8124
 MUSHROOM_COLUMN_COUNT = 20
 
 
-def mushroom_like_rows(seed: int = 20120705) -> list[list[str]]:
+def mushroom_like_rows() -> list[list[str]]:
     """8124 rows over 20 categorical columns, one with a '?' level.
 
     The label is driven mostly by an odor-like column (as in the original
     table) plus two interacting columns, then trimmed to exactly 4208
     positives.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(20120705)  # one fixed table
     level_counts = [6, 4, 9, 2, 9, 4, 3, 5, 2, 12, 2, 5, 4, 9, 9, 4, 3, 5, 6, 7]
     columns = []
     for j, count in enumerate(level_counts):
@@ -89,21 +90,18 @@ def mushroom_like_rows(seed: int = 20120705) -> list[list[str]]:
         + rng.normal(0.0, 0.25, size=MUSHROOM_ROWS)
     )
     order = np.argsort(score, kind="stable")[::-1]
-    labels = np.full(MUSHROOM_ROWS, "p", dtype=object)
+    labels = np.full(MUSHROOM_ROWS, "p")
     labels[order[:MUSHROOM_POSITIVE_COUNT]] = "e"
-    header_free_rows = []
-    for i in range(MUSHROOM_ROWS):
-        header_free_rows.append([str(columns[j][i]) for j in range(len(columns))] + [labels[i]])
-    return header_free_rows
+    return np.column_stack([*columns, labels]).tolist()
 
 
 def write_car_like_csv(path) -> None:
-    _write(path, list(CAR_COLUMNS) + ["class"], car_like_rows())
+    write_text(path, csv_text([*CAR_COLUMNS, "class"], car_like_rows()))
 
 
-def write_mushroom_like_csv(path, seed: int = 20120705) -> None:
+def write_mushroom_like_csv(path) -> None:
     header = [f"attr{j}" for j in range(MUSHROOM_COLUMN_COUNT)] + ["class"]
-    _write(path, header, mushroom_like_rows(seed))
+    write_text(path, csv_text(header, mushroom_like_rows()))
 
 
 def car_schema() -> dict:
@@ -113,9 +111,3 @@ def car_schema() -> dict:
 def mushroom_schema() -> dict:
     return {f"attr{j}": "categorical" for j in range(MUSHROOM_COLUMN_COUNT)}
 
-
-def _write(path, header, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)

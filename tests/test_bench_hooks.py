@@ -1,20 +1,36 @@
-"""The benchmark's tracer still finds every name it wraps.
+"""The benchmark's tracer still finds every name it wraps, and every
+workload still sets up.
 
 ``perfbench/spans.py`` replaces functions by name in ``reuselab.experiments``,
 ``reuselab.selection`` and ``reuselab.cli``. A refactor that renames or
 unbinds one of them breaks the benchmark, so this installs the tracer and
 restores it without running a workload, and then checks on a small run that
-every pool draw and split still passes through the wrapped names.
+every pool draw and split still passes through the wrapped names. Each
+workload of ``BENCHMARK.json`` then writes its inputs in a fresh process,
+as the benchmark's timed set-up does.
 """
 
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from reuselab import cli
 from reuselab.datasets import DatasetSpec
 from reuselab.experiments import ExperimentConfig
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
+WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+# The files each workload's set-up writes.
+INPUTS = {
+    "line-density": set(),
+    "circle-exact": {"config.json"},
+    "mushroom-table": {"config.json", "mushroom_like.csv"},
+}
 
 
 def load_spans():
@@ -52,3 +68,15 @@ def test_tracer_sees_the_size_probe_and_every_repetition():
     assert names.count("datasets.make_dataset") == 4
     assert names.count("datasets.split") == 4
     assert len(tracer.rep_latencies()) == 3
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_workload_sets_up(tmp_path, workload):
+    work = tmp_path / "work"
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
+         "--seed", "1", "--seconds", "0", "--setup-only", str(work)],
+        capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert {p.name for p in work.iterdir()} == INPUTS[workload]

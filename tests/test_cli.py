@@ -76,6 +76,20 @@ BAD_VALUES = [
     ("dataset.path-5", {"dataset": {**CSV_SPEC, "path": 5}}, "path"),
     ("dataset.circle_prob-NaN", {"dataset": {"kind": "circle", "n": 200, "circle_prob": math.nan}},
      "circle_prob"),
+    # integers too large for a float
+    ("c0_grid-10**400", {"c0_grid": [10**400]}, "c0_grid"),
+    ("iwal.log_base-10**400", {"iwal": {"log_base": 10**400}}, "log_base"),
+    ("consumer.ridge-10**400", {"consumers": [{"kind": "least-squares", "ridge": 10**400}]},
+     "ridge"),
+    ("consumer.cost-10**400", {"consumers": [{"kind": "svm-rbf", "cost": 10**400}]}, "cost"),
+    ("consumer.gamma-10**400", {"consumers": [{"kind": "svm-rbf", "gamma": 10**400}]}, "gamma"),
+] + [
+    (f"dataset.schema-levels-{name}",
+     {"dataset": {**CSV_SPEC, "schema": {"a": {"kind": "categorical", **entry}}}}, "schema")
+    for name, entry in [("5", {"levels": 5}), ("null", {"levels": None}),
+                        ("string", {"levels": "xz"}), ("empty", {"levels": []}),
+                        ("repeated", {"levels": ["x", "z", "x"]}), ("int", {"levels": [1, 2]}),
+                        ("extra-key", {"order": ["x"]})]
 ]
 
 
@@ -400,6 +414,7 @@ class TestReplay:
         ("erm_grid_resolution", "x", "erm_grid_resolution"),
         ("dataset.n", "x", "n must be"), ("split.test_prop", "x", "test_prop"),
         ("split.scale_numeric", "no", "scale_numeric"),
+        ("dataset.schema", {"f0": {"kind": "categorical", "levels": ["x", "x"]}}, "schema"),
     ])
     def test_header_bad_value_is_trace_error(self, tmp_path, capsys, path, value, named):
         trace = [t for t in self._run_with_traces(tmp_path) if "iwal_c0" in t.name][0]

@@ -191,6 +191,21 @@ class TestLoadCsv:
         with pytest.raises(UnknownCategoryError):
             rl.load_csv(path, "label", "y", schema)
 
+    @pytest.mark.parametrize("entry", [
+        "text", 5, {"kind": "numeric"}, {"kind": "categorical", "levels": 5},
+        {"kind": "categorical", "levels": None}, {"kind": "categorical", "levels": "rg"},
+        {"kind": "categorical", "levels": []}, {"kind": "categorical", "levels": ["r", "r"]},
+        {"kind": "categorical", "levels": ["r", 1]}, {"kind": "categorical", "order": ["r"]},
+    ], ids=["text", "5", "kind-numeric", "levels-5", "levels-null", "levels-string",
+            "levels-empty", "levels-repeated", "levels-int", "extra-key"])
+    def test_bad_schema_entry(self, tmp_path, entry):
+        path = tmp_path / "lvl.csv"
+        path.write_text("c,label\nr,y\ng,n\n")
+        with pytest.raises(DataFormatError, match="column 'c': schema entry must be"):
+            rl.load_csv(path, "label", "y", {"c": entry})
+        with pytest.raises(InvalidArgumentError, match="column 'c': schema entry must be"):
+            DatasetSpec(kind="csv", path=str(path), positive_values=["y"], schema={"c": entry})
+
     @pytest.mark.parametrize("index", [3, 7, -4])
     def test_label_column_index_out_of_range(self, tmp_path, index):
         path = tmp_path / "three.csv"

@@ -1,11 +1,13 @@
-"""Pinned sha256 of the files ``reuselab run`` writes.
+"""Pinned sha256 of the files the lab writes.
 
 Replay compares parsed values, so a formatting drift that still parses
 would pass it; these hashes catch any change in the bytes of the curve,
 the report and one trace per strategy. The run covers all four strategies,
 every consumer kind and exact-ERM ``g``, serially and in a process pool,
-where repetition outcomes reach the parent process pickled. Update a hash
-only in a change that means to alter that file's format or content.
+where repetition outcomes reach the parent process pickled. The table
+pins cover the two categorical stand-ins and ``reuselab gen`` of every
+generated kind. Update a hash only in a change that means to alter that
+file's format or content.
 """
 
 import hashlib
@@ -15,6 +17,7 @@ import pytest
 
 from reuselab.cli import main
 from reuselab.experiments import CONSUMER_KINDS
+from reuselab.standins import write_car_like_csv, write_mushroom_like_csv
 
 CONFIG = {
     "dataset": {"kind": "circle", "n": 240, "circle_prob": 0.05},
@@ -56,3 +59,29 @@ def test_run_output_bytes_are_pinned(tmp_path, jobs):
         name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in EXPECTED
     }
     assert got == EXPECTED
+
+
+TABLES = {
+    "car-like":
+        "f72bf0421e033671ea3f47d6de8b144e482bf44acf4c6fc3f7acdee340c78179",
+    "mushroom-like":
+        "db19eeea08569693962f0a50ac707c8c291ba6099aa45fbe177ff1f1d9dfd983",
+    "uniform-line":
+        "e52bd65d1fdaf7600886913ddd5f38c6dfd15e98a80c07c937a189500a6196c1",
+    "four-cluster-line":
+        "3a328b97a5d358218f3f098c02c8fc522f8e209dd96785b6860d26d93536c61c",
+    "circle":
+        "0a80090943880e3671a76aa6b953a00f2a1657e5eb82f1ac75b15c6bab3b1f8e",
+}
+
+
+@pytest.mark.parametrize("table", sorted(TABLES))
+def test_table_bytes_are_pinned(tmp_path, table):
+    path = tmp_path / "table.csv"
+    if table == "car-like":
+        write_car_like_csv(path)
+    elif table == "mushroom-like":
+        write_mushroom_like_csv(path)
+    else:
+        assert main(["gen", table, "--n", "3000", "--seed", "5", "--out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == TABLES[table]

@@ -78,6 +78,7 @@ class TestSelectionProbability:
             ((math.inf, 5, 0.1), "g"),
             ((1.0, 5, math.inf), "c0"),
             ((1.0, 5, 0.1, math.inf), "log_base"),
+            ((10**400, 5, 0.1), "g"),
         ]
         for args, name in bad:
             with pytest.raises(InvalidArgumentError, match=f"^{name} must be"):
