@@ -56,7 +56,6 @@ from .learners import (
     online_linear_update,
     poly3_kernel,
     rbf_kernel,
-    weighted_error,
     zero_one_error,
 )
 from .selection import (

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 import os
 from dataclasses import dataclass, fields, replace
 from typing import Mapping, Sequence
@@ -28,6 +27,8 @@ from .errors import (
 
 NUMERIC = "numeric"
 ONE_HOT = "one-hot-block"
+# The largest array length numpy accepts.
+MAX_LENGTH = int(np.iinfo(np.intp).max)
 
 
 @dataclass(frozen=True)
@@ -105,17 +106,6 @@ FOUR_CLUSTER_PROBS = (0.01, 0.49, 0.49, 0.01)
 FOUR_CLUSTER_LABELS = (1, -1, 1, -1)
 
 
-def four_cluster_label(x: float) -> int:
-    """Label of a 1-D position under the +,-,+,- four-cluster layout."""
-    if x < -7.0:
-        return 1
-    if x < 0.0:
-        return -1
-    if x < 7.0:
-        return 1
-    return -1
-
-
 def gen_four_cluster_line(n: int, seed: int) -> Dataset:
     """1-D four-cluster problem: two tiny edge clusters at 1% mass each.
 
@@ -135,18 +125,6 @@ def gen_four_cluster_line(n: int, seed: int) -> Dataset:
 
 CIRCLE_R_INNER = 9.9
 CIRCLE_R_OUTER = 10.2
-
-
-def circle_label(point: Sequence[float]) -> int:
-    """Label of a 2-D position in the two-clusters-plus-ring layout.
-
-    Inside the central square the halves split at x=0 (-1 left, +1 right);
-    ring points carry the label opposite to the nearest half.
-    """
-    x = float(point[0])
-    on_ring = math.hypot(float(point[0]), float(point[1])) >= CIRCLE_R_INNER
-    cluster = -1 if x < 0.0 else 1
-    return -cluster if on_ring else cluster
 
 
 def gen_circle(n: int, circle_prob: float, seed: int) -> Dataset:
@@ -178,22 +156,49 @@ def gen_circle(n: int, circle_prob: float, seed: int) -> Dataset:
 CATEGORICAL = "categorical"
 
 
-def load_csv(
-    path: str | os.PathLike,
-    label_column: str | int,
-    positive_values: Sequence[str] | str,
-    schema: Mapping[str, object],
-    header: bool = True,
-) -> Dataset:
-    """Load a delimited text file into a Dataset.
+@dataclass(frozen=True)
+class CsvTable:
+    """A parsed CSV pool, stored compact: the numeric columns as float64, and
+    for each categorical column the code of every row's level (its place in
+    the column's level order). ``take`` encodes any rows as a ``Dataset``."""
+
+    numeric: np.ndarray     # (numeric columns, n)
+    numeric_at: np.ndarray  # the Dataset column of each numeric column
+    codes: np.ndarray       # (categorical columns, n)
+    block_at: np.ndarray    # (categorical columns, 1): the Dataset column of each level 0
+    y: np.ndarray
+    feature_kinds: tuple[str, ...]
+    feature_names: tuple[str, ...]
+
+    def __len__(self):
+        return len(self.y)
+
+    def take(self, rows: np.ndarray) -> Dataset:
+        """The encoded ``Dataset`` of ``rows``, in their order."""
+        x = np.zeros((len(rows), len(self.feature_kinds)))
+        x[:, self.numeric_at] = self.numeric[:, rows].T
+        x[np.arange(len(rows)), self.codes[:, rows] + self.block_at] = 1.0
+        return Dataset(x, self.y[rows], self.feature_kinds, self.feature_names)
+
+
+def load_csv(path, label_column, positive_values, schema, header=True) -> Dataset:
+    """The ``Dataset`` of every row of the file (see ``parse_csv``)."""
+    table = parse_csv(path, label_column, positive_values, schema, header)
+    return table.take(np.arange(len(table)))
+
+
+def parse_csv(path: str | os.PathLike, label_column: str | int,
+              positive_values: Sequence[str] | str, schema: Mapping[str, object],
+              header: bool = True) -> CsvTable:
+    """Parse a delimited text file into a ``CsvTable``.
 
     ``schema`` maps a column name (or stringified index when the file has no
     header) to ``"numeric"``, ``"categorical"``, or
     ``{"kind": "categorical", "levels": [...]}``; declaring levels makes any
-    other value an error. Categorical columns are expanded into one-hot
-    blocks with levels in sorted order; raw labels equal to one of
-    ``positive_values`` map to +1, everything else to -1. Row order is
-    preserved.
+    other value an error. A categorical column keeps each row's level code
+    (``take`` expands it into a one-hot block), levels in declared, else
+    sorted, order; raw labels equal to one of ``positive_values`` map to +1,
+    everything else to -1. Row order is preserved.
     """
     if isinstance(positive_values, str):
         positive_values = (positive_values,)
@@ -224,6 +229,8 @@ def load_csv(
     label_idx = columns.index(label_name)
 
     feature_cols = [c for c in columns if c != label_name]
+    if not feature_cols:
+        raise DataFormatError(f"{path}: no feature columns")
     for col in feature_cols:
         if col not in schema:
             raise DataFormatError(f"{path}: column {col!r} missing from schema")
@@ -236,23 +243,29 @@ def load_csv(
     if len(set(y.tolist())) < 2:
         raise SingleClassDataError(f"{path}: all rows map to a single class")
 
-    pieces: list[np.ndarray] = []
-    kinds: list[str] = []
-    names: list[str] = []
+    numeric, numeric_at, codes, block_at, kinds, names = [], [], [], [], [], []
     for col in feature_cols:
         values = by_column[columns.index(col)]
         kind, levels = _schema_entry(schema[col], col)
         if kind == NUMERIC:
-            pieces.append(_numeric_column(values, col, path))
+            numeric.append(_numeric_column(values, col, path))
+            numeric_at.append(len(kinds))
             kinds.append(NUMERIC)
             names.append(col)
         else:
-            block, block_levels = _one_hot_column(values, col, levels)
-            pieces.append(block)
-            kinds.extend([ONE_HOT] * len(block_levels))
-            names.extend(f"{col}={lev}" for lev in block_levels)
-    x = np.column_stack(pieces)
-    return Dataset(x, y, feature_kinds=tuple(kinds), feature_names=tuple(names))
+            levels, column_codes = _level_codes(values, col, levels)
+            codes.append(column_codes)
+            block_at.append(len(kinds))
+            kinds.extend([ONE_HOT] * len(levels))
+            names.extend(f"{col}={lev}" for lev in levels)
+    # Free the rows before building the table: a table built among them
+    # keeps their memory resident for as long as the run holds it, and the
+    # run's forked pool workers inherit that memory.
+    del rows, by_column, values
+    n = len(y)
+    return CsvTable(np.array(numeric).reshape(-1, n), np.array(numeric_at, dtype=np.intp),
+                    np.array(codes, dtype=np.min_scalar_type(len(kinds))).reshape(-1, n),
+                    np.array(block_at, dtype=np.intp)[:, None], y, tuple(kinds), tuple(names))
 
 
 def _read_rows(path):
@@ -289,21 +302,20 @@ def _numeric_column(values, col, path):
     if bad.size:
         i = bad[0]
         raise DataFormatError(f"{path}: row {i}, column {col!r}: not finite: {values[i]!r}")
-    return out[:, None]
+    return out
 
 
-def _one_hot_column(values, col, declared_levels):
+def _level_codes(values, col, declared_levels):
+    """(levels, each value's place in them): the declared levels, else the sorted values."""
     if declared_levels is None:
         levels = sorted(set(values))
     else:
-        levels = list(declared_levels)
+        levels = declared_levels
         extra = set(values) - set(levels)
         if extra:
             raise UnknownCategoryError(f"column {col!r}: undeclared categories {sorted(extra)}")
     index = {lev: j for j, lev in enumerate(levels)}
-    block = np.zeros((len(values), len(levels)))
-    block[np.arange(len(values)), [index[v] for v in values]] = 1.0
-    return block, levels
+    return levels, [index[v] for v in values]
 
 
 # ---------------------------------------------------------------------------
@@ -311,33 +323,39 @@ def _one_hot_column(values, col, declared_levels):
 
 
 def split(
-    dataset: Dataset,
+    dataset: Dataset | CsvTable,
     test_prop: float,
     seed: int,
     scale_numeric: bool = False,
 ) -> SplitPair:
-    """Random disjoint train/test partition; train order is shuffled.
+    """Random disjoint train/test partition of a ``Dataset`` or ``CsvTable``
+    (the same rows for a seed); both sides are ``Dataset``s, train shuffled.
 
     With ``scale_numeric`` the numeric columns of both sides are min-max
     scaled to [0, 1] using statistics of the train side only (one-hot
     blocks pass through untouched).
     """
-    n = len(dataset)
-    if not (is_number(test_prop) and 0.0 < test_prop < 1.0):
-        raise InvalidArgumentError(f"test_prop must be a number in (0, 1), not {test_prop!r}")
+    n_test, _ = split_sizes(len(dataset), test_prop)
     if not is_int(seed):
         raise InvalidArgumentError(f"split seed must be an integer, not {seed!r}")
     if not isinstance(scale_numeric, bool):
         raise InvalidArgumentError(f"scale_numeric must be true or false, not {scale_numeric!r}")
-    n_test = int(round(n * test_prop))
-    if n_test == 0 or n_test == n:
-        raise InvalidArgumentError("test_prop leaves train or test empty")
-    perm = np.random.default_rng(seed).permutation(n)
+    perm = np.random.default_rng(seed).permutation(len(dataset))
     test = dataset.take(perm[:n_test])
     train = dataset.take(perm[n_test:])
     if scale_numeric:
         train, test = _scale_pair(train, test)
     return SplitPair(train=train, test=test)
+
+
+def split_sizes(n: int, test_prop: float) -> tuple[int, int]:
+    """The (test, train) row counts of a ``split`` of ``n`` rows."""
+    if not (is_number(test_prop) and 0.0 < test_prop < 1.0):
+        raise InvalidArgumentError(f"test_prop must be a number in (0, 1), not {test_prop!r}")
+    n_test = int(round(n * test_prop))
+    if n_test == 0 or n_test == n:
+        raise InvalidArgumentError("test_prop leaves train or test empty")
+    return n_test, n - n_test
 
 
 def _scale_pair(train: Dataset, test: Dataset):
@@ -411,8 +429,9 @@ class DatasetSpec:
             raise InvalidArgumentError(f"path must be a string or null, not {self.path!r}")
         if self.kind == "csv" and not self.path:
             raise InvalidArgumentError("csv dataset spec needs a path")
-        if not is_int(self.n):
-            raise InvalidArgumentError(f"dataset n must be an integer, not {self.n!r}")
+        if not (is_int(self.n) and self.n <= MAX_LENGTH):
+            raise InvalidArgumentError(
+                f"dataset n must be an integer of at most {MAX_LENGTH}, not {self.n!r}")
         if self.kind != "csv" and self.n <= 0:
             raise InvalidArgumentError("generated dataset spec needs n > 0")
         if not (self.seed is None or is_int(self.seed)):

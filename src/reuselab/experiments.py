@@ -1,15 +1,16 @@
 """Repetition engine and statistics for learning-curve experiments.
 
 A run repeats the same protocol ``repetitions`` times with seeds derived
-from ``base_seed + r``: draw (or load) the pool, split it, run one selection
-pass per cell over the shared training order, train every consumer on each
-selection, and score it on the test side. A pass is its trace header: its
-pool and split come from the header's recipe by ``_draw_split`` and it runs
-by ``_select``, as ``replay`` runs a saved one. A repetition returns arrays
-over the config's ``_cells``, NaN where a pass or fit was dropped; they are
-aggregated into curve points (mean error, std of the mean, median selected
-count) and into a reusability report that compares each active-learning
-cell against the random cell of the nearest size.
+from ``base_seed + r``: draw the pool (a CSV file is parsed once per run),
+split it, run one selection pass per cell over the shared training order,
+train every consumer on each selection, and score it on the test side. A
+pass is its trace header: its pool and split come from the header's recipe
+by ``_draw_split`` and it runs by ``_select``, as ``replay`` runs a saved
+one. A repetition returns arrays over the config's ``_cells``, NaN where a
+pass or fit was dropped; they are aggregated into curve points (mean error,
+std of the mean, median selected count) and into a reusability report that
+compares each active-learning cell against the random cell of the nearest
+size.
 
 Repetitions are independent jobs; with ``jobs > 1`` they execute in a
 process pool, and aggregation reduces them in repetition order so outputs
@@ -27,7 +28,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .datasets import DatasetSpec, SplitPair, make_dataset, resolve_spec, split
+from .datasets import (CsvTable, DatasetSpec, SplitPair, make_dataset, parse_csv, resolve_spec,
+                       split, split_sizes)
 from .errors import (
     ConvergenceError,
     DegenerateGridError,
@@ -297,13 +299,15 @@ def _header_value(header, key: str, kind=object):
     return value
 
 
-def _draw_split(recipe: Mapping) -> SplitPair:
+def _draw_split(recipe: Mapping, table: CsvTable | None = None) -> SplitPair:
     """The train/test pair that a recipe (a trace header, or ``_recipe``)
-    names: the only route from a recipe to data."""
-    dataset = make_dataset(DatasetSpec.from_dict(_header_value(recipe, "dataset", Mapping)))
+    names: the only route from a recipe to data. ``table``, if given, is
+    the recipe's CSV file, parsed once for the run."""
+    pool = table if table is not None else make_dataset(
+        DatasetSpec.from_dict(_header_value(recipe, "dataset", Mapping)))
     split_info = _header_value(recipe, "split", Mapping)
     keys = ("test_prop", "seed", "scale_numeric")
-    return split(dataset, *(_header_value(split_info, key) for key in keys))
+    return split(pool, *(_header_value(split_info, key) for key in keys))
 
 
 def _select(train, header: Mapping, shared: dict) -> SelectionResult:
@@ -339,9 +343,10 @@ def _select(train, header: Mapping, shared: dict) -> SelectionResult:
     return result if _header_value(header, "use_weights") else without_weights(result)
 
 
-def _run_repetition(config: ExperimentConfig, r: int) -> _RepOutcome:
+def _run_repetition(config: ExperimentConfig, r: int,
+                    table: CsvTable | None = None) -> _RepOutcome:
     recipe = _recipe(config, r)
-    pair = _draw_split(recipe)
+    pair = _draw_split(recipe, table)
     train, test = pair.train, pair.test
     passes = _pass_headers(config, r, recipe)
     counts = np.full(len(passes), np.nan)
@@ -378,14 +383,24 @@ def default_n_grid(n_train: int, points: int = 10) -> tuple[int, ...]:
     return tuple(int(v) for v in grid)
 
 
-def _normalize(config: ExperimentConfig) -> tuple[ExperimentConfig, int]:
-    n_train = len(_draw_split(_recipe(config, 0)).train)
+def _normalize(config: ExperimentConfig) -> tuple[ExperimentConfig, int, CsvTable | None]:
+    """The config with its default n grid, the train size, and a CSV pool's
+    table. A generated pool is sized by a probe draw and a table by
+    ``split_sizes``: a probe split of the table leaves memory behind that
+    the run's forked pool workers inherit."""
+    spec, table = config.dataset, None
+    if spec.kind == "csv":
+        table = parse_csv(spec.path, spec.label_column, spec.positive_values, spec.schema or {},
+                          spec.header)
+        n_train = split_sizes(len(table), config.test_prop)[1]
+    else:
+        n_train = len(_draw_split(_recipe(config, 0)).train)
     needs_n = {RANDOM, UNCERTAINTY} & set(config.strategies)
     if needs_n and not config.n_grid:
         config = replace(config, n_grid=default_n_grid(n_train))
     if any(n > n_train for n in config.n_grid):
         raise InvalidArgumentError(f"n_grid exceeds the training pool ({n_train})")
-    return config, n_train
+    return config, n_train, table
 
 
 def run_experiment(
@@ -394,11 +409,12 @@ def run_experiment(
     progress: Callable[[int, int], None] | None = None,
 ) -> ExperimentResult:
     """Run every repetition, aggregate curve points, and judge reusability."""
-    config, n_train = _normalize(config)
+    config, n_train, table = _normalize(config)
     reps = range(config.repetitions)
     with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
         outcomes = []
-        for out in (pool.map if pool else map)(_run_repetition, repeat(config), reps):
+        for out in (pool.map if pool else map)(_run_repetition, repeat(config), reps,
+                                               repeat(table)):
             outcomes.append(out)
             if progress:
                 progress(len(outcomes), config.repetitions)

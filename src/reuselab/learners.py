@@ -443,11 +443,3 @@ def zero_one_error(model, dataset: Dataset) -> float:
     if len(dataset) == 0:
         raise InvalidArgumentError("dataset is empty")
     return float(np.mean(model.predict(dataset.x) != dataset.y))
-
-
-def weighted_error(model, x, y, w) -> float:
-    """Normalized weight of the misclassified rows."""
-    x, y, w = as_arrays(x, y, w)
-    wrong = model.predict(x) != y
-    return float(w[wrong].sum() / w.sum())
-

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .datasets import Dataset
+from .datasets import MAX_LENGTH, Dataset
 from .errors import DegenerateGridError, InvalidArgumentError, TraceFormatError, is_int, is_number
 from .learners import (
     inv_sqrt_schedule,
@@ -57,8 +57,9 @@ class IwalConfig:
         if self.gk_mode not in (SURROGATE, EXACT_ERM):
             raise InvalidArgumentError(f"unknown gk_mode {self.gk_mode!r}")
         res = self.erm_grid_resolution
-        if not (is_int(res) and res >= 2):
-            raise InvalidArgumentError(f"erm_grid_resolution must be an integer >= 2, not {res!r}")
+        if not (is_int(res) and 2 <= res <= MAX_LENGTH):
+            raise InvalidArgumentError(
+                f"erm_grid_resolution must be an integer from 2 to {MAX_LENGTH}, not {res!r}")
         if not is_int(self.seed):
             raise InvalidArgumentError(f"seed must be an integer, not {self.seed!r}")
         base = self.log_base

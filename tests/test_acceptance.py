@@ -21,6 +21,7 @@ from reuselab.selection import trace_columns
 from reuselab.standins import car_schema
 
 from dual_oracle import svm_dual_optimum
+from estimates import weighted_error
 
 JOBS = 4
 
@@ -165,7 +166,7 @@ def test_criterion_5_unbiasedness():
         rl.select_iwal(pool, rl.IwalConfig(c0=3.0, seed=derive_seed(505, r))) for r in range(1000)
     )
     vals = np.array([
-        rl.weighted_error(model, pool.x[sel.indices], pool.y[sel.indices], sel.weights)
+        weighted_error(model, pool.x[sel.indices], pool.y[sel.indices], sel.weights)
         for sel in selections
     ])
     se = vals.std(ddof=1) / math.sqrt(len(vals))

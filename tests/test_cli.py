@@ -83,6 +83,10 @@ BAD_VALUES = [
      "ridge"),
     ("consumer.cost-10**400", {"consumers": [{"kind": "svm-rbf", "cost": 10**400}]}, "cost"),
     ("consumer.gamma-10**400", {"consumers": [{"kind": "svm-rbf", "gamma": 10**400}]}, "gamma"),
+    # integers too long for an array
+    ("dataset.n-10**400", {"dataset": {"kind": "uniform-line", "n": 10**400}}, "dataset n"),
+    ("iwal.erm_grid_resolution-10**400", {"iwal": {"erm_grid_resolution": 10**400}},
+     "erm_grid_resolution"),
 ] + [
     (f"dataset.schema-levels-{name}",
      {"dataset": {**CSV_SPEC, "schema": {"a": {"kind": "categorical", **entry}}}}, "schema")
@@ -301,6 +305,7 @@ class TestConfigSchema:
             raise AssertionError("a pool was drawn before the config was checked")
 
         monkeypatch.setattr(experiments, "make_dataset", no_pool)
+        monkeypatch.setattr(experiments, "parse_csv", no_pool)
         cfg = write_config(tmp_path, {**MINIMAL_CONFIG, **edit})
         assert main(["run", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err.splitlines()[-1]

@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 import reuselab as rl
 from reuselab.datasets import (
+    CIRCLE_R_INNER,
     FOUR_CLUSTER_EDGES,
     NUMERIC,
     ONE_HOT,
     DatasetSpec,
-    circle_label,
     export_csv,
-    four_cluster_label,
+    parse_csv,
 )
 from reuselab.errors import (
     DataFormatError,
@@ -22,6 +22,29 @@ from reuselab.errors import (
     UnknownCategoryError,
 )
 from reuselab.standins import car_schema, mushroom_schema
+
+
+def four_cluster_label(x: float) -> int:
+    """Label of a 1-D position under the +,-,+,- four-cluster layout."""
+    if x < -7.0:
+        return 1
+    if x < 0.0:
+        return -1
+    if x < 7.0:
+        return 1
+    return -1
+
+
+def circle_label(point) -> int:
+    """Label of a 2-D position in the two-clusters-plus-ring layout.
+
+    Inside the central square the halves split at x=0 (-1 left, +1 right);
+    ring points carry the label opposite to the nearest half.
+    """
+    x = float(point[0])
+    on_ring = math.hypot(float(point[0]), float(point[1])) >= CIRCLE_R_INNER
+    cluster = -1 if x < 0.0 else 1
+    return -cluster if on_ring else cluster
 
 
 def one_hot_blocks(dataset):
@@ -162,6 +185,12 @@ class TestLoadCsv:
         assert ds.feature_kinds == (NUMERIC, ONE_HOT, ONE_HOT)
         assert np.array_equal(ds.x[:, 0], [1.5, 2.5, 0.5])
 
+    def test_label_only_file(self, tmp_path):
+        path = tmp_path / "label.csv"
+        path.write_text("label\ny\nn\n")
+        with pytest.raises(DataFormatError, match="no feature columns"):
+            rl.load_csv(path, "label", "y", {})
+
     def test_missing_file_is_distinct_error(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             rl.load_csv(tmp_path / "absent.csv", "label", "y", {})
@@ -283,6 +312,25 @@ class TestSplit:
         for bad in ("no", 0, 1, None):
             with pytest.raises(InvalidArgumentError, match="scale_numeric"):
                 rl.split(ds, 0.5, seed=1, scale_numeric=bad)
+
+    @pytest.mark.parametrize("scale", [False, True])
+    def test_parsed_table_splits_as_its_dataset(self, tmp_path, car_like_path, scale):
+        mixed = tmp_path / "mixed.csv"
+        mixed.write_text("a,c,b,d,label\n1.5,x,2,p,y\n-3,z,0.25,q,n\n7,x,1,q,y\n"
+                         "0,y,8,p,n\n2,z,2,p,y\n")
+        schema = {"a": "numeric", "b": "numeric", "d": "categorical",
+                  "c": {"kind": "categorical", "levels": ["z", "x", "y", "w"]}}
+        for args in ((mixed, "label", "y", schema), (car_like_path, "class", ("acc",), car_schema())):
+            table, dataset = parse_csv(*args), rl.load_csv(*args)
+            for seed in (1, 2):
+                by_table = rl.split(table, 0.4, seed, scale)
+                by_dataset = rl.split(dataset, 0.4, seed, scale)
+                for side in ("train", "test"):
+                    got, want = getattr(by_table, side), getattr(by_dataset, side)
+                    assert got.x.flags.c_contiguous and want.x.flags.c_contiguous
+                    assert np.array_equal(got.x, want.x) and np.array_equal(got.y, want.y)
+                    assert got.feature_kinds == want.feature_kinds
+                    assert got.feature_names == want.feature_names
 
     def test_numeric_scaling_uses_train_stats(self, tmp_path):
         path = tmp_path / "scale.csv"

@@ -268,6 +268,26 @@ class TestRunExperiment:
             assert len(res.report) == 4  # 2 uncertainty cells + iwal + no-weights
 
 
+    def test_csv_pool_lives_for_one_run(self, tmp_path):
+        def write(path, n):
+            rows = [f"{v * 0.37 % 5!r},{'ab'[v % 2]},{'y' if v % 3 else 'n'}" for v in range(n)]
+            path.write_text("\n".join(["x,c,label", *rows]) + "\n")
+
+        def run(path):
+            spec = rl.DatasetSpec(kind="csv", path=str(path), label_column="label",
+                                  positive_values=("y",), schema={"x": "numeric", "c": "categorical"})
+            return run_experiment(line_config(dataset=spec, repetitions=2))
+
+        path, fresh = tmp_path / "pool.csv", tmp_path / "fresh.csv"
+        write(path, 120)
+        first = run(path)
+        write(path, 160)
+        write(fresh, 160)
+        second, expected = run(path), run(fresh)
+        assert (first.n_train, second.n_train) == (90, 120)
+        assert repr((second.curve, second.report)) == repr((expected.curve, expected.report))
+
+
 class TestDensityHistogram:
     def test_always_select_regime_is_uniform(self):
         runs, n, bins = 60, 400, 10

@@ -14,6 +14,7 @@ from reuselab.learners import LinearModel, make_online_model
 from reuselab.standins import car_schema, mushroom_schema
 
 from dual_oracle import svm_dual_optimum
+from estimates import weighted_error
 
 
 def constant_schedule(eta: float):
@@ -570,18 +571,18 @@ class TestErrorMeasures:
             ([-1.0], -1, 3.0),  # correct
             ([1.0], -1, 3.0),   # wrong, weight 3 of 10
         ])
-        assert rl.weighted_error(model, *samples) == pytest.approx(0.3, abs=1e-15)
+        assert weighted_error(model, *samples) == pytest.approx(0.3, abs=1e-15)
 
     def test_uniform_weights_match_zero_one(self):
         ds = rl.gen_uniform_line(100, seed=24)
         model = LinearModel("least-squares", theta=np.array([1.0]), bias=0.2)
         weights = np.full(len(ds), 2.5)
-        assert rl.weighted_error(model, ds.x, ds.y, weights) == rl.zero_one_error(model, ds)
+        assert weighted_error(model, ds.x, ds.y, weights) == rl.zero_one_error(model, ds)
 
     def test_empty_inputs_rejected(self):
         model = LinearModel("least-squares", theta=np.array([1.0]), bias=0.0)
         with pytest.raises(InvalidArgumentError):
-            rl.weighted_error(model, np.empty((0, 1)), np.empty(0), np.empty(0))
+            weighted_error(model, np.empty((0, 1)), np.empty(0), np.empty(0))
 
     @pytest.mark.parametrize("fit", [rl.fit_least_squares, rl.fit_svm, rl.fit_online_linear])
     def test_bad_weights_and_shapes_rejected(self, fit):

@@ -22,6 +22,8 @@ from reuselab.selection import (
     trace_to_text,
 )
 
+from estimates import weighted_error
+
 
 class TestSelectionProbability:
     def test_twenty_hand_evaluated_triples(self):
@@ -393,7 +395,7 @@ class TestSelectIwal:
             rl.select_iwal(pool, rl.IwalConfig(c0=3.0, seed=derive_seed(54, r))) for r in range(200)
         )
         vals = [
-            rl.weighted_error(model, pool.x[sel.indices], pool.y[sel.indices], sel.weights)
+            weighted_error(model, pool.x[sel.indices], pool.y[sel.indices], sel.weights)
             for sel in selections
         ]
         se = np.std(vals, ddof=1) / math.sqrt(len(vals))
