@@ -9,6 +9,8 @@ seed: the variate for stream position ``i`` is a pure function of
 surrounding code is refactored.
 """
 
+from __future__ import annotations
+
 import numpy as np
 
 # Fixed role tags for derive_seed so call sites stay collision-free.
@@ -23,7 +25,15 @@ def derive_seed(*parts: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def coin_stream(seed: int) -> np.random.Generator:
+    """The Philox generator of one selection pass's coins.
+
+    Successive ``random`` draws continue the stream, so drawing it in
+    blocks gives the same variates as one ``pass_uniforms`` call.
+    """
+    return np.random.Generator(np.random.Philox(key=int(seed) & (2**128 - 1)))
+
+
 def pass_uniforms(seed: int, n: int) -> np.ndarray:
     """Uniform[0,1) variates for one selection pass, one per stream index."""
-    gen = np.random.Generator(np.random.Philox(key=int(seed) & (2**128 - 1)))
-    return gen.random(n)
+    return coin_stream(seed).random(n)

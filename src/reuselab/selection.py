@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .learners import (
     make_online_model,
     online_linear_update,
 )
-from .seeding import pass_uniforms
+from .seeding import coin_stream, pass_uniforms
 
 RANDOM = "random"
 UNCERTAINTY = "uncertainty"
@@ -34,6 +35,9 @@ STRATEGIES = (RANDOM, UNCERTAINTY, IWAL, IWAL_NO_WEIGHTS)
 
 SURROGATE = "surrogate"
 EXACT_ERM = "exact-erm"
+
+# Steps of coins and pool columns the lanes form of select_iwal holds at once.
+_LANE_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -198,7 +202,9 @@ def select_uncertainty(train: Dataset, n: int, ranking_model) -> SelectionResult
     )
 
 
-def select_iwal(train: Dataset, config: IwalConfig) -> SelectionResult:
+def select_iwal(
+    train: Dataset | Sequence[Dataset], config: IwalConfig | Sequence[IwalConfig]
+) -> SelectionResult | list[SelectionResult]:
     """One sequential biased-coin pass over the training order.
 
     Every selected example is stored with weight 1/p and the online
@@ -220,7 +226,14 @@ def select_iwal(train: Dataset, config: IwalConfig) -> SelectionResult:
     one rounded multiply, so the bits are numpy's. Wider pools keep the
     numpy dot: at length 2 it differed from ``x0*t0 + x1*t1`` on about a
     quarter of random pairs.
+
+    Lanes form: ``select_iwal(pools, configs)`` takes equal-length
+    sequences of 1-D pools of one length and of surrogate configs with one
+    ``log_base``, runs every pass in lockstep (see ``_iwal_lanes``) and
+    returns one ``SelectionResult`` per lane, each equal to its solo pass.
     """
+    if not isinstance(train, Dataset):
+        return _iwal_lanes(train, config)
     n = len(train)
     if n == 0:
         raise InvalidArgumentError("training pool is empty")
@@ -293,6 +306,89 @@ def select_iwal(train: Dataset, config: IwalConfig) -> SelectionResult:
         np.asarray(gs, dtype=np.float64),
         np.asarray(probabilities, dtype=np.float64),
     )
+
+
+def _iwal_lanes(trains, configs) -> list[SelectionResult]:
+    """R surrogate passes over 1-D pools, advanced one step at a time together.
+
+    Per step, every lane's score ``x * theta + bias``, ``g``, running
+    |score| sum, p and coin test are length-R numpy operations in the solo
+    loop's order, and ``log(k)`` is computed once; each lane that labels
+    calls ``online_linear_update`` itself, which keeps the scalar
+    ``(1 - q) ** importance``. So every lane equals its solo pass bit for
+    bit. Coins and pool columns are held ``_LANE_BLOCK`` steps at a time.
+    A lane whose solo pass would divide by a ``g * g`` that underflows to
+    0 raises the same ``ZeroDivisionError``.
+    """
+    if not (isinstance(trains, Sequence) and isinstance(configs, Sequence)):
+        raise InvalidArgumentError("the lanes form takes a sequence of pools and one of configs")
+    if not trains or len(trains) != len(configs):
+        raise InvalidArgumentError("the lanes form needs one config per pool, and at least one")
+    n = len(trains[0]) if isinstance(trains[0], Dataset) else 0
+    if not all(isinstance(t, Dataset) and t.dim == 1 and len(t) == n for t in trains):
+        raise InvalidArgumentError("the lanes form needs 1-D pools of one length")
+    if not all(isinstance(c, IwalConfig) and c.gk_mode == SURROGATE for c in configs):
+        raise InvalidArgumentError("the lanes form runs surrogate passes only")
+    log_base = configs[0].log_base
+    if any(c.log_base != log_base for c in configs):
+        raise InvalidArgumentError("the lanes form needs one log_base for every lane")
+    lanes = len(trains)
+    c0 = np.array([c.c0 for c in configs], dtype=np.float64)
+    schedules = [inv_sqrt_schedule(c.selector_eta0) for c in configs]
+    coins = [coin_stream(c.seed) for c in configs]
+    models = [make_online_model(1) for _ in trains]
+    theta, bias, abs_sum, mean, term = (np.zeros(lanes) for _ in range(5))
+    has_mean = np.empty(lanes, dtype=bool)
+    # the outputs; each step reads and writes one column of them, as a row of .T
+    gs, probabilities = np.zeros((lanes, n)), np.ones((lanes, n))
+    selected = np.zeros((lanes, n), dtype=bool)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for start in range(0, n, _LANE_BLOCK):
+            stop = min(start + _LANE_BLOCK, n)
+            # (steps, lanes) blocks: row j holds step start + j of every lane
+            scores = np.stack([t.x[start:stop, 0] for t in trains], axis=1)
+            labels = np.stack([t.y[start:stop] for t in trains], axis=1).tolist()
+            uniforms = np.stack([c.random(stop - start) for c in coins], axis=1)
+            steps = zip(range(start, stop), scores, labels, uniforms, gs.T[start:stop],
+                        probabilities.T[start:stop], selected.T[start:stop])
+            for idx, score, label, u, g, p, hit in steps:
+                np.multiply(score, theta, out=score)
+                np.add(score, bias, out=score)
+                np.abs(score, out=score)
+                if idx:
+                    # g = |score| / mean |score| so far, 0 where that mean is 0
+                    # (a sum of |score| is never negative; NaN divides, as solo)
+                    np.divide(abs_sum, idx, out=mean)
+                    np.not_equal(mean, 0.0, out=has_mean)
+                    np.divide(score, mean, out=g, where=has_mean)
+                    # p = min(1, (1/g^2 + 1/g) * c0 * log(k) / (k - 1)); g = 0 gives inf
+                    log_k = math.log(idx + 1) if log_base is None else math.log(idx + 1, log_base)
+                    np.multiply(g, g, out=term)
+                    np.divide(1.0, term, out=term)
+                    np.divide(1.0, g, out=p)
+                    np.add(term, p, out=term)
+                    np.multiply(term, c0, out=term)
+                    np.multiply(term, log_k, out=term)
+                    np.divide(term, idx, out=term)
+                    np.fmin(term, 1.0, out=p)  # Python's min(1.0, v): 1.0 for a NaN v
+                np.add(abs_sum, score, out=abs_sum)
+                hits = np.less(u, p, out=hit).nonzero()[0]
+                if not hits.size:
+                    continue
+                p_list = p.tolist()
+                for r in hits.tolist():
+                    model = online_linear_update(models[r], trains[r].x[idx], label[r],
+                                                 1.0 / p_list[r], schedules[r])
+                    models[r] = model
+                    theta[r], bias[r] = model.theta[0], model.bias
+            g_block = gs[:, start:stop]
+            if np.any((g_block != 0.0) & (g_block * g_block == 0.0)):
+                raise ZeroDivisionError("float division by zero")
+    results = []
+    for g, p, hit in zip(gs, probabilities, selected):
+        indices = hit.nonzero()[0]
+        results.append(SelectionResult(IWAL, indices, 1.0 / p[indices], g, p))
+    return results
 
 
 def without_weights(result: SelectionResult) -> SelectionResult:

@@ -4,8 +4,9 @@ workload still sets up.
 ``perfbench/spans.py`` replaces functions by name in ``reuselab.experiments``,
 ``reuselab.selection`` and ``reuselab.cli``. A refactor that renames or
 unbinds one of them breaks the benchmark, so this installs the tracer and
-restores it without running a workload, and then checks on a small run that
-every pool draw and split still passes through the wrapped names. Each
+restores it without running a workload, and then checks on small runs that
+every pool draw and split still passes through the wrapped names, and that
+line-density's IWAL calls and selector updates are still counted. Each
 workload of ``BENCHMARK.json`` then writes its inputs in a fresh process,
 as the benchmark's timed set-up does.
 """
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from reuselab import cli
+from reuselab import cli, experiments
 from reuselab.datasets import DatasetSpec
 from reuselab.experiments import ExperimentConfig
 
@@ -68,6 +69,23 @@ def test_tracer_sees_the_size_probe_and_every_repetition():
     assert names.count("datasets.make_dataset") == 4
     assert names.count("datasets.split") == 4
     assert len(tracer.rep_latencies()) == 3
+
+
+def test_tracer_counts_the_lanes_call_and_its_updates():
+    # line-density's layer counts: a surrogate density_histogram runs its
+    # passes as one lanes call of select_iwal, whose labels each update the
+    # selector through the wrapped online_linear_update
+    tracer = load_spans().Tracer()
+    try:
+        tracer.install()
+        experiments.density_histogram(DatasetSpec(kind="uniform-line", n=60),
+                                      c0_list=(1.0, 3.0), runs=2, bins=4, base_seed=5)
+    finally:
+        tracer.restore()
+    names = [span[1] for span in tracer.spans]
+    assert names.count("experiments.density_histogram") == 1
+    assert names.count("selection.select_iwal") == 1
+    assert tracer.counts["selection.online_linear_update.calls"] > 0
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)

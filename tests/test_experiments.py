@@ -6,6 +6,7 @@ import pytest
 
 import reuselab as rl
 from reuselab import experiments
+from reuselab.datasets import resolve_spec
 from reuselab.errors import DegenerateGridError, InvalidArgumentError
 from reuselab.experiments import (
     EMPTY_CELL,
@@ -288,6 +289,32 @@ class TestRunExperiment:
         assert repr((second.curve, second.report)) == repr((expected.curve, expected.report))
 
 
+DENSITY_C0S = (0.5, 2.0, 8.0)
+# the most runs density_histogram gives one lanes call at three c0 values
+GROUP_RUNS = experiments._DENSITY_LANES // len(DENSITY_C0S)
+
+
+def solo_density_rows(spec, c0_list, runs, bins, base_seed, **knobs):
+    """``density_histogram``'s rows from one solo pass per run and c0, in that order."""
+    edges = np.linspace(*experiments._SUPPORT[spec.kind], bins + 1)
+    raw, weighted = np.zeros((len(c0_list), bins)), np.zeros((len(c0_list), bins))
+    for r in range(runs):
+        pool = rl.make_dataset(resolve_spec(spec, derive_seed(base_seed, r, ROLE_POOL)))
+        for ci, c0 in enumerate(c0_list):
+            config = rl.IwalConfig(c0=c0, seed=derive_seed(base_seed, r, ROLE_SELECTION, ci),
+                                   **knobs)
+            sel = rl.select_iwal(pool, config)
+            xs = pool.x[sel.indices, 0]
+            raw[ci] += np.histogram(xs, bins=edges)[0]
+            weighted[ci] += np.histogram(xs, bins=edges, weights=sel.weights)[0]
+    return [
+        experiments.DensityRow(float(c0), b, float(edges[b]), float(edges[b + 1]),
+                               float(raw[ci, b] / raw[ci].sum()),
+                               float(weighted[ci, b] / weighted[ci].sum()))
+        for ci, c0 in enumerate(c0_list) for b in range(bins)
+    ]
+
+
 class TestDensityHistogram:
     def test_always_select_regime_is_uniform(self):
         runs, n, bins = 60, 400, 10
@@ -313,7 +340,9 @@ class TestDensityHistogram:
     def test_degenerate_pass_skips_only_its_run_and_c0(self, monkeypatch):
         spec = rl.DatasetSpec(kind="uniform-line", n=200)
         c0s = (0.5, 2.0)
-        clean = density_histogram(spec, c0_list=c0s, runs=6, bins=5, base_seed=12)
+        # only an exact-ERM pass can be degenerate; it runs solo
+        clean = density_histogram(spec, c0_list=c0s, runs=6, bins=5, base_seed=12,
+                                  gk_mode="exact-erm")
         real = experiments.select_iwal
         bad_seed = derive_seed(12, 3, ROLE_SELECTION, 0)
 
@@ -323,7 +352,8 @@ class TestDensityHistogram:
             return real(train, cfg)
 
         monkeypatch.setattr(experiments, "select_iwal", select_iwal)
-        rows = density_histogram(spec, c0_list=c0s, runs=6, bins=5, base_seed=12)
+        rows = density_histogram(spec, c0_list=c0s, runs=6, bins=5, base_seed=12,
+                                 gk_mode="exact-erm")
         by_c0 = {c0: [r for r in rows if r.c0 == c0] for c0 in c0s}
         clean_by_c0 = {c0: [r for r in clean if r.c0 == c0] for c0 in c0s}
         assert by_c0[2.0] == clean_by_c0[2.0]
@@ -331,6 +361,35 @@ class TestDensityHistogram:
         for c0 in c0s:
             assert sum(r.unweighted_mass for r in by_c0[c0]) == pytest.approx(1.0)
             assert sum(r.weighted_mass for r in by_c0[c0]) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("kind, knobs", [
+        ("uniform-line", {}),
+        ("four-cluster-line", {"log_base": 2, "selector_eta0": 0.1}),
+    ])
+    @pytest.mark.parametrize("runs", [1, GROUP_RUNS, GROUP_RUNS + 1])
+    def test_rows_equal_rows_from_solo_passes(self, kind, knobs, runs):
+        spec = rl.DatasetSpec(kind=kind, n=150)
+        rows = density_histogram(spec, c0_list=DENSITY_C0S, runs=runs, bins=6, base_seed=13,
+                                 **knobs)
+        assert rows == solo_density_rows(spec, DENSITY_C0S, runs, 6, 13, **knobs)
+
+    @pytest.mark.parametrize("arguments, match", [
+        ({"c0_list": 1.0}, "c0_list must be a list or tuple"),
+        ({"c0_list": (1.0, 2.0, 1.0)}, "c0_list entries must be distinct"),
+        ({"c0_list": (1, 1.0)}, "c0_list entries must be distinct"),
+        ({"c0_list": (1.0, 0.0)}, "c0_list entries must be positive numbers"),
+        ({"c0": 2.0}, "sets c0 per pass"),
+        ({"seed": 3}, "sets seed per pass"),
+        ({"bogus": 1}, "unknown IWAL knob 'bogus'"),
+    ])
+    def test_names_the_bad_argument(self, monkeypatch, arguments, match):
+        def no_pool(spec):
+            raise AssertionError("a pool was drawn for a call with a bad argument")
+
+        monkeypatch.setattr(experiments, "make_dataset", no_pool)
+        with pytest.raises(InvalidArgumentError, match=match):
+            density_histogram(rl.DatasetSpec(kind="uniform-line", n=50),
+                              **{"c0_list": (1.0,), "runs": 2, "bins": 4, **arguments})
 
     @pytest.mark.parametrize("runs, bins", [
         (2.5, 4), (2, 2.5), (True, 4), (2, True), (0, 4), (2, 0), ("2", 4),

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 import reuselab as rl
 from reuselab.errors import DegenerateGridError, InvalidArgumentError, TraceFormatError
+from reuselab.experiments import _DENSITY_LANES
 from reuselab.learners import inv_sqrt_schedule, make_online_model, online_linear_update
 from reuselab.seeding import derive_seed, pass_uniforms
 from reuselab.selection import (
@@ -14,6 +16,7 @@ from reuselab.selection import (
     IWAL,
     IWAL_NO_WEIGHTS,
     SelectionResult,
+    _LANE_BLOCK,
     _linear_grid,
     selection_probability,
     surrogate_error_difference,
@@ -566,6 +569,78 @@ class TestSelectorUpdates:
         res = rl.select_iwal(pool, rl.IwalConfig(c0=0.3, gk_mode=gk_mode, seed=72))
         assert 0 < res.selected_count < len(pool)
         assert len(calls) == res.selected_count
+
+
+LANE_POOLS = (rl.gen_uniform_line(300, seed=80), rl.gen_four_cluster_line(300, seed=81))
+LANE_C0S = (1e-3, 0.05, 0.5, 3.0, 100.0, 1e9)
+LANE_ETAS = (0.3, 0.05)
+
+
+def assert_same_pass(got, want, label):
+    for column in ("indices", "weights", "g", "probability"):
+        a, b = getattr(got, column), getattr(want, column)
+        assert a.dtype == b.dtype and np.array_equal(a, b), (label, column)
+
+
+class TestIwalLanes:
+    """The lanes form of ``select_iwal`` gives every lane its solo pass's bits."""
+
+    @pytest.mark.parametrize("log_base", [None, 2])
+    @pytest.mark.parametrize("lanes", [1, 2, _DENSITY_LANES + 7])
+    def test_every_lane_equals_its_solo_pass(self, lanes, log_base):
+        combos = itertools.cycle(itertools.product(LANE_POOLS, LANE_C0S, LANE_ETAS))
+        pools, configs = [], []
+        for i, (pool, c0, eta0) in zip(range(lanes), combos):
+            pools.append(pool)
+            configs.append(rl.IwalConfig(c0=c0, seed=derive_seed(82, i), log_base=log_base,
+                                         selector_eta0=eta0))
+        assert len(pools[0]) % _LANE_BLOCK != 0
+        results = rl.select_iwal(pools, configs)
+        assert len(results) == lanes
+        for pool, config, got in zip(pools, configs, results):
+            assert_same_pass(got, rl.select_iwal(pool, config), config)
+
+    def test_one_example_pools(self):
+        pool = rl.Dataset(np.array([[0.25]]), np.array([-1]))
+        configs = [rl.IwalConfig(c0=c0, seed=s) for s, c0 in enumerate((0.5, 2.0))]
+        for config, got in zip(configs, rl.select_iwal([pool, pool], configs)):
+            assert_same_pass(got, rl.select_iwal(pool, config), config)
+
+    def test_one_update_per_label(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return online_linear_update(*args, **kwargs)
+
+        monkeypatch.setattr(rl.selection, "online_linear_update", counted)
+        configs = [rl.IwalConfig(c0=c0, seed=s) for s, c0 in enumerate(LANE_C0S)]
+        results = rl.select_iwal([LANE_POOLS[0]] * len(configs), configs)
+        assert len(calls) == sum(res.selected_count for res in results) > 0
+
+    def test_underflowing_g_raises_as_the_solo_pass_does(self):
+        # g at step 2 is |bias| / (score1 / 2), about 1e-200, so g * g is 0
+        pool = rl.Dataset(np.array([[1.0], [1e200], [0.0], [0.5]]), np.array([1, 1, 1, -1]))
+        config = rl.IwalConfig(c0=1.0, seed=3)
+        with pytest.raises(ZeroDivisionError):
+            rl.select_iwal(pool, config)
+        with pytest.raises(ZeroDivisionError):
+            rl.select_iwal([LANE_POOLS[0].take(np.arange(4)), pool], [config, config])
+
+    @pytest.mark.parametrize("pools, configs", [
+        ([], []),
+        ([LANE_POOLS[0]], []),
+        ([LANE_POOLS[0]] * 2, [rl.IwalConfig(c0=1.0)]),
+        ([rl.gen_circle(300, circle_prob=0.05, seed=83)], [rl.IwalConfig(c0=1.0)]),
+        ([LANE_POOLS[0], rl.gen_uniform_line(299, seed=84)], [rl.IwalConfig(c0=1.0)] * 2),
+        ([LANE_POOLS[0]], [rl.IwalConfig(c0=1.0, gk_mode=EXACT_ERM)]),
+        ([LANE_POOLS[0]] * 2, [rl.IwalConfig(c0=1.0), rl.IwalConfig(c0=1.0, log_base=2)]),
+        ([LANE_POOLS[0]], rl.IwalConfig(c0=1.0)),
+    ], ids=["empty", "no-config", "one-config-short", "2-d", "lengths", "exact", "log-bases",
+            "one-config-bare"])
+    def test_rejects_lanes_it_cannot_run(self, pools, configs):
+        with pytest.raises(InvalidArgumentError, match="lanes form"):
+            rl.select_iwal(pools, configs)
 
 
 class TestTraceFormat:
