@@ -24,6 +24,7 @@ from .errors import (
     InvalidArgumentError,
     MissingClassError,
     SingularDataError,
+    is_int,
     is_number,
 )
 
@@ -36,7 +37,8 @@ _KERNEL_BLOCK = 1 << 15
 
 
 def as_arrays(x, y, w):
-    """Check (n, d) features with one label and one positive weight per row.
+    """Check (n, d) finite features with one label of -1 or +1 and one
+    positive finite weight per row.
 
     Returns all three as float64 arrays: the fits need float labels.
     """
@@ -47,8 +49,12 @@ def as_arrays(x, y, w):
         raise InvalidArgumentError("need at least one sample as an (n, d) feature matrix")
     if y.shape != (len(x),) or w.shape != (len(x),):
         raise InvalidArgumentError("labels and weights must align with the feature rows")
-    if np.any(w <= 0):
-        raise InvalidArgumentError("weights must be positive")
+    if not np.isfinite(x).all():
+        raise InvalidArgumentError("features must be finite numbers")
+    if not (np.abs(y) == 1.0).all():
+        raise InvalidArgumentError("labels must be -1 or +1")
+    if not (w.min() > 0 and w.max() < math.inf):  # a NaN fails both
+        raise InvalidArgumentError("weights must be positive finite numbers")
     return x, y, w
 
 
@@ -95,13 +101,40 @@ def make_online_model(dim: int) -> LinearModel:
     return LinearModel("online-linear", theta=np.zeros(dim), bias=0.0)
 
 
+@dataclass(eq=False)
+class OnlineLanes:
+    """R one-feature online selectors held as (R,) arrays, one entry per lane.
+
+    Lane r scores ``x * theta[r] + bias[r]`` after ``updates[r]`` steps of
+    size ``eta0[r] / sqrt(t)``. The lanes form of ``online_linear_update``
+    changes the arrays in place.
+    """
+
+    theta: np.ndarray
+    bias: np.ndarray
+    updates: np.ndarray
+    eta0: np.ndarray
+
+
+def make_online_lanes(eta0s) -> OnlineLanes:
+    """Untrained lanes, one per step-size base in ``eta0s``."""
+    if len(eta0s) == 0:
+        raise InvalidArgumentError("the lanes form needs at least one lane")
+    for eta0 in eta0s:
+        inv_sqrt_schedule(eta0)  # raises on an eta0 it cannot take
+    lanes = len(eta0s)
+    return OnlineLanes(theta=np.zeros(lanes), bias=np.zeros(lanes),
+                       updates=np.zeros(lanes, dtype=np.int64),
+                       eta0=np.array(eta0s, dtype=np.float64))
+
+
 def online_linear_update(
-    model: LinearModel,
+    model: LinearModel | OnlineLanes,
     features: np.ndarray,
     label: float,
     importance: float,
     schedule: Callable[[int], float] | None = None,
-) -> LinearModel:
+) -> LinearModel | OnlineLanes:
     """One importance-weighted squared-hinge gradient step.
 
     The step is scaled so that an importance of ``k`` reproduces exactly
@@ -110,9 +143,20 @@ def online_linear_update(
     so the combined step has the closed form ``(1 - (1-q)^k) / q`` with
     ``q = 2 * eta``. The raw step is normalized by the squared example
     norm, which keeps ``q`` below 1 for any feature scale.
+
+    Lanes form: ``online_linear_update(lanes, x, labels, importances)``
+    takes an ``OnlineLanes`` and three (R,) arrays and makes, in place,
+    every lane's step as the solo call with lane r's feature ``x[r]``,
+    label, importance and ``inv_sqrt_schedule(lanes.eta0[r])`` would, bit
+    for bit; it returns ``lanes``. A lane is left alone where the solo
+    call returns early: importance 0, or a margin of at least 1.
     """
-    if importance < 0:
-        raise InvalidArgumentError("importance must be non-negative")
+    if isinstance(model, OnlineLanes):
+        return _update_lanes(model, features, label, importance, schedule)
+    # refuses NaN too; inf, from 1/p on a p that underflows, makes the limit
+    # step (1 - 0) / q. is_number's ABC check would add a quarter to a call.
+    if not importance >= 0:
+        raise InvalidArgumentError(f"importance must be a non-negative number, not {importance!r}")
     x = np.asarray(features, dtype=np.float64)
     if x.shape != model.theta.shape:
         raise InvalidArgumentError(
@@ -138,8 +182,47 @@ def online_linear_update(
     )
 
 
+def _update_lanes(lanes: OnlineLanes, features, label, importance, schedule) -> OnlineLanes:
+    """The lanes form of ``online_linear_update``: the solo step's
+    operations in its order, one lane per array entry. A length-1 dot is
+    one rounded multiply, so ``x * theta`` has the solo call's bits."""
+    if schedule is not None:
+        raise InvalidArgumentError(
+            "the lanes form of online_linear_update takes its steps from the lanes' eta0, "
+            "not a schedule")
+    x, y, k = (np.asarray(a, dtype=np.float64) for a in (features, label, importance))
+    if not x.shape == y.shape == k.shape == lanes.theta.shape:
+        raise InvalidArgumentError(
+            f"the lanes form of online_linear_update needs one feature, label and importance "
+            f"per lane ({lanes.theta.shape[0]}), not {x.shape}, {y.shape} and {k.shape}")
+    if not np.minimum.reduce(k) >= 0.0:  # a NaN minimum fails too
+        raise InvalidArgumentError(
+            "the lanes form of online_linear_update needs non-negative importances")
+    margin = y * (x * lanes.theta + lanes.bias)
+    rows = ((k != 0.0) & ~(margin >= 1.0)).nonzero()[0]  # a NaN margin updates, as solo
+    if not rows.size:
+        return lanes
+    x, y, k, margin = x[rows], y[rows], k[rows], margin[rows]
+    t = lanes.updates[rows] + 1
+    eta = lanes.eta0[rows] / np.sqrt(t)
+    norm2 = x * x + 1.0
+    q = 2.0 * eta
+    if not (np.minimum.reduce(q) > 0.0 and np.maximum.reduce(q) < 1.0):
+        raise InvalidArgumentError("schedule step must lie in (0, 0.5)")
+    # one Python float power per lane: np.power rounds some of them differently
+    power = np.array([(1.0 - a) ** b for a, b in zip(q.tolist(), k.tolist())])
+    combined = (1.0 - power) / q
+    coef = 2.0 * (eta / norm2) * (1.0 - margin) * y * combined
+    lanes.theta[rows] += coef * x
+    lanes.bias[rows] += coef
+    lanes.updates[rows] = t
+    return lanes
+
+
 def fit_online_linear(x, y, w, eta0: float = 0.3, passes: int = 1) -> LinearModel:
     """Train the online linear model by streaming over the rows in order."""
+    if not (is_int(passes) and passes >= 1):
+        raise InvalidArgumentError(f"passes must be an integer >= 1, not {passes!r}")
     x, y, w = as_arrays(x, y, w)
     schedule = inv_sqrt_schedule(eta0)
     model = make_online_model(x.shape[1])
@@ -160,8 +243,8 @@ def fit_least_squares(x, y, w, ridge: float = 0.0) -> LinearModel:
     sample is identical to doubling its weight and a global weight rescale
     never changes the solution, with or without the ridge term.
     """
-    if ridge < 0:
-        raise InvalidArgumentError("ridge must be non-negative")
+    if not (is_number(ridge) and ridge >= 0):
+        raise InvalidArgumentError(f"ridge must be a number >= 0, not {ridge!r}")
     x, y, w = as_arrays(x, y, w)
     wn = w / w.sum()
     xa = np.column_stack((x, np.ones(len(x))))
@@ -277,8 +360,8 @@ class Kernel:
     def __post_init__(self):
         if self.kind not in ("linear", "poly3", "rbf"):
             raise InvalidArgumentError(f"unknown kernel {self.kind!r}")
-        if self.gamma is not None and self.gamma <= 0:
-            raise InvalidArgumentError("gamma must be positive")
+        if self.gamma is not None and not (is_number(self.gamma) and self.gamma > 0):
+            raise InvalidArgumentError(f"gamma must be a positive number, not {self.gamma!r}")
 
     def matrix(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Gram matrix of the float64 rows of ``a`` against those of ``b``.
@@ -357,8 +440,8 @@ def fit_svm(
     -inf / +inf) are the three rows of one (3, n) array, so a step is one
     ``state -= delta``; it can change the mask of entries i and j only.
     """
-    if cost <= 0:
-        raise InvalidArgumentError("cost must be positive")
+    if not (is_number(cost) and cost > 0):
+        raise InvalidArgumentError(f"cost must be a positive number, not {cost!r}")
     x, y, w = as_arrays(x, y, w)
     _require_both_classes(y)
     n = len(y)

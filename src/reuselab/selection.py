@@ -22,6 +22,7 @@ from .datasets import MAX_LENGTH, Dataset
 from .errors import DegenerateGridError, InvalidArgumentError, TraceFormatError, is_int, is_number
 from .learners import (
     inv_sqrt_schedule,
+    make_online_lanes,
     make_online_model,
     online_linear_update,
 )
@@ -313,12 +314,14 @@ def _iwal_lanes(trains, configs) -> list[SelectionResult]:
 
     Per step, every lane's score ``x * theta + bias``, ``g``, running
     |score| sum, p and coin test are length-R numpy operations in the solo
-    loop's order, and ``log(k)`` is computed once; each lane that labels
-    calls ``online_linear_update`` itself, which keeps the scalar
-    ``(1 - q) ** importance``. So every lane equals its solo pass bit for
-    bit. Coins and pool columns are held ``_LANE_BLOCK`` steps at a time.
-    A lane whose solo pass would divide by a ``g * g`` that underflows to
-    0 raises the same ``ZeroDivisionError``.
+    loop's order, and ``log(k)`` is computed once. The selectors are one
+    ``OnlineLanes``: a step where any lane labels makes one lanes-form
+    ``online_linear_update`` call, importance 1/p on the labeling lanes and
+    0 on the rest, which keeps the scalar ``(1 - q) ** importance``. So
+    every lane equals its solo pass bit for bit. Coins and pool columns are
+    held ``_LANE_BLOCK`` steps at a time. A lane whose solo pass would
+    divide by a ``g * g`` that underflows to 0 raises the same
+    ``ZeroDivisionError``.
     """
     if not (isinstance(trains, Sequence) and isinstance(configs, Sequence)):
         raise InvalidArgumentError("the lanes form takes a sequence of pools and one of configs")
@@ -334,10 +337,10 @@ def _iwal_lanes(trains, configs) -> list[SelectionResult]:
         raise InvalidArgumentError("the lanes form needs one log_base for every lane")
     lanes = len(trains)
     c0 = np.array([c.c0 for c in configs], dtype=np.float64)
-    schedules = [inv_sqrt_schedule(c.selector_eta0) for c in configs]
     coins = [coin_stream(c.seed) for c in configs]
-    models = [make_online_model(1) for _ in trains]
-    theta, bias, abs_sum, mean, term = (np.zeros(lanes) for _ in range(5))
+    selector = make_online_lanes([c.selector_eta0 for c in configs])
+    theta, bias = selector.theta, selector.bias  # updated in place
+    score, abs_sum, mean, term = (np.zeros(lanes) for _ in range(4))
     has_mean = np.empty(lanes, dtype=bool)
     # the outputs; each step reads and writes one column of them, as a row of .T
     gs, probabilities = np.zeros((lanes, n)), np.ones((lanes, n))
@@ -346,13 +349,13 @@ def _iwal_lanes(trains, configs) -> list[SelectionResult]:
         for start in range(0, n, _LANE_BLOCK):
             stop = min(start + _LANE_BLOCK, n)
             # (steps, lanes) blocks: row j holds step start + j of every lane
-            scores = np.stack([t.x[start:stop, 0] for t in trains], axis=1)
-            labels = np.stack([t.y[start:stop] for t in trains], axis=1).tolist()
+            xs = np.stack([t.x[start:stop, 0] for t in trains], axis=1)
+            labels = np.stack([t.y[start:stop] for t in trains], axis=1, dtype=np.float64)
             uniforms = np.stack([c.random(stop - start) for c in coins], axis=1)
-            steps = zip(range(start, stop), scores, labels, uniforms, gs.T[start:stop],
+            steps = zip(range(start, stop), xs, labels, uniforms, gs.T[start:stop],
                         probabilities.T[start:stop], selected.T[start:stop])
-            for idx, score, label, u, g, p, hit in steps:
-                np.multiply(score, theta, out=score)
+            for idx, x, label, u, g, p, hit in steps:
+                np.multiply(x, theta, out=score)
                 np.add(score, bias, out=score)
                 np.abs(score, out=score)
                 if idx:
@@ -372,15 +375,9 @@ def _iwal_lanes(trains, configs) -> list[SelectionResult]:
                     np.divide(term, idx, out=term)
                     np.fmin(term, 1.0, out=p)  # Python's min(1.0, v): 1.0 for a NaN v
                 np.add(abs_sum, score, out=abs_sum)
-                hits = np.less(u, p, out=hit).nonzero()[0]
-                if not hits.size:
+                if not np.less(u, p, out=hit).any():
                     continue
-                p_list = p.tolist()
-                for r in hits.tolist():
-                    model = online_linear_update(models[r], trains[r].x[idx], label[r],
-                                                 1.0 / p_list[r], schedules[r])
-                    models[r] = model
-                    theta[r], bias[r] = model.theta[0], model.bias
+                online_linear_update(selector, x, label, np.where(hit, 1.0 / p, 0.0))
             g_block = gs[:, start:stop]
             if np.any((g_block != 0.0) & (g_block * g_block == 0.0)):
                 raise ZeroDivisionError("float division by zero")

@@ -1,5 +1,10 @@
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -289,6 +294,10 @@ class TestRunExperiment:
         assert repr((second.curve, second.report)) == repr((expected.curve, expected.report))
 
 
+ROOT = Path(__file__).resolve().parents[1]
+# sha256 of the stdout of demos/02_density_of_selection.py: 150 surrogate runs
+# at two c0 values, so every pass goes through the lanes form of select_iwal
+DENSITY_DEMO_SHA256 = "a88a53ebfe36b4543754346e1348de8d4cb69e7b72fa0fac56fb650ae890f486"
 DENSITY_C0S = (0.5, 2.0, 8.0)
 # the most runs density_histogram gives one lanes call at three c0 values
 GROUP_RUNS = experiments._DENSITY_LANES // len(DENSITY_C0S)
@@ -372,6 +381,13 @@ class TestDensityHistogram:
         rows = density_histogram(spec, c0_list=DENSITY_C0S, runs=runs, bins=6, base_seed=13,
                                  **knobs)
         assert rows == solo_density_rows(spec, DENSITY_C0S, runs, 6, 13, **knobs)
+
+    def test_density_demo_prints_its_pinned_text(self):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        done = subprocess.run([sys.executable, str(ROOT / "demos" / "02_density_of_selection.py")],
+                              capture_output=True, env=env, timeout=300)
+        assert done.returncode == 0, done.stderr.decode()
+        assert hashlib.sha256(done.stdout).hexdigest() == DENSITY_DEMO_SHA256
 
     @pytest.mark.parametrize("arguments, match", [
         ({"c0_list": 1.0}, "c0_list must be a list or tuple"),

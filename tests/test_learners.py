@@ -10,7 +10,12 @@ from reuselab.errors import (
     MissingClassError,
     SingularDataError,
 )
-from reuselab.learners import LinearModel, make_online_model
+from reuselab.learners import (
+    LinearModel,
+    inv_sqrt_schedule,
+    make_online_lanes,
+    make_online_model,
+)
 from reuselab.standins import car_schema, mushroom_schema
 
 from dual_oracle import svm_dual_optimum
@@ -104,6 +109,162 @@ class TestOnlineLinear:
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidArgumentError):
             rl.online_linear_update(make_online_model(2), np.array([1.0]), 1, 1.0)
+
+
+# lanes: eta0, and the start state (theta, bias, updates) of its selector
+LANE_STARTS = (
+    (0.3, 0.0, 0.0, 0),
+    (0.05, 0.0, 0.0, 0),
+    (0.49, 0.0, 0.0, 0),
+    (0.05, -0.4, 0.2, 10**6),
+    (0.3, 1.5, -0.1, 10**9),
+    (0.49, 0.7, 0.3, 10**12),
+)
+
+
+def solo_lanes(starts):
+    """One solo model and schedule per lane start."""
+    return [(LinearModel("online-linear", theta=np.array([theta]), bias=bias, updates=t),
+             inv_sqrt_schedule(eta0)) for eta0, theta, bias, t in starts]
+
+
+def lanes_from(starts):
+    lanes = make_online_lanes([eta0 for eta0, _, _, _ in starts])
+    for r, (_, theta, bias, t) in enumerate(starts):
+        lanes.theta[r], lanes.bias[r], lanes.updates[r] = theta, bias, t
+    return lanes
+
+
+def assert_lanes_equal_solo(lanes, solo):
+    for r, (model, _) in enumerate(solo):
+        assert np.array_equal(lanes.theta[r:r + 1], model.theta, equal_nan=True), r
+        assert np.array_equal(lanes.bias[r], model.bias, equal_nan=True), r
+        assert lanes.updates[r] == model.updates, r
+
+
+def step_solo(solo, x, y, k):
+    """Each lane's solo ``online_linear_update`` call, lane by lane."""
+    return [(rl.online_linear_update(model, np.array([x[r]]), y[r], k[r], schedule), schedule)
+            for r, (model, schedule) in enumerate(solo)]
+
+
+class TestOnlineLanes:
+    """The lanes form of ``online_linear_update`` steps each lane as its solo call does."""
+
+    def test_random_steps_equal_solo_calls(self):
+        rng = np.random.default_rng(90)
+        lanes, solo = lanes_from(LANE_STARTS), solo_lanes(LANE_STARTS)
+        width = len(LANE_STARTS)
+        for step in range(400):
+            x = rng.normal(scale=10.0 ** rng.integers(-3, 4), size=width)
+            y = np.where(rng.random(width) < 0.5, -1.0, 1.0)
+            k = np.where(rng.random(width) < 0.6, 1.0 / rng.uniform(1e-6, 1.0, size=width), 0.0)
+            solo = step_solo(solo, x, y, k)
+            assert rl.online_linear_update(lanes, x, y, k) is lanes
+            assert_lanes_equal_solo(lanes, solo)
+        assert (lanes.updates > [t for _, _, _, t in LANE_STARTS]).all()
+
+    def test_confident_lanes_count_no_update(self):
+        # margins 2 and exactly 1 skip; 0.5 and a NaN margin update
+        starts = [(0.3, 2.0, 0.0, 5), (0.3, 1.0, 0.0, 5), (0.3, 0.5, 0.0, 5), (0.3, 0.5, 0.0, 5)]
+        lanes, solo = lanes_from(starts), solo_lanes(starts)
+        x, y, k = np.array([1.0, 1.0, 1.0, np.nan]), np.ones(4), np.full(4, 3.0)
+        solo = step_solo(solo, x, y, k)
+        rl.online_linear_update(lanes, x, y, k)
+        assert_lanes_equal_solo(lanes, solo)
+        assert lanes.updates.tolist() == [5, 5, 6, 6]
+        assert np.isnan(lanes.theta[3]) and not np.isnan(lanes.theta[:3]).any()
+
+    @pytest.mark.parametrize("eta0", [0.05, 0.3, 0.49])
+    def test_huge_importance_at_large_t(self, eta0):
+        starts = [(eta0, 0.1, -0.2, t) for t in (0, 1, 10**6, 10**12, 10**15)]
+        lanes, solo = lanes_from(starts), solo_lanes(starts)
+        for x in (0.8, -3.0, 1e-4):
+            xs, y, k = np.full(len(starts), x), np.full(len(starts), -1.0), np.full(len(starts), 1e9)
+            solo = step_solo(solo, xs, y, k)
+            rl.online_linear_update(lanes, xs, y, k)
+            assert_lanes_equal_solo(lanes, solo)
+
+    @pytest.mark.parametrize("x, y, k", [
+        (np.ones(3), np.ones(3), np.ones(2)),
+        (np.ones(2), np.ones(3), np.ones(3)),
+        (np.ones(4), np.ones(4), np.ones(4)),
+        (np.ones((3, 1)), np.ones(3), np.ones(3)),
+    ], ids=["importances", "features", "all-long", "2-d"])
+    def test_mismatched_lengths_rejected(self, x, y, k):
+        lanes = make_online_lanes([0.3] * 3)
+        with pytest.raises(InvalidArgumentError, match="lanes form"):
+            rl.online_linear_update(lanes, x, y, k)
+
+    @pytest.mark.parametrize("bad", [-1.0, -1e-300, np.nan])
+    def test_bad_importance_rejected_before_any_update(self, bad):
+        lanes = make_online_lanes([0.3] * 3)
+        with pytest.raises(InvalidArgumentError, match="lanes form"):
+            rl.online_linear_update(lanes, np.ones(3), np.ones(3), np.array([1.0, bad, 0.0]))
+        assert lanes.updates.tolist() == [0, 0, 0] and not lanes.theta.any()
+
+    def test_schedule_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="lanes form"):
+            rl.online_linear_update(make_online_lanes([0.3]), np.ones(1), np.ones(1),
+                                    np.ones(1), constant_schedule(0.2))
+
+    @pytest.mark.parametrize("eta0s", [[], [0.5], [0.3, 0.0], [np.nan]])
+    def test_bad_eta0_rejected(self, eta0s):
+        with pytest.raises(InvalidArgumentError):
+            make_online_lanes(eta0s)
+
+
+class TestLearnerArguments:
+    """Each learner refuses a bad argument with an error that names it."""
+
+    X, Y, W = np.array([[-1.0], [-0.5], [0.5], [1.0]]), np.array([-1, -1, 1, 1]), np.ones(4)
+
+    def test_nan_ridge(self):
+        with pytest.raises(InvalidArgumentError, match="ridge"):
+            rl.fit_least_squares(self.X, self.Y, self.W, ridge=np.nan)
+
+    def test_nan_cost(self):
+        with pytest.raises(InvalidArgumentError, match="cost"):
+            rl.fit_svm(self.X, self.Y, self.W, cost=np.nan)
+
+    @pytest.mark.parametrize("passes", [0, -2, 1.0, True])
+    def test_bad_passes(self, passes):
+        with pytest.raises(InvalidArgumentError, match="passes"):
+            rl.fit_online_linear(self.X, self.Y, self.W, passes=passes)
+
+    @pytest.mark.parametrize("importance", [np.nan, -1.0, -np.inf])
+    def test_bad_importance(self, importance):
+        with pytest.raises(InvalidArgumentError, match="importance"):
+            rl.online_linear_update(make_online_model(1), np.array([0.5]), 1, importance)
+
+    def test_infinite_importance_is_the_limit_step(self):
+        # 1/p overflows to inf for a subnormal p; (1 - q) ** inf is 0
+        model = rl.online_linear_update(make_online_model(1), np.array([0.5]), 1, math.inf)
+        assert model.updates == 1 and np.isfinite(model.theta).all()
+
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf, 0.0, -1.0])
+    def test_bad_rbf_gamma(self, gamma):
+        with pytest.raises(InvalidArgumentError, match="gamma"):
+            rl.rbf_kernel(gamma)
+
+    @pytest.mark.parametrize("fit", [rl.fit_lda, rl.fit_least_squares])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weight(self, fit, bad):
+        with pytest.raises(InvalidArgumentError, match="weights"):
+            fit(self.X, self.Y, np.array([1.0, bad, 1.0, 1.0]))
+
+    @pytest.mark.parametrize("fit", [rl.fit_lda, rl.fit_least_squares, rl.fit_svm])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_feature(self, fit, bad):
+        x = self.X.copy()
+        x[2, 0] = bad
+        with pytest.raises(InvalidArgumentError, match="features"):
+            fit(x, self.Y, self.W)
+
+    @pytest.mark.parametrize("fit", [rl.fit_lda, rl.fit_least_squares, rl.fit_qda])
+    def test_zero_one_labels(self, fit):
+        with pytest.raises(InvalidArgumentError, match="labels"):
+            fit(self.X, np.array([0, 0, 1, 1]), self.W)
 
 
 class TestLeastSquares:

@@ -606,7 +606,7 @@ class TestIwalLanes:
         for config, got in zip(configs, rl.select_iwal([pool, pool], configs)):
             assert_same_pass(got, rl.select_iwal(pool, config), config)
 
-    def test_one_update_per_label(self, monkeypatch):
+    def test_one_update_call_per_labeling_step(self, monkeypatch):
         calls = []
 
         def counted(*args, **kwargs):
@@ -614,9 +614,18 @@ class TestIwalLanes:
             return online_linear_update(*args, **kwargs)
 
         monkeypatch.setattr(rl.selection, "online_linear_update", counted)
-        configs = [rl.IwalConfig(c0=c0, seed=s) for s, c0 in enumerate(LANE_C0S)]
-        results = rl.select_iwal([LANE_POOLS[0]] * len(configs), configs)
-        assert len(calls) == sum(res.selected_count for res in results) > 0
+        pool = LANE_POOLS[0]
+        # c0 up to 3: some steps label in no lane, some in several
+        configs = [rl.IwalConfig(c0=c0, seed=s) for s, c0 in enumerate(LANE_C0S[:4])]
+        results = rl.select_iwal([pool] * len(configs), configs)
+        labeling_steps = np.zeros(len(pool), dtype=bool)
+        for res in results:
+            labeling_steps[res.indices] = True
+        labels = sum(res.selected_count for res in results)
+        assert 0 < len(calls) == labeling_steps.sum() < min(labels, len(pool))
+        monkeypatch.undo()
+        for config, got in zip(configs, results):
+            assert_same_pass(got, rl.select_iwal(pool, config), config)
 
     def test_underflowing_g_raises_as_the_solo_pass_does(self):
         # g at step 2 is |bias| / (score1 / 2), about 1e-200, so g * g is 0
