@@ -519,8 +519,10 @@ class DensityRow:
 _SUPPORT = {"uniform-line": (-1.0, 1.0), "four-cluster-line": (-7.5, 7.5)}
 # Surrogate passes density_histogram runs as one lanes call. Measured on a
 # 2-core host at n = 1,000: lanes beat solo passes from about 20 lanes and
-# level off from about 45, while the lanes' (R, n) state grows with R.
-_DENSITY_LANES = 45
+# larger groups share a step's fixed numpy cost among more lanes, while the
+# lanes' (R, n) state, about 28 kB a lane, grows with R: groups of 120 added
+# about 7% to line-density's peak RSS, groups of 60 under 2%.
+_DENSITY_LANES = 60
 
 
 def density_histogram(

@@ -144,12 +144,15 @@ def online_linear_update(
     ``q = 2 * eta``. The raw step is normalized by the squared example
     norm, which keeps ``q`` below 1 for any feature scale.
 
+    The label must be -1 or +1 and the importance a non-negative number.
+
     Lanes form: ``online_linear_update(lanes, x, labels, importances)``
     takes an ``OnlineLanes`` and three (R,) arrays and makes, in place,
     every lane's step as the solo call with lane r's feature ``x[r]``,
     label, importance and ``inv_sqrt_schedule(lanes.eta0[r])`` would, bit
     for bit; it returns ``lanes``. A lane is left alone where the solo
-    call returns early: importance 0, or a margin of at least 1.
+    call returns early: importance 0, or a margin of at least 1. Only the
+    labeling lanes, those of nonzero importance, need a label of -1 or +1.
     """
     if isinstance(model, OnlineLanes):
         return _update_lanes(model, features, label, importance, schedule)
@@ -157,6 +160,8 @@ def online_linear_update(
     # step (1 - 0) / q. is_number's ABC check would add a quarter to a call.
     if not importance >= 0:
         raise InvalidArgumentError(f"importance must be a non-negative number, not {importance!r}")
+    if not (label == 1 or label == -1):  # 0 would spend a step and move nothing
+        raise InvalidArgumentError(f"label must be -1 or +1, not {label!r}")
     x = np.asarray(features, dtype=np.float64)
     if x.shape != model.theta.shape:
         raise InvalidArgumentError(
@@ -183,9 +188,10 @@ def online_linear_update(
 
 
 def _update_lanes(lanes: OnlineLanes, features, label, importance, schedule) -> OnlineLanes:
-    """The lanes form of ``online_linear_update``: the solo step's
-    operations in its order, one lane per array entry. A length-1 dot is
-    one rounded multiply, so ``x * theta`` has the solo call's bits."""
+    """The lanes form of ``online_linear_update``: the solo step on Python
+    floats, one labeling lane at a time, which costs less than numpy
+    operations on the few lanes that label. A length-1 dot is one rounded
+    multiply, so each lane has the solo call's bits."""
     if schedule is not None:
         raise InvalidArgumentError(
             "the lanes form of online_linear_update takes its steps from the lanes' eta0, "
@@ -195,27 +201,34 @@ def _update_lanes(lanes: OnlineLanes, features, label, importance, schedule) -> 
         raise InvalidArgumentError(
             f"the lanes form of online_linear_update needs one feature, label and importance "
             f"per lane ({lanes.theta.shape[0]}), not {x.shape}, {y.shape} and {k.shape}")
-    if not np.minimum.reduce(k) >= 0.0:  # a NaN minimum fails too
-        raise InvalidArgumentError(
-            "the lanes form of online_linear_update needs non-negative importances")
-    margin = y * (x * lanes.theta + lanes.bias)
-    rows = ((k != 0.0) & ~(margin >= 1.0)).nonzero()[0]  # a NaN margin updates, as solo
-    if not rows.size:
-        return lanes
-    x, y, k, margin = x[rows], y[rows], k[rows], margin[rows]
-    t = lanes.updates[rows] + 1
-    eta = lanes.eta0[rows] / np.sqrt(t)
-    norm2 = x * x + 1.0
-    q = 2.0 * eta
-    if not (np.minimum.reduce(q) > 0.0 and np.maximum.reduce(q) < 1.0):
-        raise InvalidArgumentError("schedule step must lie in (0, 0.5)")
-    # one Python float power per lane: np.power rounds some of them differently
-    power = np.array([(1.0 - a) ** b for a, b in zip(q.tolist(), k.tolist())])
-    combined = (1.0 - power) / q
-    coef = 2.0 * (eta / norm2) * (1.0 - margin) * y * combined
-    lanes.theta[rows] += coef * x
-    lanes.bias[rows] += coef
-    lanes.updates[rows] = t
+    theta, bias, updates, eta0 = lanes.theta, lanes.bias, lanes.updates, lanes.eta0
+    steps = []  # written back once every labeling lane has passed its checks
+    # the labeling lanes; a NaN or negative importance is nonzero too
+    for r in k.nonzero()[0].tolist():
+        xr, yr, kr = x.item(r), y.item(r), k.item(r)
+        if not kr > 0.0:
+            raise InvalidArgumentError(
+                f"the lanes form of online_linear_update needs non-negative importances, "
+                f"not {kr!r} in lane {r}")
+        if not (yr == 1.0 or yr == -1.0):
+            raise InvalidArgumentError(
+                f"the lanes form of online_linear_update needs each labeling lane's label "
+                f"to be -1 or +1, not {yr!r} in lane {r}")
+        th, b = theta.item(r), bias.item(r)
+        margin = yr * (xr * th + b)
+        if margin >= 1.0:  # a NaN margin updates, as solo
+            continue
+        t = updates.item(r) + 1
+        eta = eta0.item(r) / math.sqrt(t)
+        norm2 = xr * xr + 1.0
+        q = 2.0 * eta
+        if not (0.0 < q < 1.0):
+            raise InvalidArgumentError("schedule step must lie in (0, 0.5)")
+        combined = (1.0 - (1.0 - q) ** kr) / q
+        coef = 2.0 * (eta / norm2) * (1.0 - margin) * yr * combined
+        steps.append((r, th + coef * xr, b + coef, t))
+    for r, th, b, t in steps:
+        theta[r], bias[r], updates[r] = th, b, t
     return lanes
 
 
@@ -442,6 +455,10 @@ def fit_svm(
     """
     if not (is_number(cost) and cost > 0):
         raise InvalidArgumentError(f"cost must be a positive number, not {cost!r}")
+    if not (is_number(tol) and tol >= 0):
+        raise InvalidArgumentError(f"tol must be a number >= 0, not {tol!r}")
+    if not (is_int(max_passes) and max_passes >= 0):
+        raise InvalidArgumentError(f"max_passes must be an integer >= 0, not {max_passes!r}")
     x, y, w = as_arrays(x, y, w)
     _require_both_classes(y)
     n = len(y)

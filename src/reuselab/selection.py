@@ -317,11 +317,11 @@ def _iwal_lanes(trains, configs) -> list[SelectionResult]:
     loop's order, and ``log(k)`` is computed once. The selectors are one
     ``OnlineLanes``: a step where any lane labels makes one lanes-form
     ``online_linear_update`` call, importance 1/p on the labeling lanes and
-    0 on the rest, which keeps the scalar ``(1 - q) ** importance``. So
-    every lane equals its solo pass bit for bit. Coins and pool columns are
-    held ``_LANE_BLOCK`` steps at a time. A lane whose solo pass would
-    divide by a ``g * g`` that underflows to 0 raises the same
-    ``ZeroDivisionError``.
+    0 on the rest, which steps each labeling lane on Python floats as the
+    solo call does. So every lane equals its solo pass bit for bit. Coins
+    and pool columns are held ``_LANE_BLOCK`` steps at a time. A lane whose
+    solo pass would divide by a ``g * g`` that underflows to 0 raises the
+    same ``ZeroDivisionError``.
     """
     if not (isinstance(trains, Sequence) and isinstance(configs, Sequence)):
         raise InvalidArgumentError("the lanes form takes a sequence of pools and one of configs")

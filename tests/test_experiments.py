@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -299,6 +300,10 @@ ROOT = Path(__file__).resolve().parents[1]
 # at two c0 values, so every pass goes through the lanes form of select_iwal
 DENSITY_DEMO_SHA256 = "a88a53ebfe36b4543754346e1348de8d4cb69e7b72fa0fac56fb650ae890f486"
 DENSITY_C0S = (0.5, 2.0, 8.0)
+# density_histogram's arguments in the first seed-1 batch of perfbench's
+# line-density workload
+LINE_DENSITY_BATCH = (rl.DatasetSpec(kind="uniform-line", n=1000), (1.0, 3.0, 10.0), 40, 10,
+                      1000)
 # the most runs density_histogram gives one lanes call at three c0 values
 GROUP_RUNS = experiments._DENSITY_LANES // len(DENSITY_C0S)
 
@@ -388,6 +393,28 @@ class TestDensityHistogram:
                               capture_output=True, env=env, timeout=300)
         assert done.returncode == 0, done.stderr.decode()
         assert hashlib.sha256(done.stdout).hexdigest() == DENSITY_DEMO_SHA256
+
+    def test_line_density_bench_batch_keeps_its_pinned_hash(self):
+        # the first seed-1 batch of perfbench's line-density workload, its rows
+        # formatted as that workload formats them
+        rows = density_histogram(*LINE_DENSITY_BATCH)
+        text = "".join(f"{r.c0!r},{r.bin},{r.lo!r},{r.hi!r},{r.unweighted_mass!r},"
+                       f"{r.weighted_mass!r}\n" for r in rows)
+        expected = json.loads((ROOT / "perfbench" / "expected.json").read_text())["line-density"]
+        assert hashlib.sha256(text.encode()).hexdigest() == expected["density_rows"]
+
+    def test_line_density_batch_stays_within_its_memory_budget(self):
+        # traced peaks of this batch: 1.25 MiB in lanes groups of 40, 1.78 MiB
+        # in groups of 60 and 3.53 MiB in one group of 120, so doubling the
+        # group size or the per-lane state breaks the budget
+        density_histogram(*LINE_DENSITY_BATCH)  # warm-up: imports and caches
+        tracemalloc.start()
+        try:
+            density_histogram(*LINE_DENSITY_BATCH)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 2**20
 
     @pytest.mark.parametrize("arguments, match", [
         ({"c0_list": 1.0}, "c0_list must be a list or tuple"),

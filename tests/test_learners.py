@@ -203,6 +203,21 @@ class TestOnlineLanes:
             rl.online_linear_update(lanes, np.ones(3), np.ones(3), np.array([1.0, bad, 0.0]))
         assert lanes.updates.tolist() == [0, 0, 0] and not lanes.theta.any()
 
+    @pytest.mark.parametrize("bad", [0.0, 2.0, np.nan])
+    def test_bad_label_of_a_labeling_lane_rejected_before_any_update(self, bad):
+        lanes = make_online_lanes([0.3] * 3)
+        with pytest.raises(InvalidArgumentError, match="lanes form.*label"):
+            rl.online_linear_update(lanes, np.ones(3), np.array([1.0, bad, -1.0]), np.ones(3))
+        assert lanes.updates.tolist() == [0, 0, 0] and not lanes.theta.any()
+        assert not lanes.bias.any()
+
+    def test_label_of_a_lane_that_does_not_label_is_not_read(self):
+        lanes = make_online_lanes([0.3, 0.3])
+        rl.online_linear_update(lanes, np.full(2, 0.5), np.array([1.0, 0.0]), np.array([2.0, 0.0]))
+        solo = rl.online_linear_update(make_online_model(1), np.array([0.5]), 1.0, 2.0,
+                                       inv_sqrt_schedule(0.3))
+        assert lanes.updates.tolist() == [1, 0] and lanes.theta.tolist() == [solo.theta[0], 0.0]
+
     def test_schedule_rejected(self):
         with pytest.raises(InvalidArgumentError, match="lanes form"):
             rl.online_linear_update(make_online_lanes([0.3]), np.ones(1), np.ones(1),
@@ -236,6 +251,23 @@ class TestLearnerArguments:
     def test_bad_importance(self, importance):
         with pytest.raises(InvalidArgumentError, match="importance"):
             rl.online_linear_update(make_online_model(1), np.array([0.5]), 1, importance)
+
+    @pytest.mark.parametrize("label", [0, 2.0, np.nan])
+    def test_bad_label(self, label):
+        model = make_online_model(1)
+        with pytest.raises(InvalidArgumentError, match="label"):
+            rl.online_linear_update(model, np.array([0.5]), label, 1.0)
+        assert model.updates == 0 and not model.theta.any() and model.bias == 0.0
+
+    @pytest.mark.parametrize("tol", [np.nan, -1.0, "x"])
+    def test_bad_svm_tol(self, tol):
+        with pytest.raises(InvalidArgumentError, match="tol"):
+            rl.fit_svm(self.X, self.Y, self.W, tol=tol)
+
+    @pytest.mark.parametrize("max_passes", [-3, 2.5, True])
+    def test_bad_svm_max_passes(self, max_passes):
+        with pytest.raises(InvalidArgumentError, match="max_passes"):
+            rl.fit_svm(self.X, self.Y, self.W, max_passes=max_passes)
 
     def test_infinite_importance_is_the_limit_step(self):
         # 1/p overflows to inf for a subnormal p; (1 - q) ** inf is 0
