@@ -218,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--circle-prob", type=float, default=0.001)
     gen.add_argument("--out", required=True)
-    gen.set_defaults(func=cmd_gen)
 
     run = sub.add_parser("run", help="run an experiment from a JSON config")
     run.add_argument("--config", required=True)
@@ -228,27 +227,31 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--jobs", type=int, default=1)
     run.add_argument("--quiet", action="store_true",
                      help="no progress; stream the curve CSV to stdout")
-    run.set_defaults(func=cmd_run)
 
     rep = sub.add_parser("replay", help="re-run a selection trace and verify it")
     rep.add_argument("trace")
-    rep.set_defaults(func=cmd_replay)
 
     merge = sub.add_parser("report-merge", help="concatenate report CSVs")
     merge.add_argument("reports", nargs="+")
     merge.add_argument("--out", required=True)
-    merge.set_defaults(func=cmd_report_merge)
     return parser
 
 
+# One parser per process and generator-kinds tuple: in-process callers (a
+# replay loop, the benchmark) would otherwise rebuild it on every call.
+_PARSERS: dict[tuple, argparse.ArgumentParser] = {}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    if GENERATOR_KINDS not in _PARSERS:
+        _PARSERS[GENERATOR_KINDS] = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSERS[GENERATOR_KINDS].parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # looked up at call time, so a replaced cmd_* is the one that runs
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (ConfigError, TraceFormatError, InvalidArgumentError) as exc:
         prefix = {ConfigError: "config ", TraceFormatError: "trace "}.get(type(exc), "")
         print(f"{prefix}error: {exc}", file=sys.stderr)

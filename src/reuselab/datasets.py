@@ -52,7 +52,7 @@ class Dataset:
             raise InvalidArgumentError("dataset needs a non-empty (n, dim) feature matrix")
         if y.shape != (x.shape[0],):
             raise InvalidArgumentError("labels must align with instances")
-        if not np.all(np.isin(y, (-1, 1))):
+        if not ((y == 1) | (y == -1)).all():
             raise InvalidArgumentError("labels must be -1 or +1")
         kinds = self.feature_kinds or (NUMERIC,) * x.shape[1]
         names = self.feature_names or tuple(f"f{i}" for i in range(x.shape[1]))

@@ -20,7 +20,6 @@ are byte-identical regardless of parallelism.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields, replace
 from itertools import repeat
@@ -411,6 +410,8 @@ def run_experiment(
     """Run every repetition, aggregate curve points, and judge reusability."""
     config, n_train, table = _normalize(config)
     reps = range(config.repetitions)
+    if jobs > 1:  # a serial run never imports the pool machinery
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
         outcomes = []
         for out in (pool.map if pool else map)(_run_repetition, repeat(config), reps,
@@ -661,14 +662,16 @@ def rerun_from_header(header: Mapping) -> SelectionResult:
 
 
 def replay_trace(path) -> ReplayOutcome:
-    """Re-run a trace's pass and compare it with the file, row by row.
+    """Re-run a trace's pass and compare it with the file.
 
-    The outcome names the first row that differs and, within that row, the
-    first column in v1 order. A row that only one side has is reported in
-    the ``index`` column.
+    Equal columns are ``ok``. Otherwise the outcome names the first row
+    that differs and, within that row, the first column in v1 order. A row
+    that only one side has is reported in the ``index`` column.
     """
     header, recorded = load_trace(path)
     recomputed = trace_columns(rerun_from_header(header))
+    if recorded == recomputed:
+        return ReplayOutcome(True)
     names = list(recorded)  # v1 order, as trace_columns keeps it
     for row, (was, now) in enumerate(zip(zip(*recorded.values()), zip(*recomputed.values()))):
         if was != now:
@@ -677,6 +680,4 @@ def replay_trace(path) -> ReplayOutcome:
     row = min(len(recorded["index"]), len(recomputed["index"]))
     extra = [side["index"][row] if row < len(side["index"]) else None
              for side in (recorded, recomputed)]
-    if extra == [None, None]:
-        return ReplayOutcome(True)
     return ReplayOutcome(False, row, "index", *extra)

@@ -400,6 +400,7 @@ def without_weights(result: SelectionResult) -> SelectionResult:
 
 _TRACE_TAG = "# reuselab-trace v1 "
 _TRACE_COLUMNS = ("index", "g", "probability", "coin", "selected", "weight")
+_TRACE_KINDS = (int, float, float, int, int, float)
 
 
 def trace_columns(result: SelectionResult) -> dict[str, list]:
@@ -431,13 +432,13 @@ def trace_to_text(header: dict, result: SelectionResult) -> str:
 
 
 def load_trace(path) -> tuple[dict, dict[str, list]]:
-    """The header and the six columns of a v1 trace file."""
+    """The header and the six columns of a v1 trace file, LF or CRLF."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            lines = [line.rstrip("\n") for line in fh]
+        with open(path, encoding="utf-8") as fh:  # text mode reads CRLF as LF
+            lines = fh.read().split("\n")
     except UnicodeDecodeError as exc:
         raise TraceFormatError(f"{path}: {exc}") from exc
-    if not lines or not lines[0].startswith(_TRACE_TAG):
+    if not lines[0].startswith(_TRACE_TAG):
         raise TraceFormatError(f"{path}: missing trace header")
     try:
         header = json.loads(lines[0][len(_TRACE_TAG):])
@@ -447,7 +448,15 @@ def load_trace(path) -> tuple[dict, dict[str, list]]:
         raise TraceFormatError(f"{path}: header is not a JSON object")
     if len(lines) < 2 or lines[1] != ",".join(_TRACE_COLUMNS):
         raise TraceFormatError(f"{path}: missing column row")
-    rows = []
+    body = [line for line in lines[2:] if line]
+    if all(line.count(",") == 5 for line in body):
+        cells = ",".join(body).split(",") if body else []
+        try:
+            return header, {name: list(map(kind, cells[j::6]))
+                            for j, (name, kind) in enumerate(zip(_TRACE_COLUMNS, _TRACE_KINDS))}
+        except ValueError:
+            pass
+    # Some row is bad: find the first one to name it.
     for lineno, line in enumerate(lines[2:], start=3):
         if not line:
             continue
@@ -455,8 +464,7 @@ def load_trace(path) -> tuple[dict, dict[str, list]]:
         if len(parts) != 6:
             raise TraceFormatError(f"{path}: line {lineno}: expected 6 fields")
         try:
-            rows.append((int(parts[0]), float(parts[1]), float(parts[2]),
-                         int(parts[3]), int(parts[4]), float(parts[5])))
+            for kind, part in zip(_TRACE_KINDS, parts):
+                kind(part)
         except ValueError as exc:
             raise TraceFormatError(f"{path}: line {lineno}: {exc}") from exc
-    return header, {name: [row[j] for row in rows] for j, name in enumerate(_TRACE_COLUMNS)}

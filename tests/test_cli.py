@@ -8,7 +8,7 @@ import pytest
 
 from reuselab import cli, experiments
 from reuselab.cli import main, parse_config
-from reuselab.datasets import DatasetSpec, export_csv, make_dataset
+from reuselab.datasets import GENERATOR_KINDS, DatasetSpec, export_csv, make_dataset
 from reuselab.experiments import ExperimentConfig
 from reuselab.selection import load_trace
 
@@ -383,6 +383,38 @@ class TestReplay:
         out = capsys.readouterr().out
         assert f"divergence at row {extra}, column index: trace has {extra}, recomputed None" in out
 
+    @pytest.mark.parametrize("column, row", [("g", -20), ("weight", -1)])
+    def test_one_ulp_off_is_reported(self, tmp_path, capsys, column, row):
+        trace = [t for t in self._run_with_traces(tmp_path) if "iwal_c0" in t.name][0]
+        lines = trace.read_text().splitlines()
+        j = lines[1].split(",").index(column)
+        parts = lines[row].split(",")
+        was = float(parts[j])
+        parts[j] = repr(math.nextafter(was, math.inf))
+        lines[row] = ",".join(parts)
+        trace.write_text("\n".join(lines) + "\n")
+        assert main(["replay", str(trace)]) == 1
+        at = len(lines) + row - 2
+        assert capsys.readouterr().out.strip() == (
+            f"divergence at row {at}, column {column}: "
+            f"trace has {float(parts[j])!r}, recomputed {was!r}")
+
+    def test_crlf_trace_verifies(self, tmp_path, capsys):
+        trace = [t for t in self._run_with_traces(tmp_path) if "iwal_c0" in t.name][0]
+        trace.write_bytes(trace.read_bytes().replace(b"\n", b"\r\n"))
+        assert main(["replay", str(trace)]) == 0
+        assert capsys.readouterr().out.strip() == "ok"
+
+    def test_crlf_trace_with_flipped_coin_detected(self, tmp_path, capsys):
+        trace = self._run_with_traces(tmp_path)[-1]
+        lines = trace.read_text().splitlines()
+        parts = lines[4].split(",")
+        parts[3] = "1" if parts[3] == "0" else "0"
+        lines[4] = ",".join(parts)
+        trace.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+        assert main(["replay", str(trace)]) == 1
+        assert "divergence at row 2, column coin: " in capsys.readouterr().out
+
     @staticmethod
     def _edit_header(trace, edit):
         """Rewrite the trace's header line as ``edit(header)`` returns it."""
@@ -492,6 +524,39 @@ class TestEntrypoint:
         )
         assert proc.returncode == 0
         assert out.exists()
+
+    def test_import_leaves_out_the_process_pool(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, reuselab.cli; print(sorted(m for m in sys.modules "
+             "if m.startswith(('concurrent.futures.process', 'multiprocessing'))))"],
+            capture_output=True, text=True, check=True,
+        )
+        assert proc.stdout.strip() == "[]"
+
+    def test_one_parser_per_generator_kinds(self, tmp_path, monkeypatch):
+        built = []
+
+        def counted():
+            built.append(cli.GENERATOR_KINDS)
+            return build_parser()
+
+        build_parser = cli.build_parser
+        monkeypatch.setattr(cli, "_PARSERS", {})
+        monkeypatch.setattr(cli, "build_parser", counted)
+        out = str(tmp_path / "x.csv")
+        for _ in range(3):
+            assert main(["gen", "circle", "--n", "10", "--out", out]) == 0
+            assert main(["run"]) == 2
+        monkeypatch.setattr(cli, "GENERATOR_KINDS", ("circle",))
+        for _ in range(2):
+            assert main(["gen", "uniform-line", "--n", "10", "--out", out]) == 2
+        assert built == [GENERATOR_KINDS, ("circle",)]
+
+    def test_dispatch_runs_the_current_command_function(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "cmd_replay", lambda args: seen.append(args.trace) or 7)
+        assert main(["replay", "some/trace.csv"]) == 7
+        assert seen == ["some/trace.csv"]
 
     def test_usage_error_exit_code(self):
         assert main(["run"]) == 2  # missing --config

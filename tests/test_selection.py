@@ -683,3 +683,38 @@ class TestTraceFormat:
         path.write_text("\n".join(lines))
         with pytest.raises(TraceFormatError):
             load_trace(path)
+
+    @pytest.mark.parametrize("edits, message", [
+        ({6: "oops"}, "line 7: expected 6 fields"),
+        ({6: "4,0.5,1.0,0,0"}, "line 7: expected 6 fields"),
+        # seven fields, then five: twelve cells, as two good rows have
+        ({6: "4,0.5,1.0,0,0,0.0,1", 7: "5,1,0,0,0"}, "line 7: expected 6 fields"),
+        ({6: "4,0.5,x,0,0,0.0"}, "line 7: could not convert string to float: 'x'"),
+        ({6: "4,0.5,1.0,0.0,0,0.0", 9: "oops"},
+         "line 7: invalid literal for int() with base 10: '0.0'"),
+        # a blank line is skipped, but still counted
+        ({3: "", 8: "oops"}, "line 9: expected 6 fields"),
+    ], ids=["one-field", "five-fields", "seven-then-five", "bad-float", "bad-int", "blank-line"])
+    def test_bad_row_names_the_first_bad_line(self, tmp_path, edits, message):
+        res, _ = self._result()
+        lines = trace_to_text({"strategy": IWAL}, res).splitlines()
+        for i, line in edits.items():
+            lines[i] = line
+        path = tmp_path / "t.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TraceFormatError) as info:
+            load_trace(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    def test_blank_lines_and_crlf_load_as_the_plain_file(self, tmp_path):
+        res, _ = self._result()
+        lines = trace_to_text({"strategy": IWAL}, res).splitlines()
+        path = tmp_path / "t.csv"
+        path.write_bytes("\r\n".join(lines[:5] + ["", ""] + lines[5:] + [""]).encode())
+        assert load_trace(path) == ({"strategy": IWAL}, trace_columns(res))
+
+    def test_no_rows_loads_empty_columns(self, tmp_path):
+        columns = "index,g,probability,coin,selected,weight"
+        path = tmp_path / "t.csv"
+        path.write_text(f"# reuselab-trace v1 {{}}\n{columns}\n")
+        assert load_trace(path) == ({}, {name: [] for name in columns.split(",")})
