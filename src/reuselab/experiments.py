@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields, replace
-from itertools import repeat
+from itertools import repeat, zip_longest
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -62,6 +62,7 @@ from .selection import (
     IwalConfig,
     SelectionResult,
     load_trace,
+    read_trace,
     select_iwal,
     select_random,
     select_uncertainty,
@@ -642,10 +643,11 @@ class ReplayOutcome:
     def describe(self) -> str:
         if self.ok:
             return "ok"
-        return (
-            f"divergence at row {self.row}, column {self.column}: "
-            f"trace has {self.expected!r}, recomputed {self.actual!r}"
-        )
+        where = "outside the rows" if self.row is None else (
+            f"at row {self.row}, column {self.column}")
+        note = " (equal as numbers, written differently)" if self.expected == self.actual else ""
+        return (f"divergence {where}: "
+                f"trace has {self.expected!r}, recomputed {self.actual!r}{note}")
 
 
 def rerun_from_header(header: Mapping) -> SelectionResult:
@@ -662,22 +664,36 @@ def rerun_from_header(header: Mapping) -> SelectionResult:
 
 
 def replay_trace(path) -> ReplayOutcome:
-    """Re-run a trace's pass and compare it with the file.
+    """Re-run a trace's pass and compare the file's text with the rerun's.
 
-    Equal columns are ``ok``. Otherwise the outcome names the first row
-    that differs and, within that row, the first column in v1 order. A row
-    that only one side has is reported in the ``index`` column.
+    The file is ``ok`` only when its text (CRLF read as LF) is what
+    ``trace_to_text`` writes for the rerun, so a ``-0.0`` over a ``0.0`` or
+    a weight ``1`` over ``1.0`` diverges. Otherwise ``load_trace`` parses
+    the rows, and the outcome names the first row whose text differs and,
+    within it, the first such column in v1 order, with both values as
+    numbers. A row that only one side has is reported in the ``index``
+    column; a difference outside the rows (the header line, a blank line)
+    has no row and gives the first differing line of each side.
     """
-    header, recorded = load_trace(path)
-    recomputed = trace_columns(rerun_from_header(header))
-    if recorded == recomputed:
+    header, text = read_trace(path)
+    result = rerun_from_header(header)
+    rendered = trace_to_text(header, result)
+    if text == rendered:
         return ReplayOutcome(True)
-    names = list(recorded)  # v1 order, as trace_columns keeps it
-    for row, (was, now) in enumerate(zip(zip(*recorded.values()), zip(*recomputed.values()))):
+    recorded = load_trace(path)[1]  # its TraceFormatError names a bad row
+    recomputed = trace_columns(result)
+    names = list(recomputed)  # v1 order
+    lines, expected = text.split("\n"), rendered.split("\n")
+    rows = [line for line in lines[2:] if line]
+    for row, (was, now) in enumerate(zip(rows, expected[2:-1])):
         if was != now:
-            j = next(j for j, (a, b) in enumerate(zip(was, now)) if a != b)
-            return ReplayOutcome(False, row, names[j], was[j], now[j])
-    row = min(len(recorded["index"]), len(recomputed["index"]))
-    extra = [side["index"][row] if row < len(side["index"]) else None
-             for side in (recorded, recomputed)]
-    return ReplayOutcome(False, row, "index", *extra)
+            j = next(j for j, (a, b) in enumerate(zip(was.split(","), now.split(","))) if a != b)
+            return ReplayOutcome(False, row, names[j], recorded[names[j]][row],
+                                 recomputed[names[j]][row])
+    if len(rows) != len(expected) - 3:
+        row = min(len(rows), len(expected) - 3)
+        extra = [side["index"][row] if row < len(side["index"]) else None
+                 for side in (recorded, recomputed)]
+        return ReplayOutcome(False, row, "index", *extra)
+    return ReplayOutcome(False, None, None,
+                         *next((a, b) for a, b in zip_longest(lines, expected) if a != b))

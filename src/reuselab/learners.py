@@ -34,6 +34,10 @@ _COND_LIMIT = 1e12
 # Entries per row block of an RBF kernel: one block stays in cache while
 # its elementwise steps run.
 _KERNEL_BLOCK = 1 << 15
+# Test rows per block of SvmModel.score: a block's kernel holds 256 * m
+# doubles, no more than the fit's m x m Gram once m >= 256. A multiple of 8,
+# so OpenBLAS's GEMV gives each row the bits of one whole-matrix GEMV.
+_SCORE_ROWS = 256
 
 
 def as_arrays(x, y, w):
@@ -379,11 +383,13 @@ class Kernel:
     def matrix(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Gram matrix of the float64 rows of ``a`` against those of ``b``.
 
-        The GEMM's output is the only (n, m) array: poly3 and rbf finish in
-        place, rbf one cache-sized row block at a time with a small reused
-        buffer for ``|a_i|^2 + |b_j|^2``. Each element goes through the same
-        operations in the same order as the plain expressions, so the bits
-        are those of ``exp(-gamma * max(|a|^2 + |b|^2 - 2 a.b, 0))``.
+        poly3 and rbf finish in the GEMM's own (n, m) output. rbf does so
+        one row block of about ``_KERNEL_BLOCK`` entries at a time, with one
+        reused buffer of a block's size for ``|a_i|^2 + |b_j|^2``; when n * m
+        is below ``_KERNEL_BLOCK`` that buffer is a second (n, m) array.
+        Each element goes through the same operations in the same order as
+        the plain expressions, so the bits are those of
+        ``exp(-gamma * max(|a|^2 + |b|^2 - 2 a.b, 0))``.
         """
         out = a @ b.T
         if self.kind == "poly3":
@@ -426,7 +432,18 @@ class SvmModel(_ModelBase):
     iterations: int
 
     def score(self, x):
-        return self.kernel.matrix(x, self.support_x) @ self.dual_coef + self.bias
+        """``K(x, support_x) @ dual_coef + bias``, K built for _SCORE_ROWS rows at a time.
+
+        The last block also takes a lone final row, which NumPy would score
+        with a dot product instead of the GEMV's row kernel.
+        """
+        out = np.empty(len(x))
+        lo = 0
+        for hi in [*range(_SCORE_ROWS, len(x) - 1, _SCORE_ROWS), len(x)]:
+            out[lo:hi] = self.kernel.matrix(x[lo:hi], self.support_x) @ self.dual_coef
+            lo = hi
+        out += self.bias
+        return out
 
 
 def fit_svm(
@@ -445,9 +462,9 @@ def fit_svm(
     the remaining duality gap) when the cap is hit before the KKT
     violation drops below ``tol``.
 
-    K is the only n x n array: ``Kernel.matrix`` builds it in the GEMM's
-    own buffer, and Q = K * y y' is never formed. Because y is +-1 and K
-    is symmetric, the pair update of -y * grad is exactly
+    K is the only n x n array the fit keeps: ``Kernel.matrix`` builds it
+    in the GEMM's own buffer, and Q = K * y y' is never formed. Because y
+    is +-1 and K is symmetric, the pair update of -y * grad is exactly
     ``step * (K[i] - K[j])`` over two contiguous rows. -y * grad and the
     up and low working-set candidates (two copies of it masked with
     -inf / +inf) are the three rows of one (3, n) array, so a step is one

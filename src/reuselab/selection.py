@@ -431,21 +431,30 @@ def trace_to_text(header: dict, result: SelectionResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_trace(path) -> tuple[dict, dict[str, list]]:
-    """The header and the six columns of a v1 trace file, LF or CRLF."""
+def read_trace(path) -> tuple[dict, str]:
+    """The header of a v1 trace file and its whole text, LF or CRLF; the
+    rows are not parsed."""
     try:
         with open(path, encoding="utf-8") as fh:  # text mode reads CRLF as LF
-            lines = fh.read().split("\n")
+            text = fh.read()
     except UnicodeDecodeError as exc:
         raise TraceFormatError(f"{path}: {exc}") from exc
-    if not lines[0].startswith(_TRACE_TAG):
+    first = text.partition("\n")[0]
+    if not first.startswith(_TRACE_TAG):
         raise TraceFormatError(f"{path}: missing trace header")
     try:
-        header = json.loads(lines[0][len(_TRACE_TAG):])
+        header = json.loads(first[len(_TRACE_TAG):])
     except json.JSONDecodeError as exc:
         raise TraceFormatError(f"{path}: corrupt header: {exc}") from exc
     if not isinstance(header, dict):
         raise TraceFormatError(f"{path}: header is not a JSON object")
+    return header, text
+
+
+def load_trace(path) -> tuple[dict, dict[str, list]]:
+    """The header and the six columns of a v1 trace file, LF or CRLF."""
+    header, text = read_trace(path)
+    lines = text.split("\n")
     if len(lines) < 2 or lines[1] != ",".join(_TRACE_COLUMNS):
         raise TraceFormatError(f"{path}: missing column row")
     body = [line for line in lines[2:] if line]

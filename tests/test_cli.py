@@ -399,6 +399,33 @@ class TestReplay:
             f"divergence at row {at}, column {column}: "
             f"trace has {float(parts[j])!r}, recomputed {was!r}")
 
+    @pytest.mark.parametrize("column, was, now", [("g", "0.0", "-0.0"), ("weight", "1.0", "1")])
+    def test_same_number_written_differently_is_reported(self, tmp_path, capsys,
+                                                         column, was, now):
+        # the edited field parses to a number equal to the recomputed one
+        trace = [t for t in self._run_with_traces(tmp_path) if "iwal_c0" in t.name][0]
+        lines = trace.read_text().splitlines()
+        j = lines[1].split(",").index(column)
+        at = next(row for row, line in enumerate(lines[2:]) if line.split(",")[j] == was)
+        parts = lines[at + 2].split(",")
+        parts[j] = now
+        lines[at + 2] = ",".join(parts)
+        trace.write_text("\n".join(lines) + "\n")
+        assert main(["replay", str(trace)]) == 1
+        assert capsys.readouterr().out.strip() == (
+            f"divergence at row {at}, column {column}: trace has {float(now)!r}, "
+            f"recomputed {float(was)!r} (equal as numbers, written differently)")
+
+    def test_blank_line_is_reported_outside_the_rows(self, tmp_path, capsys):
+        trace = [t for t in self._run_with_traces(tmp_path) if "iwal_c0" in t.name][0]
+        lines = trace.read_text().splitlines()
+        lines.insert(4, "")
+        trace.write_text("\n".join(lines) + "\n")
+        assert load_trace(trace)[1]["index"][2] == 2  # the rows still load
+        assert main(["replay", str(trace)]) == 1
+        assert capsys.readouterr().out.strip() == (
+            f"divergence outside the rows: trace has '', recomputed {lines[5]!r}")
+
     def test_crlf_trace_verifies(self, tmp_path, capsys):
         trace = [t for t in self._run_with_traces(tmp_path) if "iwal_c0" in t.name][0]
         trace.write_bytes(trace.read_bytes().replace(b"\n", b"\r\n"))

@@ -1,4 +1,10 @@
+import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -652,6 +658,88 @@ class TestSvmDefaultGamma:
         assert a.bias == b.bias
         assert np.array_equal(a.dual_coef, b.dual_coef)
         assert np.array_equal(a.score(probe), b.score(probe))
+
+
+def mushroom_halves(path):
+    """The one-hot train and test halves of the mushroom-like table (4,062 rows each)."""
+    return rl.split(rl.load_csv(path, "class", ("e",), mushroom_schema()), 0.5, seed=3)
+
+
+def blocked_score_mismatches(mushroom_path):
+    """Cases where SvmModel.score differs from one whole-matrix kernel and GEMV.
+
+    Every kernel is fitted on 200 one-hot rows and scored on the 4,062 test
+    rows, and fitted on 1-D rows and scored on 1 to 1,025 rows (up to four
+    full blocks and a lone last row). Returns (case, differing scores) pairs.
+    """
+    pair = mushroom_halves(mushroom_path)
+    one_hot = (pair.train.x[:200], pair.train.y[:200], np.ones(200))
+    rng = np.random.default_rng(31)
+    probes = [("one-hot", one_hot, pair.test.x)] + [
+        (f"1-D, {n} rows", overlapping_two_class(32, 120, 1), rng.normal(scale=2.0, size=(n, 1)))
+        for n in (1, 257, 1000, 1025)
+    ]
+    mismatches = []
+    for kernel in KERNELS + [rl.rbf_kernel()]:
+        for name, samples, x in probes:
+            model = rl.fit_svm(*samples, kernel, cost=0.5)
+            whole = kernel.matrix(x, model.support_x) @ model.dual_coef + model.bias
+            differing = int((model.score(x) != whole).sum())
+            if differing:
+                mismatches.append((f"{kernel.kind} {kernel.gamma}, {name}", differing))
+    return mismatches
+
+
+class TestSvmBlockedScore:
+    """SvmModel.score builds the test x support kernel in blocks of test rows."""
+
+    def test_equals_one_whole_gemv_bit_for_bit(self, mushroom_like_path):
+        # at one BLAS thread, as the benchmark runs: with more, OpenBLAS may
+        # split the whole-matrix GEMV at a row that is not a multiple of 8,
+        # and the reference itself moves in the last bits
+        tests = Path(__file__).resolve().parent
+        path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+               "MKL_NUM_THREADS": "1", "PYTHONPATH": path}
+        code = ("import json, test_learners; print(json.dumps("
+                f"test_learners.blocked_score_mismatches({mushroom_like_path!r})))")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env,
+                              timeout=300)
+        assert done.returncode == 0, done.stderr.decode()
+        assert json.loads(done.stdout) == []
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.kind)
+    def test_continuous_2d_predictions_equal_whole_kernel(self, kernel):
+        # on continuous d >= 2 rows a block's GEMM may round a kernel entry
+        # differently, so only the labels are pinned
+        model = rl.fit_svm(*overlapping_two_class(33, 150, 2), kernel, cost=0.5)
+        x = np.random.default_rng(34).normal(scale=2.0, size=(1100, 2))
+        whole = kernel.matrix(x, model.support_x) @ model.dual_coef + model.bias
+        assert np.array_equal(model.predict(x), np.where(whole >= 0.0, 1, -1))
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.kind)
+    def test_zero_rows_give_an_empty_score(self, kernel):
+        model = rl.fit_svm(*overlapping_two_class(35, 30, 3), kernel)
+        score = model.score(np.empty((0, 3)))
+        assert score.shape == (0,) and score.dtype == np.float64
+
+    def test_mushroom_shaped_score_stays_within_its_memory_budget(self, mushroom_like_path):
+        # 4,062 one-hot test rows against 1,300 support vectors: built whole,
+        # the kernel is 40 MiB and the score peaked at 44 MiB; in 256-row
+        # blocks it peaks at 3.7 MiB
+        pair = mushroom_halves(mushroom_like_path)
+        rng = np.random.default_rng(36)
+        support = pair.train.x[rng.choice(len(pair.train), 1300, replace=False)]
+        model = rl.learners.SvmModel("svm-rbf", rl.rbf_kernel(), support,
+                                     rng.normal(size=1300), 0.1, 0.0, 0)
+        model.score(pair.test.x[:300])  # warm-up
+        tracemalloc.start()
+        try:
+            model.score(pair.test.x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 def reference_gaussian_score(model, x):
