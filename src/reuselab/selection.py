@@ -159,6 +159,30 @@ def _linear_grid(lo, hi, resolution: int) -> tuple[np.ndarray, np.ndarray]:
     raise InvalidArgumentError("exact-mode grids support only 1-D or 2-D data")
 
 
+def _pool_split_offsets(proj: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """The (A, R') offsets of the grid that split the pool differently.
+
+    The count of projections ``proj[:, a, 0]`` below offset b fixes its
+    prediction pattern on the pool. Each row keeps its sorted offsets where
+    that count changes, its first always, and repeats its last kept offset
+    up to the widest row's width R'. Hypotheses with one pattern gain the
+    same errors in the same order and agree on every candidate, so a pass
+    over the cut grid has the same bits. Rows are sorted one at a time, so
+    no (A, n) copy is held.
+    """
+    offsets = np.sort(offsets, axis=1)
+    keep = np.ones(offsets.shape, dtype=bool)
+    for a, row in enumerate(offsets):
+        below = np.sort(proj[:, a, 0]).searchsorted(row)
+        np.not_equal(below[1:], below[:-1], out=keep[a, 1:])
+    cut = np.empty((len(offsets), keep.sum(axis=1).max()))
+    for a, row in enumerate(offsets):
+        kept = row[keep[a]]
+        cut[a] = kept[-1]
+        cut[a, :len(kept)] = kept
+    return cut
+
+
 def _linspace_rows(start, stop, num: int) -> np.ndarray:
     """Row a is ``np.linspace(start[a], stop[a], num)``, bit for bit.
 
@@ -216,7 +240,10 @@ def select_iwal(
     pass, with ``np.matmul(dirs, x[:, :, None])``: numpy's matrix-vector
     branch makes one GEMV over the A rows per example. A GEMM over the pool
     rounds differently and flips some signs, which would change traces.
-    Per example the pass compares the A projections with the (A, res)
+    The (A, res) offsets are then cut to the (A, R') that split the pool
+    differently (``_pool_split_offsets``): on a circle pool with a ring
+    point most offsets fall in empty space, and R' is a third of res or less.
+    Per example the pass compares the A projections with the (A, R')
     offsets into a bool mask of +1 predictions (exactly ``s - b >= 0`` for
     finite doubles) and takes one min over the side of the mask the best
     hypothesis is not on. The best hypothesis is cached until a label
@@ -251,6 +278,7 @@ def select_iwal(
         dirs, offsets = _linear_grid(x.min(axis=0), x.max(axis=0), config.erm_grid_resolution)
         # (n, A, 1): numpy's matrix-vector branch, one GEMV over A rows per example
         proj = np.matmul(dirs, x[:, :, None])
+        offsets = _pool_split_offsets(proj, offsets)
         # cumulative weighted error of every grid hypothesis on the labeled set
         err = np.zeros(offsets.size)
         total_weight = 0.0
@@ -423,10 +451,13 @@ def trace_columns(result: SelectionResult) -> dict[str, list]:
 
 def trace_to_text(header: dict, result: SelectionResult) -> str:
     """A v1 trace: ``header`` as one JSON line, then one row per example."""
+    cols = trace_columns(result)
+    flags = [",1,1," if s else ",0,0," for s in cols["selected"]]
     lines = [_TRACE_TAG + json.dumps(header, sort_keys=True), ",".join(_TRACE_COLUMNS)]
     lines.extend(
-        f"{i},{g!r},{p!r},{coin},{s},{w!r}"
-        for i, g, p, coin, s, w in zip(*trace_columns(result).values())
+        f"{i},{g},{p}{flag}{w}" for i, g, p, flag, w in zip(
+            cols["index"], map(repr, cols["g"]), map(repr, cols["probability"]), flags,
+            map(repr, cols["weight"]))
     )
     return "\n".join(lines) + "\n"
 

@@ -1,8 +1,7 @@
 """Pinned sha256 of the files the lab writes.
 
-Replay compares parsed values, so a formatting drift that still parses
-would pass it; these hashes catch any change in the bytes of the curve,
-the report and one trace per strategy. The run covers all four strategies,
+These hashes catch any change in the bytes of the curve, the report and
+one trace per strategy. The run covers all four strategies,
 every consumer kind and exact-ERM ``g``, serially and in a process pool,
 where repetition outcomes reach the parent process pickled. The table
 pins cover the two categorical stand-ins and ``reuselab gen`` of every

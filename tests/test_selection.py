@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from reuselab.selection import (
     SelectionResult,
     _LANE_BLOCK,
     _linear_grid,
+    _pool_split_offsets,
     selection_probability,
     surrogate_error_difference,
     load_trace,
@@ -198,6 +200,85 @@ class TestLinearGrid:
         for name in ("line-denormal", "denormal"):
             _, offsets = _linear_grid(*map(np.array, GRID_BOXES[name]), 80)
             assert ((offsets[:, 1] == offsets[:, 0]) & (offsets[:, -2] != offsets[:, 0])).any()
+
+
+def bench_circle_pool(seed):
+    """circle-exact's training half: 1,000 rows of a 2,000-row circle at circle_prob 0.001."""
+    return rl.split(rl.gen_circle(2000, circle_prob=0.001, seed=seed), 0.5, seed).train
+
+
+def line_with_outlier(n, seed):
+    """A uniform line with one point moved out to 40, so most thresholds fall in empty space."""
+    pool = rl.gen_uniform_line(n, seed=seed)
+    x = pool.x.copy()
+    x[7, 0] = 40.0
+    return rl.Dataset(x, pool.y)
+
+
+def oracle_pools(rng):
+    """Random 1-D and 2-D pools, with constant, duplicated, zero-width-axis,
+    0/1 and outlier pools among them."""
+    for d in (1, 2):
+        n = int(rng.integers(1, 60))
+        yield rng.normal(size=(n, d)) * rng.uniform(1e-3, 1e3, size=d)
+        yield np.full((n, d), rng.normal())
+        yield np.repeat(rng.normal(size=(3, d)), 9, axis=0)
+        yield rng.integers(0, 2, size=(n, d)).astype(float)
+        x = rng.uniform(-1.0, 1.0, size=(n, d))
+        x[0] = 50.0
+        yield x
+    x = rng.normal(size=(40, 2))
+    x[:, int(rng.integers(2))] = 0.3
+    yield x
+
+
+class TestPoolSplitOffsets:
+    """``_pool_split_offsets`` keeps one offset per prediction pattern on the pool."""
+
+    def test_keeps_every_distinct_pattern_once_ascending(self):
+        rng = np.random.default_rng(90)
+        rows_checked = descending = shrunk = 0
+        for trial in range(12):
+            for x in oracle_pools(rng):
+                resolution = int(rng.integers(2, 40))
+                lo, hi = x.min(axis=0), x.max(axis=0)
+                if trial % 2:  # a box that need not hold the pool
+                    lo, hi = lo - rng.uniform(0, 2, x.shape[1]), hi - rng.uniform(-2, 1, x.shape[1])
+                    lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+                dirs, offsets = _linear_grid(lo, hi, resolution)
+                proj = np.matmul(dirs, x[:, :, None])
+                cut = _pool_split_offsets(proj, offsets)
+                widths = []
+                for a, (row, full) in enumerate(zip(cut, offsets)):
+                    s = proj[:, a, 0]
+                    descending += bool(np.all(np.diff(full) < 0))
+                    kept = np.unique(row)
+                    width = len(kept)
+                    assert np.array_equal(row[:width], kept)  # ascending, no repeats
+                    assert np.all(row[width:] == kept[-1])  # padding repeats the last
+                    assert np.isin(row, full).all()
+                    patterns = {(s >= b).tobytes() for b in kept}
+                    assert len(patterns) == width
+                    assert patterns == {(s >= b).tobytes() for b in full}
+                    widths.append(width)
+                    rows_checked += 1
+                    shrunk += width < resolution
+                assert cut.shape == (len(dirs), max(widths))
+        assert descending >= 12 and 0 < shrunk < rows_checked and rows_checked > 1000
+
+    def test_bench_shaped_exact_pass_stays_within_its_memory_budget(self):
+        # one traced exact pass holds the (n, A, 1) projections, about 0.5
+        # MiB; an (A, n) float copy of them would break the budget
+        pool = bench_circle_pool(0)
+        config = rl.IwalConfig(c0=0.01, gk_mode=EXACT_ERM, erm_grid_resolution=64, seed=91)
+        rl.select_iwal(pool, config)  # warm-up
+        tracemalloc.start()
+        try:
+            rl.select_iwal(pool, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 def brute_force_difference(x, y, w, candidate, grid_w, grid_b):
@@ -549,6 +630,30 @@ class TestIwalPassBitIdentity:
                 for column in ("indices", "weights", "g", "probability"):
                     a, b = getattr(got, column), getattr(want, column)
                     assert a.dtype == b.dtype and np.array_equal(a, b), (config, column)
+
+    @pytest.mark.parametrize("pool", [bench_circle_pool(0), line_with_outlier(1000, seed=66)],
+                             ids=["bench-circle", "line-outlier"])
+    def test_exact_where_most_offsets_split_the_pool_alike(self, pool):
+        if pool.dim == 2:
+            assert np.hypot(*pool.x.T).max() > 9.0  # a ring point stretches the box
+        passes = 0
+        for resolution in (64, 128, 256):
+            dirs, offsets = _linear_grid(pool.x.min(axis=0), pool.x.max(axis=0), resolution)
+            cut = _pool_split_offsets(np.matmul(dirs, pool.x[:, :, None]), offsets)
+            assert cut.shape[1] < resolution / 2
+            for c0 in (0.01, 0.3, 3.0):
+                config = rl.IwalConfig(
+                    c0=c0, gk_mode=EXACT_ERM, erm_grid_resolution=resolution,
+                    seed=derive_seed(67, passes),
+                )
+                passes += 1
+                try:
+                    want = reference_select_iwal(pool, config)
+                except DegenerateGridError as exc:
+                    with pytest.raises(DegenerateGridError, match=str(exc)):
+                        rl.select_iwal(pool, config)
+                    continue
+                assert_same_pass(rl.select_iwal(pool, config), want, config)
 
 
 class TestSelectorUpdates:
