@@ -53,6 +53,7 @@ from .learners import (
 )
 from .seeding import ROLE_POOL, ROLE_SELECTION, ROLE_SPLIT, derive_seed
 from .selection import (
+    EXACT_ERM,
     IWAL,
     IWAL_NO_WEIGHTS,
     RANDOM,
@@ -61,6 +62,7 @@ from .selection import (
     UNCERTAINTY,
     IwalConfig,
     SelectionResult,
+    _exact_pass_from_labels,
     load_trace,
     read_trace,
     select_iwal,
@@ -331,7 +333,7 @@ def _select(train, header: Mapping, shared: dict) -> SelectionResult:
         return select_uncertainty(train, _header_value(header, "n"), shared[UNCERTAINTY])
     if strategy not in (IWAL, IWAL_NO_WEIGHTS):
         raise InvalidArgumentError(f"unknown strategy {strategy!r}")
-    cfg = IwalConfig(**{f.name: _header_value(header, f.name) for f in fields(IwalConfig)})
+    cfg, use_weights = _iwal_header(header)
     if cfg.seed not in shared:
         try:
             shared[cfg.seed] = select_iwal(train, cfg)
@@ -340,7 +342,13 @@ def _select(train, header: Mapping, shared: dict) -> SelectionResult:
     result = shared[cfg.seed]
     if isinstance(result, DegenerateGridError):
         raise result
-    return result if _header_value(header, "use_weights") else without_weights(result)
+    return result if use_weights else without_weights(result)
+
+
+def _iwal_header(header: Mapping) -> tuple[IwalConfig, bool]:
+    """The ``IwalConfig`` and the ``use_weights`` of an IWAL pass header."""
+    cfg = IwalConfig(**{f.name: _header_value(header, f.name) for f in fields(IwalConfig)})
+    return cfg, _header_value(header, "use_weights", bool)
 
 
 def _run_repetition(config: ExperimentConfig, r: int,
@@ -650,17 +658,28 @@ class ReplayOutcome:
                 f"trace has {self.expected!r}, recomputed {self.actual!r}{note}")
 
 
-def rerun_from_header(header: Mapping) -> SelectionResult:
-    """Re-execute the selection pass a trace header describes.
+def _exact_trace_matches(train: Dataset, header: Mapping, text: str) -> bool:
+    """Whether ``text`` is the trace of the exact-ERM IWAL pass ``header``
+    describes, decided without the sequential pass.
 
-    The pass runs through the same ``_select`` as in ``run_experiment``. A
-    key the pass needs but the header lacks or holds a bad value for
-    raises ``TraceFormatError``.
+    The pass is rebuilt between the rows whose coin and selected cells read
+    ``1,1`` (``_exact_pass_from_labels``), and it is the sequential pass bit
+    for bit wherever it is built at all. False for any other header, and
+    where the rebuilt pass raises, labels other rows or writes other text.
+    The header is checked as ``_select`` checks it.
     """
+    if _header_value(header, "strategy") not in (IWAL, IWAL_NO_WEIGHTS):
+        return False
+    cfg, use_weights = _iwal_header(header)
+    if cfg.gk_mode != EXACT_ERM:
+        return False
+    labeled = [i for i, row in enumerate(text.split("\n")[2:]) if ",1,1," in row]
     try:
-        return _select(_draw_split(header).train, header, {})
-    except InvalidArgumentError as exc:
-        raise TraceFormatError(f"trace header has a bad value: {exc}") from exc
+        result = _exact_pass_from_labels(train, cfg, labeled)
+    except (DegenerateGridError, ZeroDivisionError):
+        return False
+    return result is not None and trace_to_text(
+        header, result if use_weights else without_weights(result)) == text
 
 
 def replay_trace(path) -> ReplayOutcome:
@@ -668,15 +687,25 @@ def replay_trace(path) -> ReplayOutcome:
 
     The file is ``ok`` only when its text (CRLF read as LF) is what
     ``trace_to_text`` writes for the rerun, so a ``-0.0`` over a ``0.0`` or
-    a weight ``1`` over ``1.0`` diverges. Otherwise ``load_trace`` parses
-    the rows, and the outcome names the first row whose text differs and,
-    within it, the first such column in v1 order, with both values as
-    numbers. A row that only one side has is reported in the ``index``
-    column; a difference outside the rows (the header line, a blank line)
-    has no row and gives the first differing line of each side.
+    a weight ``1`` over ``1.0`` diverges. An exact-ERM IWAL trace is first
+    checked against its pass rebuilt from the rows it labels
+    (``_exact_trace_matches``), which is ``ok`` without the sequential
+    pass; every other trace, and an exact one that does not match, is
+    re-run by ``_select``. Then ``load_trace`` parses the rows, and the
+    outcome names the first row whose text differs and, within it, the
+    first such column in v1 order, with both values as numbers. A row that
+    only one side has is reported in the ``index`` column; a difference
+    outside the rows (the header line, a blank line) has no row and gives
+    the first differing line of each side.
     """
     header, text = read_trace(path)
-    result = rerun_from_header(header)
+    try:
+        train = _draw_split(header).train
+        if _exact_trace_matches(train, header, text):
+            return ReplayOutcome(True)
+        result = _select(train, header, {})
+    except InvalidArgumentError as exc:
+        raise TraceFormatError(f"trace header has a bad value: {exc}") from exc
     rendered = trace_to_text(header, result)
     if text == rendered:
         return ReplayOutcome(True)

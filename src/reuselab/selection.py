@@ -11,6 +11,7 @@ be replayed bit-exactly from its header.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -183,6 +184,15 @@ def _pool_split_offsets(proj: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return cut
 
 
+def _exact_grid(x: np.ndarray, resolution: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pool's (n, A, 1) projections onto the exact-ERM grid's directions
+    and the grid's (A, R') offsets that split the pool differently."""
+    dirs, offsets = _linear_grid(x.min(axis=0), x.max(axis=0), resolution)
+    # (n, A, 1): numpy's matrix-vector branch, one GEMV over A rows per example
+    proj = np.matmul(dirs, x[:, :, None])
+    return proj, _pool_split_offsets(proj, offsets)
+
+
 def _linspace_rows(start, stop, num: int) -> np.ndarray:
     """Row a is ``np.linspace(start[a], stop[a], num)``, bit for bit.
 
@@ -247,7 +257,9 @@ def select_iwal(
     offsets into a bool mask of +1 predictions (exactly ``s - b >= 0`` for
     finite doubles) and takes one min over the side of the mask the best
     hypothesis is not on. The best hypothesis is cached until a label
-    changes the errors.
+    changes the errors. Replay rebuilds an exact pass from the rows its
+    trace labels (``_exact_pass_from_labels``) and runs this loop only where
+    the rebuilt pass does not match the trace.
 
     The surrogate score on a 1-D pool is ``x * theta + bias`` on Python
     floats, read back from the selector after each label: a length-1 dot is
@@ -275,10 +287,7 @@ def select_iwal(
     xs = x[:, 0].tolist() if not exact and train.dim == 1 else None
     theta, bias = 0.0, model.bias
     if exact:
-        dirs, offsets = _linear_grid(x.min(axis=0), x.max(axis=0), config.erm_grid_resolution)
-        # (n, A, 1): numpy's matrix-vector branch, one GEMV over A rows per example
-        proj = np.matmul(dirs, x[:, :, None])
-        offsets = _pool_split_offsets(proj, offsets)
+        proj, offsets = _exact_grid(x, config.erm_grid_resolution)
         # cumulative weighted error of every grid hypothesis on the labeled set
         err = np.zeros(offsets.size)
         total_weight = 0.0
@@ -335,6 +344,88 @@ def select_iwal(
         np.asarray(gs, dtype=np.float64),
         np.asarray(probabilities, dtype=np.float64),
     )
+
+
+def _exact_pass_from_labels(train: Dataset, config: IwalConfig, labeled) -> SelectionResult | None:
+    """The exact-ERM pass ``select_iwal(train, config)`` rebuilt from the
+    ascending rows ``labeled`` it labels, or None where its own coins label
+    other rows.
+
+    The error table changes only at a labeled row, so the rows between two
+    labels are computed at once. Row i predicts +1 under a prefix of every
+    direction's sorted offsets, ``offsets[a, :plus[i, a]]``, counted once
+    per pass; after each label a table of the per-direction prefix and
+    suffix minima of ``err`` gives every row's least error on the side the
+    best hypothesis is not on, in one gather. The next label's p is
+    ``_probability`` on Python floats, since its 1/p drives the next
+    segment; p of every row is then computed with ``np.fmin``, as in
+    ``_iwal_lanes``, and the coins are ``pass_uniforms(seed, n) < p``.
+    Where they label exactly ``labeled``, every row saw the table the
+    sequential pass saw (by induction over the rows), so the result is that
+    pass bit for bit. Raises ``DegenerateGridError`` where a row after the
+    first has no disagreeing hypothesis, as the pass does. Where a ``g * g``
+    underflows to 0 the pass raises ``ZeroDivisionError``; here that row's
+    p is 1, so it is either labeled, and ``_probability`` raises the same
+    error, or the result is None.
+    """
+    n = len(train)
+    labeled = np.asarray(labeled, dtype=np.intp)
+    if not (n and labeled.size and labeled[0] == 0 and labeled[-1] < n
+            and (labeled[1:] > labeled[:-1]).all()):
+        return None
+    proj, offsets = _exact_grid(train.x, config.erm_grid_resolution)
+    dirs, width = offsets.shape
+    # table[a] holds min(err[a, :k]) at k and min(err[a, k:]) at width + 1 + k
+    stride = 2 * width + 2
+    table = np.full((dirs, stride), np.inf)
+    prefix, suffix = table[:, 1:width + 1], table[:, 2 * width:width:-1]
+    # plus[i, a]: how many of direction a's offsets predict +1 on row i
+    plus = np.zeros((n, dirs), dtype=np.min_scalar_type(width))
+    mask = np.empty(plus.shape, dtype=bool)
+    for b in offsets.T:
+        np.add(plus, np.greater_equal(proj[:, :, 0], b, out=mask).view(np.uint8), out=plus)
+    del proj, mask  # plus holds every prediction the pass reads
+    if ((plus == 0).all(axis=1) | (plus == width).all(axis=1))[1:].any():
+        raise DegenerateGridError("no grid hypothesis disagrees on the candidate")
+    starts = np.arange(0, dirs * stride, stride)  # of each direction's row of the flat table
+    columns = np.arange(width, dtype=plus.dtype)
+
+    err = np.zeros(offsets.shape)
+    wrong = np.empty(offsets.shape, dtype=bool)
+    g = np.zeros(n)
+    weights = []
+    total_weight, importance = 0.0, 1.0  # row 0 is labeled with p = 1
+    stops = labeled[1:].tolist() + [n]
+    for row, label, stop in zip(labeled.tolist(), train.y[labeled].tolist(), stops):
+        # a hypothesis errs where it predicts -label: from column plus[row, a] on for +1
+        (np.greater_equal if label == 1 else np.less)(columns, plus[row, :, None], out=wrong)
+        err += np.where(wrong, importance, 0.0)  # err is never -0.0, so err + 0.0 is err
+        total_weight += importance
+        weights.append(importance)
+        np.minimum.accumulate(err, axis=1, out=prefix)
+        np.minimum.accumulate(err[:, ::-1], axis=1, out=suffix)
+        best_dir, best_j = divmod(int(err.argmin()), width)
+        # rows up to and with the next label; the best is on their +1 side
+        # where it is in their prefix, and then they disagree on the suffix
+        rows = slice(row + 1, min(stop + 1, n))
+        side = plus[rows, best_dir] > best_j
+        least = table.take(plus[rows] + starts + side[:, None] * (width + 1)).min(axis=1)
+        g[rows] = (least - err[best_dir, best_j]) / total_weight
+        if stop < n:
+            importance = 1.0 / _probability(float(g[stop]), stop + 1, config.c0, config.log_base)
+
+    gs = g[1:]
+    ks = range(2, n + 1)
+    log_k = np.fromiter(map(math.log, ks) if config.log_base is None else
+                        map(math.log, ks, itertools.repeat(config.log_base)), np.float64, n - 1)
+    p = np.ones(n)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # min(1, (1/g^2 + 1/g) * c0 * log(k) / (k - 1)); a g or g * g of 0 gives 1
+        term = (1.0 / (gs * gs) + 1.0 / gs) * float(config.c0) * log_k
+        np.fmin(term / np.arange(1.0, n), 1.0, out=p[1:])
+    if not np.array_equal(np.flatnonzero(pass_uniforms(config.seed, n) < p), labeled):
+        return None
+    return SelectionResult(IWAL, labeled, np.asarray(weights, dtype=np.float64), g, p)
 
 
 def _iwal_lanes(trains, configs) -> list[SelectionResult]:

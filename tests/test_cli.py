@@ -313,10 +313,18 @@ class TestConfigSchema:
 
 
 class TestReplay:
-    def _run_with_traces(self, tmp_path):
+    """Replay on the traces of a run whose IWAL passes take ``g`` from the
+    surrogate or from exact ERM; replay checks an exact trace that matches
+    without the sequential pass, and re-runs it where it does not."""
+
+    @pytest.fixture(params=["surrogate", "exact-erm"])
+    def gk_mode(self, request):
+        return request.param
+
+    def _run_with_traces(self, tmp_path, gk_mode):
         payload = {**MINIMAL_CONFIG,
                    "strategies": ["random", "uncertainty", "iwal", "iwal-no-weights"],
-                   "c0_grid": [1.0], "save_traces": True}
+                   "c0_grid": [1.0], "save_traces": True, "iwal": {"gk_mode": gk_mode}}
         cfg = write_config(tmp_path, payload)
         out = tmp_path / "out"
         assert main(["run", "--config", cfg, "--out-dir", str(out)]) == 0
@@ -324,8 +332,21 @@ class TestReplay:
         assert traces
         return traces
 
-    def test_untouched_traces_verify(self, tmp_path, capsys):
-        for trace in self._run_with_traces(tmp_path):
+    def test_untouched_traces_verify(self, tmp_path, capsys, gk_mode):
+        for trace in self._run_with_traces(tmp_path, gk_mode):
+            assert main(["replay", str(trace)]) == 0
+            assert capsys.readouterr().out.strip() == "ok"
+
+    def test_untouched_exact_traces_verify_without_the_sequential_pass(self, tmp_path, capsys,
+                                                                       monkeypatch):
+        traces = [t for t in self._run_with_traces(tmp_path, "exact-erm") if "_iwal" in t.name]
+
+        def no_pass(*args, **kwargs):
+            raise AssertionError("replay ran the sequential pass")
+
+        monkeypatch.setattr(experiments, "select_iwal", no_pass)
+        assert len(traces) == 4
+        for trace in traces:
             assert main(["replay", str(trace)]) == 0
             assert capsys.readouterr().out.strip() == "ok"
 
@@ -354,18 +375,19 @@ class TestReplay:
         assert main(["replay", str(trace)]) == 1
         assert "divergence" in capsys.readouterr().out
 
-    def test_flipped_coin_detected(self, tmp_path, capsys):
-        trace = self._run_with_traces(tmp_path)[-1]
-        lines = trace.read_text().splitlines()
-        parts = lines[4].split(",")
-        parts[3] = "1" if parts[3] == "0" else "0"
-        lines[4] = ",".join(parts)
-        trace.write_text("\n".join(lines) + "\n")
-        assert main(["replay", str(trace)]) == 1
-        assert "divergence at row 2" in capsys.readouterr().out
+    def test_flipped_coin_detected(self, tmp_path, capsys, gk_mode):
+        traces = self._run_with_traces(tmp_path, gk_mode)
+        for trace in (traces[-1], [t for t in traces if "iwal_c0" in t.name][0]):
+            lines = trace.read_text().splitlines()
+            parts = lines[4].split(",")
+            parts[3] = "1" if parts[3] == "0" else "0"
+            lines[4] = ",".join(parts)
+            trace.write_text("\n".join(lines) + "\n")
+            assert main(["replay", str(trace)]) == 1
+            assert "divergence at row 2" in capsys.readouterr().out
 
-    def test_removed_last_row_detected(self, tmp_path, capsys):
-        trace = [t for t in self._run_with_traces(tmp_path) if "iwal_c0" in t.name][0]
+    def test_removed_last_row_detected(self, tmp_path, capsys, gk_mode):
+        trace = [t for t in self._run_with_traces(tmp_path, gk_mode) if "iwal_c0" in t.name][0]
         lines = trace.read_text().splitlines()
         last = len(lines) - 3  # row number of the last row; two header lines
         trace.write_text("\n".join(lines[:-1]) + "\n")
@@ -373,8 +395,8 @@ class TestReplay:
         out = capsys.readouterr().out
         assert f"divergence at row {last}, column index: trace has None, recomputed {last}" in out
 
-    def test_added_row_detected(self, tmp_path, capsys):
-        trace = [t for t in self._run_with_traces(tmp_path) if "iwal_c0" in t.name][0]
+    def test_added_row_detected(self, tmp_path, capsys, gk_mode):
+        trace = [t for t in self._run_with_traces(tmp_path, gk_mode) if "iwal_c0" in t.name][0]
         lines = trace.read_text().splitlines()
         extra = len(lines) - 2
         lines.append(f"{extra},0.0,1.0,0,0,0.0")
@@ -384,8 +406,8 @@ class TestReplay:
         assert f"divergence at row {extra}, column index: trace has {extra}, recomputed None" in out
 
     @pytest.mark.parametrize("column, row", [("g", -20), ("weight", -1)])
-    def test_one_ulp_off_is_reported(self, tmp_path, capsys, column, row):
-        trace = [t for t in self._run_with_traces(tmp_path) if "iwal_c0" in t.name][0]
+    def test_one_ulp_off_is_reported(self, tmp_path, capsys, gk_mode, column, row):
+        trace = [t for t in self._run_with_traces(tmp_path, gk_mode) if "iwal_c0" in t.name][0]
         lines = trace.read_text().splitlines()
         j = lines[1].split(",").index(column)
         parts = lines[row].split(",")
@@ -400,10 +422,10 @@ class TestReplay:
             f"trace has {float(parts[j])!r}, recomputed {was!r}")
 
     @pytest.mark.parametrize("column, was, now", [("g", "0.0", "-0.0"), ("weight", "1.0", "1")])
-    def test_same_number_written_differently_is_reported(self, tmp_path, capsys,
+    def test_same_number_written_differently_is_reported(self, tmp_path, capsys, gk_mode,
                                                          column, was, now):
         # the edited field parses to a number equal to the recomputed one
-        trace = [t for t in self._run_with_traces(tmp_path) if "iwal_c0" in t.name][0]
+        trace = [t for t in self._run_with_traces(tmp_path, gk_mode) if "iwal_c0" in t.name][0]
         lines = trace.read_text().splitlines()
         j = lines[1].split(",").index(column)
         at = next(row for row, line in enumerate(lines[2:]) if line.split(",")[j] == was)
@@ -416,8 +438,8 @@ class TestReplay:
             f"divergence at row {at}, column {column}: trace has {float(now)!r}, "
             f"recomputed {float(was)!r} (equal as numbers, written differently)")
 
-    def test_blank_line_is_reported_outside_the_rows(self, tmp_path, capsys):
-        trace = [t for t in self._run_with_traces(tmp_path) if "iwal_c0" in t.name][0]
+    def test_blank_line_is_reported_outside_the_rows(self, tmp_path, capsys, gk_mode):
+        trace = [t for t in self._run_with_traces(tmp_path, gk_mode) if "iwal_c0" in t.name][0]
         lines = trace.read_text().splitlines()
         lines.insert(4, "")
         trace.write_text("\n".join(lines) + "\n")
@@ -426,21 +448,22 @@ class TestReplay:
         assert capsys.readouterr().out.strip() == (
             f"divergence outside the rows: trace has '', recomputed {lines[5]!r}")
 
-    def test_crlf_trace_verifies(self, tmp_path, capsys):
-        trace = [t for t in self._run_with_traces(tmp_path) if "iwal_c0" in t.name][0]
+    def test_crlf_trace_verifies(self, tmp_path, capsys, gk_mode):
+        trace = [t for t in self._run_with_traces(tmp_path, gk_mode) if "iwal_c0" in t.name][0]
         trace.write_bytes(trace.read_bytes().replace(b"\n", b"\r\n"))
         assert main(["replay", str(trace)]) == 0
         assert capsys.readouterr().out.strip() == "ok"
 
-    def test_crlf_trace_with_flipped_coin_detected(self, tmp_path, capsys):
-        trace = self._run_with_traces(tmp_path)[-1]
-        lines = trace.read_text().splitlines()
-        parts = lines[4].split(",")
-        parts[3] = "1" if parts[3] == "0" else "0"
-        lines[4] = ",".join(parts)
-        trace.write_bytes(("\r\n".join(lines) + "\r\n").encode())
-        assert main(["replay", str(trace)]) == 1
-        assert "divergence at row 2, column coin: " in capsys.readouterr().out
+    def test_crlf_trace_with_flipped_coin_detected(self, tmp_path, capsys, gk_mode):
+        traces = self._run_with_traces(tmp_path, gk_mode)
+        for trace in (traces[-1], [t for t in traces if "iwal_c0" in t.name][0]):
+            lines = trace.read_text().splitlines()
+            parts = lines[4].split(",")
+            parts[3] = "1" if parts[3] == "0" else "0"
+            lines[4] = ",".join(parts)
+            trace.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+            assert main(["replay", str(trace)]) == 1
+            assert "divergence at row 2, column coin: " in capsys.readouterr().out
 
     @staticmethod
     def _edit_header(trace, edit):
@@ -451,23 +474,24 @@ class TestReplay:
         lines[0] = prefix + json.dumps(edit(header), sort_keys=True)
         trace.write_text("\n".join(lines) + "\n")
 
-    def test_header_c0_mismatch_detected(self, tmp_path, capsys):
-        trace = [t for t in self._run_with_traces(tmp_path) if "iwal_c0" in t.name][0]
+    def test_header_c0_mismatch_detected(self, tmp_path, capsys, gk_mode):
+        trace = [t for t in self._run_with_traces(tmp_path, gk_mode) if "iwal_c0" in t.name][0]
         self._edit_header(trace, lambda h: {**h, "c0": h["c0"] * 10})
         assert main(["replay", str(trace)]) == 1
         out = capsys.readouterr().out
         assert "divergence" in out and "probability" in out
 
     @pytest.mark.parametrize("strategy", ["iwal", "iwal-no-weights"])
-    def test_flipped_use_weights_detected(self, tmp_path, capsys, strategy):
-        trace = [t for t in self._run_with_traces(tmp_path) if f"_{strategy}_c0" in t.name][0]
+    def test_flipped_use_weights_detected(self, tmp_path, capsys, gk_mode, strategy):
+        traces = self._run_with_traces(tmp_path, gk_mode)
+        trace = [t for t in traces if f"_{strategy}_c0" in t.name][0]
         self._edit_header(trace, lambda h: {**h, "use_weights": not h["use_weights"]})
         assert main(["replay", str(trace)]) == 1
         assert ", column weight: " in capsys.readouterr().out
 
     @pytest.mark.parametrize("key", ["c0", "dataset"])
-    def test_header_missing_key_is_trace_error(self, tmp_path, capsys, key):
-        trace = [t for t in self._run_with_traces(tmp_path) if "iwal_c0" in t.name][0]
+    def test_header_missing_key_is_trace_error(self, tmp_path, capsys, gk_mode, key):
+        trace = [t for t in self._run_with_traces(tmp_path, gk_mode) if "iwal_c0" in t.name][0]
         self._edit_header(trace, lambda h: {k: v for k, v in h.items() if k != key})
         assert main(["replay", str(trace)]) == 2
         assert f"trace error: trace header lacks {key!r}" in capsys.readouterr().err
@@ -479,9 +503,10 @@ class TestReplay:
         ("dataset.n", "x", "n must be"), ("split.test_prop", "x", "test_prop"),
         ("split.scale_numeric", "no", "scale_numeric"),
         ("dataset.schema", {"f0": {"kind": "categorical", "levels": ["x", "x"]}}, "schema"),
+        ("use_weights", "yes", "use_weights"), ("use_weights", 0, "use_weights"),
     ])
-    def test_header_bad_value_is_trace_error(self, tmp_path, capsys, path, value, named):
-        trace = [t for t in self._run_with_traces(tmp_path) if "iwal_c0" in t.name][0]
+    def test_header_bad_value_is_trace_error(self, tmp_path, capsys, gk_mode, path, value, named):
+        trace = [t for t in self._run_with_traces(tmp_path, gk_mode) if "iwal_c0" in t.name][0]
 
         def edit(header):
             *outer, key = path.split(".")
@@ -494,16 +519,16 @@ class TestReplay:
         err = capsys.readouterr().err.splitlines()[-1]
         assert err.startswith("trace error: trace header has a bad ") and named in err
 
-    def test_header_dataset_without_kind_is_trace_error(self, tmp_path, capsys):
-        trace = [t for t in self._run_with_traces(tmp_path) if "iwal_c0" in t.name][0]
+    def test_header_dataset_without_kind_is_trace_error(self, tmp_path, capsys, gk_mode):
+        trace = [t for t in self._run_with_traces(tmp_path, gk_mode) if "iwal_c0" in t.name][0]
         self._edit_header(trace, lambda h: {**h, "dataset": {
             k: v for k, v in h["dataset"].items() if k != "kind"}})
         assert main(["replay", str(trace)]) == 2
         err = capsys.readouterr().err.splitlines()[-1]
         assert err == "trace error: trace header has a bad value: dataset spec lacks 'kind'"
 
-    def test_header_not_an_object_is_trace_error(self, tmp_path, capsys):
-        trace = self._run_with_traces(tmp_path)[0]
+    def test_header_not_an_object_is_trace_error(self, tmp_path, capsys, gk_mode):
+        trace = self._run_with_traces(tmp_path, gk_mode)[0]
         self._edit_header(trace, lambda h: [])
         assert main(["replay", str(trace)]) == 2
         assert "header is not a JSON object" in capsys.readouterr().err

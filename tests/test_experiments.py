@@ -24,7 +24,7 @@ from reuselab.experiments import (
     build_report,
     default_n_grid,
     density_histogram,
-    rerun_from_header,
+    replay_trace,
     run_experiment,
 )
 from reuselab.seeding import ROLE_POOL, ROLE_SELECTION, derive_seed
@@ -125,14 +125,13 @@ class TestRunExperiment:
             assert len(splits) == 1  # every strategy consumed the same split
             assert len(pools) == 1
 
-    def test_traces_replayable_from_headers(self):
+    def test_traces_replayable_from_headers(self, tmp_path):
         config = line_config(save_traces=True, repetitions=1)
         res = run_experiment(config)
         assert res.traces
         for fname, text in res.traces:
-            header = json.loads(text.splitlines()[0].split(" ", 3)[3])
-            rerun = rerun_from_header(header)
-            assert rerun.strategy == header["strategy"]
+            (tmp_path / fname).write_text(text)
+            assert replay_trace(tmp_path / fname).ok
 
     def test_aggregation_permutation_invariant(self):
         config = line_config(repetitions=5)

@@ -18,6 +18,7 @@ from reuselab.selection import (
     IWAL_NO_WEIGHTS,
     SelectionResult,
     _LANE_BLOCK,
+    _exact_pass_from_labels,
     _linear_grid,
     _pool_split_offsets,
     selection_probability,
@@ -654,6 +655,59 @@ class TestIwalPassBitIdentity:
                         rl.select_iwal(pool, config)
                     continue
                 assert_same_pass(rl.select_iwal(pool, config), want, config)
+
+
+class TestExactPassFromLabels:
+    """An exact pass rebuilt from the rows it labels is the pass, byte for byte,
+    and a label set that is one row off rebuilds nothing."""
+
+    POOLS = {**BIT_IDENTITY_POOLS, "bench-circle": bench_circle_pool(1)}
+
+    @pytest.mark.parametrize("pool", POOLS.values(), ids=POOLS.keys())
+    def test_same_bytes_as_the_pass_given_its_labels(self, pool):
+        passes = 0
+        for resolution in (16, 64):
+            for log_base in (None, 2.0):
+                for c0 in (0.01, 0.1, 0.3, 1.0, 3.0):
+                    config = rl.IwalConfig(
+                        c0=c0, gk_mode=EXACT_ERM, erm_grid_resolution=resolution,
+                        seed=derive_seed(68, passes), log_base=log_base,
+                    )
+                    passes += 1
+                    try:
+                        want = rl.select_iwal(pool, config)
+                    except DegenerateGridError as exc:
+                        with pytest.raises(DegenerateGridError, match=str(exc)):
+                            _exact_pass_from_labels(pool, config, [0])
+                        continue
+                    got = _exact_pass_from_labels(pool, config, want.indices)
+                    assert got.strategy == want.strategy
+                    for column in ("indices", "weights", "g", "probability"):
+                        a, b = getattr(got, column), getattr(want, column)
+                        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (config, column)
+
+    @pytest.mark.parametrize("name", ["circle", "uniform-line", "four-cluster-line"])
+    def test_one_label_added_dropped_or_moved_rebuilds_nothing(self, name):
+        pool = BIT_IDENTITY_POOLS[name]
+        rng = np.random.default_rng(69)
+        edits = 0
+        for i, c0 in enumerate((0.01, 0.03, 0.1)):
+            config = rl.IwalConfig(c0=c0, gk_mode=EXACT_ERM, erm_grid_resolution=16,
+                                   seed=derive_seed(69, i))
+            want = rl.select_iwal(pool, config)
+            labels = want.indices.tolist()
+            others = sorted(set(range(len(pool))) - set(labels))
+            assert len(labels) > 1 and others
+            for _ in range(8):
+                dropped = labels[int(rng.integers(1, len(labels)))]
+                added = others[int(rng.integers(len(others)))]
+                for edited in ({*labels, added}, set(labels) - {dropped},
+                               set(labels) - {dropped} | {added}):
+                    got = _exact_pass_from_labels(pool, config, sorted(edited))
+                    assert got is None, (config, sorted(edited))
+                    edits += 1
+            assert _exact_pass_from_labels(pool, config, labels) is not None
+        assert edits == 72
 
 
 class TestSelectorUpdates:
