@@ -658,28 +658,21 @@ class ReplayOutcome:
                 f"trace has {self.expected!r}, recomputed {self.actual!r}{note}")
 
 
-def _exact_trace_matches(train: Dataset, header: Mapping, text: str) -> bool:
-    """Whether ``text`` is the trace of the exact-ERM IWAL pass ``header``
-    describes, decided without the sequential pass.
+def _rerun(train: Dataset, header: Mapping, text: str) -> SelectionResult:
+    """The pass that replay compares the trace ``text`` with.
 
-    The pass is rebuilt between the rows whose coin and selected cells read
-    ``1,1`` (``_exact_pass_from_labels``), and it is the sequential pass bit
-    for bit wherever it is built at all. False for any other header, and
-    where the rebuilt pass raises, labels other rows or writes other text.
-    The header is checked as ``_select`` checks it.
+    An exact-ERM IWAL pass is rebuilt from the rows whose coin and selected
+    cells read ``1,1`` (``_exact_pass_from_labels``), counted among the
+    non-blank rows; every other pass is re-run by ``_select``.
     """
-    if _header_value(header, "strategy") not in (IWAL, IWAL_NO_WEIGHTS):
-        return False
-    cfg, use_weights = _iwal_header(header)
-    if cfg.gk_mode != EXACT_ERM:
-        return False
-    labeled = [i for i, row in enumerate(text.split("\n")[2:]) if ",1,1," in row]
-    try:
-        result = _exact_pass_from_labels(train, cfg, labeled)
-    except (DegenerateGridError, ZeroDivisionError):
-        return False
-    return result is not None and trace_to_text(
-        header, result if use_weights else without_weights(result)) == text
+    if _header_value(header, "strategy") in (IWAL, IWAL_NO_WEIGHTS):
+        cfg, use_weights = _iwal_header(header)
+        if cfg.gk_mode == EXACT_ERM:
+            rows = [line for line in text.split("\n")[2:] if line]
+            labeled = [i for i, row in enumerate(rows) if ",1,1," in row]
+            result = _exact_pass_from_labels(train, cfg, labeled)
+            return result if use_weights else without_weights(result)
+    return _select(train, header, {})
 
 
 def replay_trace(path) -> ReplayOutcome:
@@ -687,11 +680,14 @@ def replay_trace(path) -> ReplayOutcome:
 
     The file is ``ok`` only when its text (CRLF read as LF) is what
     ``trace_to_text`` writes for the rerun, so a ``-0.0`` over a ``0.0`` or
-    a weight ``1`` over ``1.0`` diverges. An exact-ERM IWAL trace is first
-    checked against its pass rebuilt from the rows it labels
-    (``_exact_trace_matches``), which is ``ok`` without the sequential
-    pass; every other trace, and an exact one that does not match, is
-    re-run by ``_select``. Then ``load_trace`` parses the rows, and the
+    a weight ``1`` over ``1.0`` diverges. An exact-ERM IWAL trace is
+    compared with its pass rebuilt from the rows it labels, never with the
+    sequential pass (``_rerun``). The report is still the sequential pass's:
+    let i* be the first row where the rebuilt pass's coins leave the file's.
+    The file's row i* then differs as text from the sequential pass's row
+    i*, and up to i* the two passes agree bit for bit, so the first
+    divergence is at i* or before and reads the same on either pass; with
+    no i* the passes are equal. Then ``load_trace`` parses the rows, and the
     outcome names the first row whose text differs and, within it, the
     first such column in v1 order, with both values as numbers. A row that
     only one side has is reported in the ``index`` column; a difference
@@ -700,10 +696,7 @@ def replay_trace(path) -> ReplayOutcome:
     """
     header, text = read_trace(path)
     try:
-        train = _draw_split(header).train
-        if _exact_trace_matches(train, header, text):
-            return ReplayOutcome(True)
-        result = _select(train, header, {})
+        result = _rerun(_draw_split(header).train, header, text)
     except InvalidArgumentError as exc:
         raise TraceFormatError(f"trace header has a bad value: {exc}") from exc
     rendered = trace_to_text(header, result)

@@ -102,8 +102,9 @@ def selection_probability(g: float, k: int, c0: float, log_base: float | None = 
     """Labeling probability of the k-th streamed example.
 
     Returns ``min(1, (1/g^2 + 1/g) * c0 * log(k) / (k - 1))``; the g -> 0
-    limit saturates the clamp, so g = 0 maps to 1. ``log_base=None`` means
-    the natural logarithm; otherwise it must be a number above 1.
+    limit saturates the clamp, so a g whose square is 0 as a double (g = 0,
+    or g below about 1.5e-162) maps to 1. ``log_base=None`` means the
+    natural logarithm; otherwise it must be a number above 1.
     """
     if not (is_number(g) and g >= 0):
         raise InvalidArgumentError(f"g must be a non-negative number, not {g!r}")
@@ -118,10 +119,11 @@ def selection_probability(g: float, k: int, c0: float, log_base: float | None = 
 
 def _probability(g: float, k: int, c0: float, log_base: float | None) -> float:
     """``selection_probability`` without its argument checks."""
-    if g == 0.0:
+    g2 = g * g
+    if g2 == 0.0:
         return 1.0
     log_k = math.log(k) if log_base is None else math.log(k, log_base)
-    return min(1.0, (1.0 / (g * g) + 1.0 / g) * c0 * log_k / (k - 1))
+    return min(1.0, (1.0 / g2 + 1.0 / g) * c0 * log_k / (k - 1))
 
 
 def surrogate_error_difference(score: float, mean_abs_score: float) -> float:
@@ -244,7 +246,8 @@ def select_iwal(
 
     Every selected example is stored with weight 1/p and the online
     selector is updated with importance 1/p. The first streamed example is
-    always labeled. The selected-set size is a random variable.
+    always labeled, and so is any row whose ``g * g`` is 0 as a double
+    (``selection_probability``). The selected-set size is a random variable.
 
     Exact-ERM ``g`` projects the pool onto the grid's A directions once per
     pass, with ``np.matmul(dirs, x[:, :, None])``: numpy's matrix-vector
@@ -257,9 +260,9 @@ def select_iwal(
     offsets into a bool mask of +1 predictions (exactly ``s - b >= 0`` for
     finite doubles) and takes one min over the side of the mask the best
     hypothesis is not on. The best hypothesis is cached until a label
-    changes the errors. Replay rebuilds an exact pass from the rows its
-    trace labels (``_exact_pass_from_labels``) and runs this loop only where
-    the rebuilt pass does not match the trace.
+    changes the errors. Replay does not run this loop on an exact trace: it
+    rebuilds the pass from the rows the trace labels
+    (``_exact_pass_from_labels``).
 
     The surrogate score on a 1-D pool is ``x * theta + bias`` on Python
     floats, read back from the selector after each label: a length-1 dot is
@@ -346,10 +349,9 @@ def select_iwal(
     )
 
 
-def _exact_pass_from_labels(train: Dataset, config: IwalConfig, labeled) -> SelectionResult | None:
-    """The exact-ERM pass ``select_iwal(train, config)`` rebuilt from the
-    ascending rows ``labeled`` it labels, or None where its own coins label
-    other rows.
+def _exact_pass_from_labels(train: Dataset, config: IwalConfig, labeled) -> SelectionResult:
+    """The exact-ERM pass ``select_iwal(train, config)`` rebuilt as if it
+    labeled row 0 and the ascending rows ``labeled`` inside the pool.
 
     The error table changes only at a labeled row, so the rows between two
     labels are computed at once. Row i predicts +1 under a prefix of every
@@ -359,20 +361,16 @@ def _exact_pass_from_labels(train: Dataset, config: IwalConfig, labeled) -> Sele
     best hypothesis is not on, in one gather. The next label's p is
     ``_probability`` on Python floats, since its 1/p drives the next
     segment; p of every row is then computed with ``np.fmin``, as in
-    ``_iwal_lanes``, and the coins are ``pass_uniforms(seed, n) < p``.
-    Where they label exactly ``labeled``, every row saw the table the
-    sequential pass saw (by induction over the rows), so the result is that
-    pass bit for bit. Raises ``DegenerateGridError`` where a row after the
-    first has no disagreeing hypothesis, as the pass does. Where a ``g * g``
-    underflows to 0 the pass raises ``ZeroDivisionError``; here that row's
-    p is 1, so it is either labeled, and ``_probability`` raises the same
-    error, or the result is None.
+    ``_iwal_lanes``. The result selects the rows its own coins,
+    ``pass_uniforms(seed, n) < p``, label, with weights ``1 / p``. Up to and
+    with the first row where those coins leave ``labeled``, every row saw
+    the table the sequential pass saw (by induction over the rows), so the
+    result is that pass bit for bit there, and everywhere if there is no
+    such row. Raises ``DegenerateGridError`` where a row after the first has
+    no disagreeing hypothesis, as the pass does.
     """
     n = len(train)
-    labeled = np.asarray(labeled, dtype=np.intp)
-    if not (n and labeled.size and labeled[0] == 0 and labeled[-1] < n
-            and (labeled[1:] > labeled[:-1]).all()):
-        return None
+    labeled = [0, *(row for row in map(int, labeled) if 0 < row < n)]
     proj, offsets = _exact_grid(train.x, config.erm_grid_resolution)
     dirs, width = offsets.shape
     # table[a] holds min(err[a, :k]) at k and min(err[a, k:]) at width + 1 + k
@@ -393,15 +391,12 @@ def _exact_pass_from_labels(train: Dataset, config: IwalConfig, labeled) -> Sele
     err = np.zeros(offsets.shape)
     wrong = np.empty(offsets.shape, dtype=bool)
     g = np.zeros(n)
-    weights = []
     total_weight, importance = 0.0, 1.0  # row 0 is labeled with p = 1
-    stops = labeled[1:].tolist() + [n]
-    for row, label, stop in zip(labeled.tolist(), train.y[labeled].tolist(), stops):
+    for row, label, stop in zip(labeled, train.y[labeled].tolist(), labeled[1:] + [n]):
         # a hypothesis errs where it predicts -label: from column plus[row, a] on for +1
         (np.greater_equal if label == 1 else np.less)(columns, plus[row, :, None], out=wrong)
         err += np.where(wrong, importance, 0.0)  # err is never -0.0, so err + 0.0 is err
         total_weight += importance
-        weights.append(importance)
         np.minimum.accumulate(err, axis=1, out=prefix)
         np.minimum.accumulate(err[:, ::-1], axis=1, out=suffix)
         best_dir, best_j = divmod(int(err.argmin()), width)
@@ -423,9 +418,8 @@ def _exact_pass_from_labels(train: Dataset, config: IwalConfig, labeled) -> Sele
         # min(1, (1/g^2 + 1/g) * c0 * log(k) / (k - 1)); a g or g * g of 0 gives 1
         term = (1.0 / (gs * gs) + 1.0 / gs) * float(config.c0) * log_k
         np.fmin(term / np.arange(1.0, n), 1.0, out=p[1:])
-    if not np.array_equal(np.flatnonzero(pass_uniforms(config.seed, n) < p), labeled):
-        return None
-    return SelectionResult(IWAL, labeled, np.asarray(weights, dtype=np.float64), g, p)
+    picked = np.flatnonzero(pass_uniforms(config.seed, n) < p)
+    return SelectionResult(IWAL, picked, 1.0 / p[picked], g, p)
 
 
 def _iwal_lanes(trains, configs) -> list[SelectionResult]:
@@ -438,9 +432,8 @@ def _iwal_lanes(trains, configs) -> list[SelectionResult]:
     ``online_linear_update`` call, importance 1/p on the labeling lanes and
     0 on the rest, which steps each labeling lane on Python floats as the
     solo call does. So every lane equals its solo pass bit for bit. Coins
-    and pool columns are held ``_LANE_BLOCK`` steps at a time. A lane whose
-    solo pass would divide by a ``g * g`` that underflows to 0 raises the
-    same ``ZeroDivisionError``.
+    and pool columns are held ``_LANE_BLOCK`` steps at a time. Where
+    ``g * g`` is 0, numpy's 1/0 is inf and p is 1, as ``_probability`` gives.
     """
     if not (isinstance(trains, Sequence) and isinstance(configs, Sequence)):
         raise InvalidArgumentError("the lanes form takes a sequence of pools and one of configs")
@@ -497,9 +490,6 @@ def _iwal_lanes(trains, configs) -> list[SelectionResult]:
                 if not np.less(u, p, out=hit).any():
                     continue
                 online_linear_update(selector, x, label, np.where(hit, 1.0 / p, 0.0))
-            g_block = gs[:, start:stop]
-            if np.any((g_block != 0.0) & (g_block * g_block == 0.0)):
-                raise ZeroDivisionError("float division by zero")
     results = []
     for g, p, hit in zip(gs, probabilities, selected):
         indices = hit.nonzero()[0]

@@ -162,8 +162,11 @@ def test_criterion_5_unbiasedness():
     pool = rl.gen_uniform_line(4000, seed=404)
     model = LinearModel("least-squares", theta=np.array([1.0]), bias=0.15)
     truth = rl.zero_one_error(model, pool)
+    configs = [rl.IwalConfig(c0=3.0, seed=derive_seed(505, r)) for r in range(1000)]
+    # 50 passes at a time as lanes, each equal to its solo pass bit for bit
     selections = (
-        rl.select_iwal(pool, rl.IwalConfig(c0=3.0, seed=derive_seed(505, r))) for r in range(1000)
+        sel for start in range(0, len(configs), 50)
+        for sel in rl.select_iwal([pool] * 50, configs[start:start + 50])
     )
     vals = np.array([
         weighted_error(model, pool.x[sel.indices], pool.y[sel.indices], sel.weights)

@@ -314,12 +314,17 @@ class TestConfigSchema:
 
 class TestReplay:
     """Replay on the traces of a run whose IWAL passes take ``g`` from the
-    surrogate or from exact ERM; replay checks an exact trace that matches
-    without the sequential pass, and re-runs it where it does not."""
+    surrogate or from exact ERM. Once an exact-ERM run has finished, the
+    sequential pass raises, so every outcome on its IWAL traces comes from
+    the pass rebuilt from the rows the trace labels."""
 
     @pytest.fixture(params=["surrogate", "exact-erm"])
     def gk_mode(self, request):
         return request.param
+
+    @pytest.fixture(autouse=True)
+    def _keep_monkeypatch(self, monkeypatch):
+        self.monkeypatch = monkeypatch
 
     def _run_with_traces(self, tmp_path, gk_mode):
         payload = {**MINIMAL_CONFIG,
@@ -329,24 +334,16 @@ class TestReplay:
         out = tmp_path / "out"
         assert main(["run", "--config", cfg, "--out-dir", str(out)]) == 0
         traces = sorted((out / "traces").iterdir())
-        assert traces
+        assert sum("_iwal" in t.name for t in traces) == 4
+        if gk_mode == "exact-erm":
+            def no_pass(*args, **kwargs):
+                raise AssertionError("replay ran the sequential pass")
+
+            self.monkeypatch.setattr(experiments, "select_iwal", no_pass)
         return traces
 
     def test_untouched_traces_verify(self, tmp_path, capsys, gk_mode):
         for trace in self._run_with_traces(tmp_path, gk_mode):
-            assert main(["replay", str(trace)]) == 0
-            assert capsys.readouterr().out.strip() == "ok"
-
-    def test_untouched_exact_traces_verify_without_the_sequential_pass(self, tmp_path, capsys,
-                                                                       monkeypatch):
-        traces = [t for t in self._run_with_traces(tmp_path, "exact-erm") if "_iwal" in t.name]
-
-        def no_pass(*args, **kwargs):
-            raise AssertionError("replay ran the sequential pass")
-
-        monkeypatch.setattr(experiments, "select_iwal", no_pass)
-        assert len(traces) == 4
-        for trace in traces:
             assert main(["replay", str(trace)]) == 0
             assert capsys.readouterr().out.strip() == "ok"
 

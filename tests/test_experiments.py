@@ -467,3 +467,90 @@ class TestDensityHistogram:
             density_histogram(
                 rl.DatasetSpec(kind="csv", path="x.csv"), c0_list=(1.0,), runs=2, bins=4
             )
+
+
+def edited_traces(text, rng):
+    """The trace ``text`` and 15 edits of it, by name."""
+    header_line, columns, *rows = text.splitlines()
+    tag, _, header = header_line.partition("{")
+    header = json.loads("{" + header)
+    labeled = [i for i, row in enumerate(rows) if ",1,1," in row]
+    unlabeled = [i for i, row in enumerate(rows) if ",0,0," in row]
+    assert len(labeled) > 2 and len(unlabeled) > 2
+
+    def pick(among):
+        return among[int(rng.integers(1 if among[0] == 0 else 0, len(among)))]
+
+    def text_of(new_rows, new_header=header):
+        head = tag + json.dumps(new_header, sort_keys=True)
+        return "\n".join([head, columns, *new_rows]) + "\n"
+
+    def with_cells(row, edits):
+        """``rows`` with cell j of ``row`` rewritten as ``edits[j]`` of it."""
+        parts = rows[row].split(",")
+        for j, edit in edits.items():
+            parts[j] = edit(parts[j])
+        return [*rows[:row], ",".join(parts), *rows[row + 1:]]
+
+    def flip(cell):
+        return "1" if cell == "0" else "0"
+
+    def ulp(cell):
+        return repr(math.nextafter(float(cell), math.inf))
+
+    both = {3: flip, 4: flip}  # coin and selected
+    a, b = pick(labeled), pick(unlabeled)
+    swapped = list(rows)
+    swapped[a], swapped[b] = rows[b], rows[a]
+    twice = with_cells(a, both)
+    twice[b] = with_cells(b, both)[b]
+    return {
+        "original": text,
+        "coin": text_of(with_cells(pick(unlabeled), {3: flip})),
+        "coin-and-selected": text_of(with_cells(pick(unlabeled), both)),
+        "dropped-row": text_of(rows[:a] + rows[a + 1:]),
+        "truncated": text_of(rows[:int(rng.integers(1, len(rows)))]),
+        "appended-label": text_of([*rows, f"{len(rows)},0.0,1.0,1,1,1.0"]),
+        "g-ulp": text_of(with_cells(pick(unlabeled), {1: ulp})),
+        "p-ulp": text_of(with_cells(pick(labeled), {2: ulp})),
+        "c0": text_of(rows, {**header, "c0": header["c0"] * 3}),
+        "seed": text_of(rows, {**header, "seed": header["seed"] + 1}),
+        "resolution": text_of(rows, {**header, "erm_grid_resolution": 17}),
+        "use-weights": text_of(rows, {**header, "use_weights": not header["use_weights"]}),
+        "blank-line": text_of([*rows[:a], "", *rows[a:]]),
+        "row-0-unlabeled": text_of(with_cells(0, {**both, 5: lambda cell: "0.0"})),
+        "swapped-rows": text_of(swapped),
+        "two-flips": text_of(twice),
+    }
+
+
+class TestExactReplayDifferential:
+    """Replay of an exact-ERM trace, edited or not, reads as it would if the
+    trace were compared with the sequential pass."""
+
+    def test_every_outcome_is_the_sequential_reruns(self, tmp_path, monkeypatch):
+        config = ExperimentConfig(
+            dataset=rl.DatasetSpec(kind="circle", n=240, circle_prob=0.05), test_prop=0.25,
+            repetitions=1, strategies=("iwal", "iwal-no-weights"), c0_grid=(0.01, 0.1, 1.0),
+            base_seed=90, gk_mode="exact-erm", erm_grid_resolution=16, save_traces=True,
+        )
+        rng = np.random.default_rng(91)
+        paths = []
+        for fname, text in run_experiment(config).traces:
+            for name, edited in edited_traces(text, rng).items():
+                paths.append(tmp_path / f"{name}-{fname}")
+                paths[-1].write_text(edited)
+        assert len(paths) == 6 * 16
+
+        def no_pass(*args, **kwargs):
+            raise AssertionError("replay ran the sequential pass")
+
+        monkeypatch.setattr(experiments, "select_iwal", no_pass)
+        rebuilt = [replay_trace(path).describe() for path in paths]
+        monkeypatch.undo()
+        monkeypatch.setattr(experiments, "_rerun",
+                            lambda train, header, text: experiments._select(train, header, {}))
+        sequential = [replay_trace(path).describe() for path in paths]
+        for path, got, want in zip(paths, rebuilt, sequential):
+            assert got == want, path.name
+        assert rebuilt.count("ok") == 6

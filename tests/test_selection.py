@@ -54,9 +54,11 @@ class TestSelectionProbability:
         assert p == pytest.approx(9.23e-4, rel=5e-3)
 
     def test_zero_difference_saturates(self):
-        for k in (2, 10, 10**6):
-            for c0 in (1e-9, 1.0):
-                assert rl.selection_probability(0.0, k, c0) == 1.0
+        # 1e-170 squares to 0 as a double, so it is the g -> 0 limit too
+        for g in (0.0, 1e-170):
+            for k in (2, 10, 10**6):
+                for c0 in (1e-9, 1.0):
+                    assert rl.selection_probability(g, k, c0) == 1.0
 
     def test_large_c0_clamps_to_one(self):
         assert rl.selection_probability(1.0, 100, 1e9) == 1.0
@@ -659,7 +661,8 @@ class TestIwalPassBitIdentity:
 
 class TestExactPassFromLabels:
     """An exact pass rebuilt from the rows it labels is the pass, byte for byte,
-    and a label set that is one row off rebuilds nothing."""
+    and one rebuilt from a label set that is one row off is the pass up to
+    that row."""
 
     POOLS = {**BIT_IDENTITY_POOLS, "bench-circle": bench_circle_pool(1)}
 
@@ -687,7 +690,9 @@ class TestExactPassFromLabels:
                         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (config, column)
 
     @pytest.mark.parametrize("name", ["circle", "uniform-line", "four-cluster-line"])
-    def test_one_label_added_dropped_or_moved_rebuilds_nothing(self, name):
+    def test_one_label_added_dropped_or_moved_keeps_the_pass_up_to_it(self, name):
+        # up to and with the first row d where the edited labels leave the
+        # pass's, the rebuilt pass is the pass, and its coin at d is the pass's
         pool = BIT_IDENTITY_POOLS[name]
         rng = np.random.default_rng(69)
         edits = 0
@@ -703,10 +708,16 @@ class TestExactPassFromLabels:
                 added = others[int(rng.integers(len(others)))]
                 for edited in ({*labels, added}, set(labels) - {dropped},
                                set(labels) - {dropped} | {added}):
+                    d = min(set(labels) ^ edited)
                     got = _exact_pass_from_labels(pool, config, sorted(edited))
-                    assert got is None, (config, sorted(edited))
+                    for column in ("g", "probability"):
+                        a, b = getattr(got, column)[:d + 1], getattr(want, column)[:d + 1]
+                        assert a.tobytes() == b.tobytes(), (config, column, d)
+                    head = got.indices <= d
+                    assert got.indices[head].tobytes() == want.indices[want.indices <= d].tobytes()
+                    assert got.weights[head].tobytes() == want.weights[want.indices <= d].tobytes()
+                    assert (d in got.indices) == (d not in edited)
                     edits += 1
-            assert _exact_pass_from_labels(pool, config, labels) is not None
         assert edits == 72
 
 
@@ -786,14 +797,15 @@ class TestIwalLanes:
         for config, got in zip(configs, results):
             assert_same_pass(got, rl.select_iwal(pool, config), config)
 
-    def test_underflowing_g_raises_as_the_solo_pass_does(self):
+    def test_underflowing_g_has_p_one_solo_and_lanes_alike(self):
         # g at step 2 is |bias| / (score1 / 2), about 1e-200, so g * g is 0
         pool = rl.Dataset(np.array([[1.0], [1e200], [0.0], [0.5]]), np.array([1, 1, 1, -1]))
         config = rl.IwalConfig(c0=1.0, seed=3)
-        with pytest.raises(ZeroDivisionError):
-            rl.select_iwal(pool, config)
-        with pytest.raises(ZeroDivisionError):
-            rl.select_iwal([LANE_POOLS[0].take(np.arange(4)), pool], [config, config])
+        solo = rl.select_iwal(pool, config)
+        assert 0.0 < solo.g[2] < 1e-162
+        assert solo.probability.tolist() == [1.0, 1.0, 1.0, 1.0]
+        lanes = rl.select_iwal([LANE_POOLS[0].take(np.arange(4)), pool], [config, config])
+        assert_same_pass(lanes[1], solo, config)
 
     @pytest.mark.parametrize("pools, configs", [
         ([], []),
