@@ -50,6 +50,8 @@ class Dataset:
         y = np.array(self.y, dtype=np.int64)
         if x.ndim != 2 or x.shape[0] == 0:
             raise InvalidArgumentError("dataset needs a non-empty (n, dim) feature matrix")
+        if not np.isfinite(x).all():
+            raise InvalidArgumentError("features must be finite numbers")
         if y.shape != (x.shape[0],):
             raise InvalidArgumentError("labels must align with instances")
         if not ((y == 1) | (y == -1)).all():

@@ -13,8 +13,8 @@ compares each active-learning cell against the random cell of the nearest
 size.
 
 Repetitions are independent jobs; with ``jobs > 1`` they execute in a
-process pool, and aggregation reduces them in repetition order so outputs
-are byte-identical regardless of parallelism.
+pool of ``min(jobs, repetitions)`` processes, and aggregation reduces them
+in repetition order so outputs are byte-identical regardless of parallelism.
 """
 
 from __future__ import annotations
@@ -384,10 +384,10 @@ def _run_repetition(config: ExperimentConfig, r: int,
 # The full experiment
 
 
-def default_n_grid(n_train: int, points: int = 10) -> tuple[int, ...]:
-    """Roughly log-spaced selection sizes from 10 up to the full pool."""
+def default_n_grid(n_train: int) -> tuple[int, ...]:
+    """Roughly log-spaced selection sizes, ten points from 10 up to the full pool."""
     lo = min(10, n_train)
-    grid = np.unique(np.rint(np.geomspace(lo, n_train, points)).astype(int))
+    grid = np.unique(np.rint(np.geomspace(lo, n_train, 10)).astype(int))
     return tuple(int(v) for v in grid)
 
 
@@ -419,9 +419,10 @@ def run_experiment(
     """Run every repetition, aggregate curve points, and judge reusability."""
     config, n_train, table = _normalize(config)
     reps = range(config.repetitions)
-    if jobs > 1:  # a serial run never imports the pool machinery
+    workers = min(jobs, config.repetitions)  # a pool starts all its workers at once
+    if workers > 1:  # a serial run never imports the pool machinery
         from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         outcomes = []
         for out in (pool.map if pool else map)(_run_repetition, repeat(config), reps,
                                                repeat(table)):

@@ -277,9 +277,9 @@ def fit_least_squares(x, y, w, ridge: float = 0.0) -> LinearModel:
     return LinearModel("least-squares", theta=sol[:-1], bias=float(sol[-1]))
 
 
-def _cond_exceeds(a, limit=_COND_LIMIT):
+def _cond_exceeds(a):
     sv = np.linalg.svd(a, compute_uv=False)
-    return sv[-1] <= 0 or sv[0] / sv[-1] > limit
+    return sv[-1] <= 0 or sv[0] / sv[-1] > _COND_LIMIT
 
 
 # ---------------------------------------------------------------------------

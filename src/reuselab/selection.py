@@ -126,6 +126,13 @@ def _probability(g: float, k: int, c0: float, log_base: float | None) -> float:
     return min(1.0, (1.0 / g2 + 1.0 / g) * c0 * log_k / (k - 1))
 
 
+def _probabilities(g, c0, log_k, k_minus_1, out):
+    """``_probability``'s operations in its order over arrays, so each
+    element has its bits; a ``g * g`` of 0 gives 1/0 = inf and p = 1 under
+    the caller's ``np.errstate``, and ``np.fmin`` is ``min(1.0, v)`` on NaN."""
+    return np.fmin((1.0 / (g * g) + 1.0 / g) * c0 * log_k / k_minus_1, 1.0, out=out)
+
+
 def surrogate_error_difference(score: float, mean_abs_score: float) -> float:
     """Scale-free margin proxy for the ERM error difference.
 
@@ -188,11 +195,17 @@ def _pool_split_offsets(proj: np.ndarray, offsets: np.ndarray) -> np.ndarray:
 
 def _exact_grid(x: np.ndarray, resolution: int) -> tuple[np.ndarray, np.ndarray]:
     """The pool's (n, A, 1) projections onto the exact-ERM grid's directions
-    and the grid's (A, R') offsets that split the pool differently."""
+    and the grid's (A, R') offsets that split the pool differently. Raises
+    ``DegenerateGridError``, before a pass reads any row, if all hypotheses
+    agree on a row after the (always labeled) first."""
     dirs, offsets = _linear_grid(x.min(axis=0), x.max(axis=0), resolution)
     # (n, A, 1): numpy's matrix-vector branch, one GEMV over A rows per example
     proj = np.matmul(dirs, x[:, :, None])
-    return proj, _pool_split_offsets(proj, offsets)
+    offsets = _pool_split_offsets(proj, offsets)
+    s = proj[1:, :, 0]  # cut rows are sorted: column 0 is least, -1 greatest
+    if ((s >= offsets[:, -1]).all(axis=1) | ~(s >= offsets[:, 0]).any(axis=1)).any():
+        raise DegenerateGridError("no grid hypothesis disagrees on the candidate")
+    return proj, offsets
 
 
 def _linspace_rows(start, stop, num: int) -> np.ndarray:
@@ -315,8 +328,6 @@ def select_iwal(
                     best = int(err.argmin())
                     best_err = err[best]
                 disagree = err[~above] if above[best] else err[above]
-                if not disagree.size:
-                    raise DegenerateGridError("no grid hypothesis disagrees on the candidate")
                 g = float((np.minimum.reduce(disagree) - best_err) / total_weight)
         else:
             if xs is None:
@@ -360,14 +371,14 @@ def _exact_pass_from_labels(train: Dataset, config: IwalConfig, labeled) -> Sele
     suffix minima of ``err`` gives every row's least error on the side the
     best hypothesis is not on, in one gather. The next label's p is
     ``_probability`` on Python floats, since its 1/p drives the next
-    segment; p of every row is then computed with ``np.fmin``, as in
-    ``_iwal_lanes``. The result selects the rows its own coins,
+    segment; p of every row is then ``_probabilities`` at once. The result
+    selects the rows its own coins,
     ``pass_uniforms(seed, n) < p``, label, with weights ``1 / p``. Up to and
     with the first row where those coins leave ``labeled``, every row saw
     the table the sequential pass saw (by induction over the rows), so the
     result is that pass bit for bit there, and everywhere if there is no
-    such row. Raises ``DegenerateGridError`` where a row after the first has
-    no disagreeing hypothesis, as the pass does.
+    such row. ``_exact_grid`` raises ``DegenerateGridError`` as it does for
+    the pass.
     """
     n = len(train)
     labeled = [0, *(row for row in map(int, labeled) if 0 < row < n)]
@@ -383,8 +394,6 @@ def _exact_pass_from_labels(train: Dataset, config: IwalConfig, labeled) -> Sele
     for b in offsets.T:
         np.add(plus, np.greater_equal(proj[:, :, 0], b, out=mask).view(np.uint8), out=plus)
     del proj, mask  # plus holds every prediction the pass reads
-    if ((plus == 0).all(axis=1) | (plus == width).all(axis=1))[1:].any():
-        raise DegenerateGridError("no grid hypothesis disagrees on the candidate")
     starts = np.arange(0, dirs * stride, stride)  # of each direction's row of the flat table
     columns = np.arange(width, dtype=plus.dtype)
 
@@ -409,15 +418,12 @@ def _exact_pass_from_labels(train: Dataset, config: IwalConfig, labeled) -> Sele
         if stop < n:
             importance = 1.0 / _probability(float(g[stop]), stop + 1, config.c0, config.log_base)
 
-    gs = g[1:]
     ks = range(2, n + 1)
     log_k = np.fromiter(map(math.log, ks) if config.log_base is None else
                         map(math.log, ks, itertools.repeat(config.log_base)), np.float64, n - 1)
     p = np.ones(n)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # min(1, (1/g^2 + 1/g) * c0 * log(k) / (k - 1)); a g or g * g of 0 gives 1
-        term = (1.0 / (gs * gs) + 1.0 / gs) * float(config.c0) * log_k
-        np.fmin(term / np.arange(1.0, n), 1.0, out=p[1:])
+        _probabilities(g[1:], float(config.c0), log_k, np.arange(1.0, n), out=p[1:])
     picked = np.flatnonzero(pass_uniforms(config.seed, n) < p)
     return SelectionResult(IWAL, picked, 1.0 / p[picked], g, p)
 
@@ -432,8 +438,8 @@ def _iwal_lanes(trains, configs) -> list[SelectionResult]:
     ``online_linear_update`` call, importance 1/p on the labeling lanes and
     0 on the rest, which steps each labeling lane on Python floats as the
     solo call does. So every lane equals its solo pass bit for bit. Coins
-    and pool columns are held ``_LANE_BLOCK`` steps at a time. Where
-    ``g * g`` is 0, numpy's 1/0 is inf and p is 1, as ``_probability`` gives.
+    and pool columns are held ``_LANE_BLOCK`` steps at a time. p is
+    ``_probabilities``, the array form of ``_probability``.
     """
     if not (isinstance(trains, Sequence) and isinstance(configs, Sequence)):
         raise InvalidArgumentError("the lanes form takes a sequence of pools and one of configs")
@@ -452,7 +458,7 @@ def _iwal_lanes(trains, configs) -> list[SelectionResult]:
     coins = [coin_stream(c.seed) for c in configs]
     selector = make_online_lanes([c.selector_eta0 for c in configs])
     theta, bias = selector.theta, selector.bias  # updated in place
-    score, abs_sum, mean, term = (np.zeros(lanes) for _ in range(4))
+    score, abs_sum, mean = (np.zeros(lanes) for _ in range(3))
     has_mean = np.empty(lanes, dtype=bool)
     # the outputs; each step reads and writes one column of them, as a row of .T
     gs, probabilities = np.zeros((lanes, n)), np.ones((lanes, n))
@@ -476,16 +482,8 @@ def _iwal_lanes(trains, configs) -> list[SelectionResult]:
                     np.divide(abs_sum, idx, out=mean)
                     np.not_equal(mean, 0.0, out=has_mean)
                     np.divide(score, mean, out=g, where=has_mean)
-                    # p = min(1, (1/g^2 + 1/g) * c0 * log(k) / (k - 1)); g = 0 gives inf
                     log_k = math.log(idx + 1) if log_base is None else math.log(idx + 1, log_base)
-                    np.multiply(g, g, out=term)
-                    np.divide(1.0, term, out=term)
-                    np.divide(1.0, g, out=p)
-                    np.add(term, p, out=term)
-                    np.multiply(term, c0, out=term)
-                    np.multiply(term, log_k, out=term)
-                    np.divide(term, idx, out=term)
-                    np.fmin(term, 1.0, out=p)  # Python's min(1.0, v): 1.0 for a NaN v
+                    _probabilities(g, c0, log_k, idx, out=p)
                 np.add(abs_sum, score, out=abs_sum)
                 if not np.less(u, p, out=hit).any():
                     continue
@@ -564,20 +562,15 @@ def read_trace(path) -> tuple[dict, str]:
 
 
 def load_trace(path) -> tuple[dict, dict[str, list]]:
-    """The header and the six columns of a v1 trace file, LF or CRLF."""
+    """The header and the six columns of a v1 trace file, LF or CRLF. A
+    bad row raises ``TraceFormatError`` naming its line; blank lines are
+    skipped but counted."""
     header, text = read_trace(path)
     lines = text.split("\n")
     if len(lines) < 2 or lines[1] != ",".join(_TRACE_COLUMNS):
         raise TraceFormatError(f"{path}: missing column row")
-    body = [line for line in lines[2:] if line]
-    if all(line.count(",") == 5 for line in body):
-        cells = ",".join(body).split(",") if body else []
-        try:
-            return header, {name: list(map(kind, cells[j::6]))
-                            for j, (name, kind) in enumerate(zip(_TRACE_COLUMNS, _TRACE_KINDS))}
-        except ValueError:
-            pass
-    # Some row is bad: find the first one to name it.
+    columns = {name: [] for name in _TRACE_COLUMNS}
+    appends = [columns[name].append for name in _TRACE_COLUMNS]
     for lineno, line in enumerate(lines[2:], start=3):
         if not line:
             continue
@@ -585,7 +578,8 @@ def load_trace(path) -> tuple[dict, dict[str, list]]:
         if len(parts) != 6:
             raise TraceFormatError(f"{path}: line {lineno}: expected 6 fields")
         try:
-            for kind, part in zip(_TRACE_KINDS, parts):
-                kind(part)
+            for append, kind, part in zip(appends, _TRACE_KINDS, parts):
+                append(kind(part))
         except ValueError as exc:
             raise TraceFormatError(f"{path}: line {lineno}: {exc}") from exc
+    return header, columns

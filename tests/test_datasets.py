@@ -71,6 +71,14 @@ def binomial_band(p, n, sigmas=5):
     return p - half, p + half
 
 
+class TestDataset:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_features_rejected(self, value):
+        x = np.array([[0.1, 0.2], [0.3, value], [0.5, 0.6]])
+        with pytest.raises(InvalidArgumentError, match="^features must be finite numbers$"):
+            rl.Dataset(x, np.array([1, -1, 1]))
+
+
 class TestUniformLine:
     def test_sign_rule_and_shape(self):
         ds = rl.gen_uniform_line(4, seed=1)

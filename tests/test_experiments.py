@@ -110,6 +110,32 @@ class TestRunExperiment:
         assert a.curve == b.curve == c.curve
         assert a.report == c.report
 
+    @pytest.mark.parametrize("jobs, repetitions, pools", [(8, 3, [3]), (2, 4, [2]), (8, 1, [])])
+    def test_pool_has_at_most_one_worker_per_repetition(self, monkeypatch, jobs, repetitions,
+                                                        pools):
+        import concurrent.futures
+
+        built = []
+
+        class RecordingExecutor:  # runs the repetitions in this process
+            def __init__(self, max_workers):
+                built.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+        config = line_config(repetitions=repetitions)
+        got, want = run_experiment(config, jobs=jobs), run_experiment(config)
+        assert built == pools
+        assert (got.curve, got.report) == (want.curve, want.report)
+
     def test_matched_seed_pairing_via_trace_headers(self, tmp_path):
         config = line_config(save_traces=True, repetitions=2)
         res = run_experiment(config)

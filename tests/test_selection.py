@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reuselab as rl
+from reuselab import selection
 from reuselab.errors import DegenerateGridError, InvalidArgumentError, TraceFormatError
 from reuselab.experiments import _DENSITY_LANES
 from reuselab.learners import inv_sqrt_schedule, make_online_model, online_linear_update
@@ -21,6 +22,8 @@ from reuselab.selection import (
     _exact_pass_from_labels,
     _linear_grid,
     _pool_split_offsets,
+    _probabilities,
+    _probability,
     selection_probability,
     surrogate_error_difference,
     load_trace,
@@ -120,6 +123,35 @@ class TestSelectionProbability:
     def test_monotone_in_c0(self, g, k, c1, c2):
         lo, hi = sorted((c1, c2))
         assert rl.selection_probability(g, k, lo) <= rl.selection_probability(g, k, hi)
+
+
+class TestProbabilityForms:
+    """``_probabilities`` is ``_probability`` over arrays, bit for bit."""
+
+    G = (0.0, 5e-324, 1e-170, 1e-160, 1e-3, 1.0, 7.5, 1e300, math.inf, math.nan)
+    KS = (2, 3, 101, 4000, 10**6)
+    C0S = (1e-9, 1e-3, 0.7, 3.0, 1e9)
+
+    @pytest.mark.parametrize("log_base", [None, 2.0])
+    def test_array_form_has_the_scalar_bits(self, log_base):
+        def log(k):
+            return math.log(k) if log_base is None else math.log(k, log_base)
+
+        g, k = (a.ravel() for a in np.meshgrid(self.G, self.KS))
+        log_k = np.array([log(int(v)) for v in k])
+        for c0 in self.C0S:
+            want = np.array([_probability(float(a), int(b), c0, log_base) for a, b in zip(g, k)])
+            got = np.empty(len(g))
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                # the rebuilt exact pass's form: one k per row
+                _probabilities(g, c0, log_k, k - 1.0, out=got)
+                assert got.tobytes() == want.tobytes(), c0
+                # the lanes form: one k per step, one c0 per lane
+                for kk in self.KS:
+                    row = k == kk
+                    lanes = np.empty(row.sum())
+                    _probabilities(g[row], np.full(row.sum(), c0), log(kk), kk - 1, out=lanes)
+                    assert lanes.tobytes() == want[row].tobytes(), (c0, kk)
 
 
 class TestSurrogate:
@@ -351,6 +383,28 @@ class TestExactErrorDifference:
         pool = rl.Dataset(np.full((5, 1), 0.5), np.array([1, -1, 1, -1, 1]))
         with pytest.raises(DegenerateGridError):
             exact_pass(pool, c0=1.0, resolution=8)
+
+    @pytest.mark.parametrize("grid", ["constant-pool", "one-direction"])
+    def test_degenerate_row_is_refused_before_the_first_row(self, monkeypatch, grid):
+        # a pass that reached row 1 would call _probability there
+        def no_row_is_passed(*args):
+            raise AssertionError("a row was passed")
+
+        monkeypatch.setattr(selection, "_probability", no_row_is_passed)
+        if grid == "constant-pool":
+            pool = rl.Dataset(np.full((5, 1), 0.5), np.array([1, -1, 1, -1, 1]))
+        else:
+            # hypotheses x >= 0 and x >= 0.5: they split rows 1 and 2, and
+            # both predict +1 on the last row (row 0, always labeled, is exempt)
+            monkeypatch.setattr(selection, "_linear_grid",
+                                lambda lo, hi, res: (np.array([[1.0]]), np.array([[0.0, 0.5]])))
+            pool = rl.Dataset(np.array([[0.6], [0.2], [0.3], [0.9]]), np.array([1, -1, -1, 1]))
+        config = rl.IwalConfig(c0=1.0, gk_mode=EXACT_ERM, erm_grid_resolution=2)
+        message = "^no grid hypothesis disagrees on the candidate$"
+        with pytest.raises(DegenerateGridError, match=message):
+            rl.select_iwal(pool, config)
+        with pytest.raises(DegenerateGridError, match=message):
+            _exact_pass_from_labels(pool, config, range(1, len(pool)))
 
     def test_grid_rejects_high_dim(self):
         pool = rl.Dataset(np.random.default_rng(58).uniform(size=(10, 3)), np.tile([1, -1], 5))
