@@ -21,7 +21,15 @@ from dataclasses import MISSING, asdict, astuple, fields, replace
 from datetime import datetime, timezone
 
 from . import __version__
-from .datasets import GENERATOR_KINDS, DatasetSpec, csv_text, export_csv, make_dataset, write_text
+from .datasets import (
+    GENERATOR_KINDS,
+    DatasetSpec,
+    csv_text,
+    export_csv,
+    make_dataset,
+    read_text,
+    write_text,
+)
 from .errors import ConfigError, InvalidArgumentError, ReuselabError, TraceFormatError
 from .experiments import (
     ConsumerSpec,
@@ -125,13 +133,7 @@ def cmd_gen(args) -> int:
 def cmd_run(args) -> int:
     if args.jobs < 1:
         raise InvalidArgumentError(f"--jobs must be at least 1, not {args.jobs}")
-    try:
-        with open(args.config, encoding="utf-8") as fh:
-            config = parse_config(fh.read())
-    except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return EXIT_IO
-
+    config = parse_config(read_text(args.config, ConfigError))
     if args.seed is not None:
         config = replace(config, base_seed=args.seed)
 
@@ -192,8 +194,7 @@ def cmd_report_merge(args) -> int:
     rows = []
     header = ",".join(REPORT_COLUMNS)
     for path in args.reports:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+        lines = read_text(path, InvalidArgumentError).splitlines()
         if not lines or lines[0] != header:
             print(f"error: {path} is not a report CSV", file=sys.stderr)
             return EXIT_USAGE

@@ -401,6 +401,16 @@ def write_text(path: str | os.PathLike, text: str) -> None:
         fh.write(text)
 
 
+def read_text(path: str | os.PathLike, error: type[Exception]) -> str:
+    """The UTF-8 text of ``path``, CRLF read as LF; ``error`` naming the
+    file if it is not UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: {exc}") from exc
+
+
 GENERATOR_KINDS = ("uniform-line", "four-cluster-line", "circle")
 
 

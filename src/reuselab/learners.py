@@ -105,40 +105,13 @@ def make_online_model(dim: int) -> LinearModel:
     return LinearModel("online-linear", theta=np.zeros(dim), bias=0.0)
 
 
-@dataclass(eq=False)
-class OnlineLanes:
-    """R one-feature online selectors held as (R,) arrays, one entry per lane.
-
-    Lane r scores ``x * theta[r] + bias[r]`` after ``updates[r]`` steps of
-    size ``eta0[r] / sqrt(t)``. The lanes form of ``online_linear_update``
-    changes the arrays in place.
-    """
-
-    theta: np.ndarray
-    bias: np.ndarray
-    updates: np.ndarray
-    eta0: np.ndarray
-
-
-def make_online_lanes(eta0s) -> OnlineLanes:
-    """Untrained lanes, one per step-size base in ``eta0s``."""
-    if len(eta0s) == 0:
-        raise InvalidArgumentError("the lanes form needs at least one lane")
-    for eta0 in eta0s:
-        inv_sqrt_schedule(eta0)  # raises on an eta0 it cannot take
-    lanes = len(eta0s)
-    return OnlineLanes(theta=np.zeros(lanes), bias=np.zeros(lanes),
-                       updates=np.zeros(lanes, dtype=np.int64),
-                       eta0=np.array(eta0s, dtype=np.float64))
-
-
 def online_linear_update(
-    model: LinearModel | OnlineLanes,
-    features: np.ndarray,
+    model: LinearModel | tuple[float, float, int],
+    features: np.ndarray | float,
     label: float,
     importance: float,
     schedule: Callable[[int], float] | None = None,
-) -> LinearModel | OnlineLanes:
+) -> LinearModel | tuple[float, float, int]:
     """One importance-weighted squared-hinge gradient step.
 
     The step is scaled so that an importance of ``k`` reproduces exactly
@@ -150,22 +123,27 @@ def online_linear_update(
 
     The label must be -1 or +1 and the importance a non-negative number.
 
-    Lanes form: ``online_linear_update(lanes, x, labels, importances)``
-    takes an ``OnlineLanes`` and three (R,) arrays and makes, in place,
-    every lane's step as the solo call with lane r's feature ``x[r]``,
-    label, importance and ``inv_sqrt_schedule(lanes.eta0[r])`` would, bit
-    for bit; it returns ``lanes``. A lane is left alone where the solo
-    call returns early: importance 0, or a margin of at least 1. Only the
-    labeling lanes, those of nonzero importance, need a label of -1 or +1.
+    Float form: ``online_linear_update((theta, bias, updates), x, label,
+    importance, schedule)`` steps a one-feature selector held as Python
+    floats and returns the next ``(theta, bias, updates)``. A length-1 dot
+    is one rounded multiply, so it has the bits of the ``LinearModel`` form
+    at d = 1.
     """
-    if isinstance(model, OnlineLanes):
-        return _update_lanes(model, features, label, importance, schedule)
     # refuses NaN too; inf, from 1/p on a p that underflows, makes the limit
     # step (1 - 0) / q. is_number's ABC check would add a quarter to a call.
     if not importance >= 0:
         raise InvalidArgumentError(f"importance must be a non-negative number, not {importance!r}")
     if not (label == 1 or label == -1):  # 0 would spend a step and move nothing
         raise InvalidArgumentError(f"label must be -1 or +1, not {label!r}")
+    if isinstance(model, tuple):
+        theta, bias, updates = model
+        margin = label * (features * theta + bias)
+        if importance == 0.0 or margin >= 1.0:
+            return model
+        t = updates + 1
+        eta = (schedule or inv_sqrt_schedule())(t)
+        coef = _step_coef(margin, features * features + 1.0, eta, label, importance)
+        return theta + coef * features, bias + coef, t
     x = np.asarray(features, dtype=np.float64)
     if x.shape != model.theta.shape:
         raise InvalidArgumentError(
@@ -174,15 +152,9 @@ def online_linear_update(
     margin = label * (float(x @ model.theta) + model.bias)
     if importance == 0.0 or margin >= 1.0:
         return model
-    schedule = schedule or inv_sqrt_schedule()
     t = model.updates + 1
-    eta = schedule(t)
-    norm2 = float(x @ x) + 1.0  # bias acts as an always-on feature
-    q = 2.0 * eta
-    if not (0.0 < q < 1.0):
-        raise InvalidArgumentError("schedule step must lie in (0, 0.5)")
-    combined = (1.0 - (1.0 - q) ** importance) / q
-    coef = 2.0 * (eta / norm2) * (1.0 - margin) * label * combined
+    eta = (schedule or inv_sqrt_schedule())(t)
+    coef = _step_coef(margin, float(x @ x) + 1.0, eta, label, importance)
     return LinearModel(
         "online-linear",
         theta=model.theta + coef * x,
@@ -191,49 +163,14 @@ def online_linear_update(
     )
 
 
-def _update_lanes(lanes: OnlineLanes, features, label, importance, schedule) -> OnlineLanes:
-    """The lanes form of ``online_linear_update``: the solo step on Python
-    floats, one labeling lane at a time, which costs less than numpy
-    operations on the few lanes that label. A length-1 dot is one rounded
-    multiply, so each lane has the solo call's bits."""
-    if schedule is not None:
-        raise InvalidArgumentError(
-            "the lanes form of online_linear_update takes its steps from the lanes' eta0, "
-            "not a schedule")
-    x, y, k = (np.asarray(a, dtype=np.float64) for a in (features, label, importance))
-    if not x.shape == y.shape == k.shape == lanes.theta.shape:
-        raise InvalidArgumentError(
-            f"the lanes form of online_linear_update needs one feature, label and importance "
-            f"per lane ({lanes.theta.shape[0]}), not {x.shape}, {y.shape} and {k.shape}")
-    theta, bias, updates, eta0 = lanes.theta, lanes.bias, lanes.updates, lanes.eta0
-    steps = []  # written back once every labeling lane has passed its checks
-    # the labeling lanes; a NaN or negative importance is nonzero too
-    for r in k.nonzero()[0].tolist():
-        xr, yr, kr = x.item(r), y.item(r), k.item(r)
-        if not kr > 0.0:
-            raise InvalidArgumentError(
-                f"the lanes form of online_linear_update needs non-negative importances, "
-                f"not {kr!r} in lane {r}")
-        if not (yr == 1.0 or yr == -1.0):
-            raise InvalidArgumentError(
-                f"the lanes form of online_linear_update needs each labeling lane's label "
-                f"to be -1 or +1, not {yr!r} in lane {r}")
-        th, b = theta.item(r), bias.item(r)
-        margin = yr * (xr * th + b)
-        if margin >= 1.0:  # a NaN margin updates, as solo
-            continue
-        t = updates.item(r) + 1
-        eta = eta0.item(r) / math.sqrt(t)
-        norm2 = xr * xr + 1.0
-        q = 2.0 * eta
-        if not (0.0 < q < 1.0):
-            raise InvalidArgumentError("schedule step must lie in (0, 0.5)")
-        combined = (1.0 - (1.0 - q) ** kr) / q
-        coef = 2.0 * (eta / norm2) * (1.0 - margin) * yr * combined
-        steps.append((r, th + coef * xr, b + coef, t))
-    for r, th, b, t in steps:
-        theta[r], bias[r], updates[r] = th, b, t
-    return lanes
+def _step_coef(margin, norm2, eta, label, importance):
+    """The step's coefficient on ``(x, 1)``; the bias acts as an always-on
+    feature, counted in ``norm2``."""
+    q = 2.0 * eta
+    if not (0.0 < q < 1.0):
+        raise InvalidArgumentError("schedule step must lie in (0, 0.5)")
+    combined = (1.0 - (1.0 - q) ** importance) / q
+    return 2.0 * (eta / norm2) * (1.0 - margin) * label * combined
 
 
 def fit_online_linear(x, y, w, eta0: float = 0.3, passes: int = 1) -> LinearModel:

@@ -19,14 +19,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .datasets import MAX_LENGTH, Dataset
+from .datasets import MAX_LENGTH, Dataset, read_text
 from .errors import DegenerateGridError, InvalidArgumentError, TraceFormatError, is_int, is_number
-from .learners import (
-    inv_sqrt_schedule,
-    make_online_lanes,
-    make_online_model,
-    online_linear_update,
-)
+from .learners import inv_sqrt_schedule, make_online_model, online_linear_update
 from .seeding import coin_stream, pass_uniforms
 
 RANDOM = "random"
@@ -40,6 +35,8 @@ EXACT_ERM = "exact-erm"
 
 # Steps of coins and pool columns the lanes form of select_iwal holds at once.
 _LANE_BLOCK = 128
+# Bytes an exact-ERM grid may hold: A directions of max(n, res) doubles.
+_GRID_BUDGET = 64 << 20
 
 
 @dataclass(frozen=True)
@@ -196,8 +193,15 @@ def _pool_split_offsets(proj: np.ndarray, offsets: np.ndarray) -> np.ndarray:
 def _exact_grid(x: np.ndarray, resolution: int) -> tuple[np.ndarray, np.ndarray]:
     """The pool's (n, A, 1) projections onto the exact-ERM grid's directions
     and the grid's (A, R') offsets that split the pool differently. Raises
+    ``InvalidArgumentError`` when A * max(n, resolution) doubles exceed
+    ``_GRID_BUDGET``, before any of them is allocated, and
     ``DegenerateGridError``, before a pass reads any row, if all hypotheses
     agree on a row after the (always labeled) first."""
+    n, d = x.shape
+    if d <= 2 and (2 if d == 1 else resolution) * max(n, resolution) * 8 > _GRID_BUDGET:
+        raise InvalidArgumentError(
+            f"erm_grid_resolution {resolution} needs more than {_GRID_BUDGET >> 20} MiB "
+            f"of grid for {n} rows")
     dirs, offsets = _linear_grid(x.min(axis=0), x.max(axis=0), resolution)
     # (n, A, 1): numpy's matrix-vector branch, one GEMV over A rows per example
     proj = np.matmul(dirs, x[:, :, None])
@@ -277,11 +281,12 @@ def select_iwal(
     rebuilds the pass from the rows the trace labels
     (``_exact_pass_from_labels``).
 
-    The surrogate score on a 1-D pool is ``x * theta + bias`` on Python
-    floats, read back from the selector after each label: a length-1 dot is
-    one rounded multiply, so the bits are numpy's. Wider pools keep the
-    numpy dot: at length 2 it differed from ``x0*t0 + x1*t1`` on about a
-    quarter of random pairs.
+    On a 1-D surrogate pass the selector is the float form of
+    ``online_linear_update``, ``(theta, bias, updates)``, and the score is
+    ``x * theta + bias`` on Python floats: a length-1 dot is one rounded
+    multiply, so the bits are numpy's. Wider pools keep the ``LinearModel``
+    and its numpy dot: at length 2 it differed from ``x0*t0 + x1*t1`` on
+    about a quarter of random pairs.
 
     Lanes form: ``select_iwal(pools, configs)`` takes equal-length
     sequences of 1-D pools of one length and of surrogate configs with one
@@ -295,13 +300,13 @@ def select_iwal(
         raise InvalidArgumentError("training pool is empty")
     uniforms = pass_uniforms(config.seed, n).tolist()
     schedule = inv_sqrt_schedule(config.selector_eta0)
-    model = make_online_model(train.dim)
     x = train.x
     labels = train.y.tolist()
     exact = config.gk_mode == EXACT_ERM
-    # the 1-D surrogate reads x and the selector's state as Python floats
+    # the 1-D surrogate reads x and steps its selector as Python floats
     xs = x[:, 0].tolist() if not exact and train.dim == 1 else None
-    theta, bias = 0.0, model.bias
+    model = make_online_model(train.dim) if xs is None else (0.0, 0.0, 0)
+    features = x if xs is None else xs
     if exact:
         proj, offsets = _exact_grid(x, config.erm_grid_resolution)
         # cumulative weighted error of every grid hypothesis on the labeled set
@@ -333,7 +338,7 @@ def select_iwal(
             if xs is None:
                 score = float(x[idx] @ model.theta) + model.bias
             else:
-                score = xs[idx] * theta + bias
+                score = xs[idx] * model[0] + model[1]
             g = surrogate_error_difference(score, abs_score_sum / idx if idx else 0.0)
             abs_score_sum += abs(score)
         p = 1.0 if idx == 0 else _probability(g, idx + 1, config.c0, config.log_base)
@@ -342,9 +347,7 @@ def select_iwal(
             label = labels[idx]
             picked.append(idx)
             weights.append(importance)
-            model = online_linear_update(model, x[idx], label, importance, schedule)
-            if xs is not None:
-                theta, bias = model.theta.item(), model.bias
+            model = online_linear_update(model, features[idx], label, importance, schedule)
             if exact:
                 np.add(err, importance, out=err, where=~above if label == 1 else above)
                 total_weight += importance
@@ -433,13 +436,13 @@ def _iwal_lanes(trains, configs) -> list[SelectionResult]:
 
     Per step, every lane's score ``x * theta + bias``, ``g``, running
     |score| sum, p and coin test are length-R numpy operations in the solo
-    loop's order, and ``log(k)`` is computed once. The selectors are one
-    ``OnlineLanes``: a step where any lane labels makes one lanes-form
-    ``online_linear_update`` call, importance 1/p on the labeling lanes and
-    0 on the rest, which steps each labeling lane on Python floats as the
-    solo call does. So every lane equals its solo pass bit for bit. Coins
-    and pool columns are held ``_LANE_BLOCK`` steps at a time. p is
-    ``_probabilities``, the array form of ``_probability``.
+    loop's order, and ``log(k)`` is computed once. The selectors are (R,)
+    arrays of ``theta`` and ``bias``; each labeling lane steps through the
+    float form of ``online_linear_update`` with importance 1/p and its own
+    ``inv_sqrt_schedule(selector_eta0)``, as the solo pass does. So every
+    lane equals its solo pass bit for bit. Coins and pool columns are held
+    ``_LANE_BLOCK`` steps at a time. p is ``_probabilities``, the array form
+    of ``_probability``.
     """
     if not (isinstance(trains, Sequence) and isinstance(configs, Sequence)):
         raise InvalidArgumentError("the lanes form takes a sequence of pools and one of configs")
@@ -456,8 +459,8 @@ def _iwal_lanes(trains, configs) -> list[SelectionResult]:
     lanes = len(trains)
     c0 = np.array([c.c0 for c in configs], dtype=np.float64)
     coins = [coin_stream(c.seed) for c in configs]
-    selector = make_online_lanes([c.selector_eta0 for c in configs])
-    theta, bias = selector.theta, selector.bias  # updated in place
+    schedules = [inv_sqrt_schedule(c.selector_eta0) for c in configs]
+    theta, bias, updates = np.zeros(lanes), np.zeros(lanes), [0] * lanes
     score, abs_sum, mean = (np.zeros(lanes) for _ in range(3))
     has_mean = np.empty(lanes, dtype=bool)
     # the outputs; each step reads and writes one column of them, as a row of .T
@@ -485,9 +488,10 @@ def _iwal_lanes(trains, configs) -> list[SelectionResult]:
                     log_k = math.log(idx + 1) if log_base is None else math.log(idx + 1, log_base)
                     _probabilities(g, c0, log_k, idx, out=p)
                 np.add(abs_sum, score, out=abs_sum)
-                if not np.less(u, p, out=hit).any():
-                    continue
-                online_linear_update(selector, x, label, np.where(hit, 1.0 / p, 0.0))
+                for r in np.less(u, p, out=hit).nonzero()[0].tolist():
+                    theta[r], bias[r], updates[r] = online_linear_update(
+                        (theta.item(r), bias.item(r), updates[r]), x.item(r), label.item(r),
+                        1.0 / p.item(r), schedules[r])
     results = []
     for g, p, hit in zip(gs, probabilities, selected):
         indices = hit.nonzero()[0]
@@ -544,11 +548,7 @@ def trace_to_text(header: dict, result: SelectionResult) -> str:
 def read_trace(path) -> tuple[dict, str]:
     """The header of a v1 trace file and its whole text, LF or CRLF; the
     rows are not parsed."""
-    try:
-        with open(path, encoding="utf-8") as fh:  # text mode reads CRLF as LF
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise TraceFormatError(f"{path}: {exc}") from exc
+    text = read_text(path, TraceFormatError)
     first = text.partition("\n")[0]
     if not first.startswith(_TRACE_TAG):
         raise TraceFormatError(f"{path}: missing trace header")

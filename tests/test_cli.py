@@ -251,6 +251,23 @@ class TestRun:
         assert main(["run", "--config", str(tmp_path / "nope.json"),
                      "--out-dir", str(tmp_path)]) == 4
 
+    def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.json"
+        cfg.write_bytes(b'{"dataset": "caf\xe9"}')
+        assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err.startswith(f"config error: {cfg}: 'utf-8' codec can't decode byte 0xe9")
+
+    def test_grid_beyond_the_budget_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            **MINIMAL_CONFIG, "dataset": {"kind": "circle", "n": 200, "circle_prob": 0.05},
+            "strategies": ["iwal"], "c0_grid": [1.0],
+            "iwal": {"gk_mode": "exact-erm", "erm_grid_resolution": 10**6}})
+        assert main(["run", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "config error: erm_grid_resolution 1000000 needs more than 64 MiB of grid "
+            "for 150 rows")
+
     def test_all_cells_empty_is_degenerate(self, tmp_path):
         data = tmp_path / "flat.csv"
         rows = ["a,b,label"] + [f"{v},{2*v},{'y' if v % 2 else 'n'}" for v in range(40)]
@@ -536,6 +553,14 @@ class TestReplay:
         assert main(["replay", str(bad)]) == 2
         assert "trace error: " in capsys.readouterr().err
 
+    def test_header_grid_beyond_the_budget_is_trace_error(self, tmp_path, capsys):
+        trace = [t for t in self._run_with_traces(tmp_path, "exact-erm") if "iwal_c0" in t.name][0]
+        self._edit_header(trace, lambda h: {**h, "erm_grid_resolution": 10**7})
+        assert main(["replay", str(trace)]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "trace error: trace header has a bad value: erm_grid_resolution 10000000 needs "
+            "more than 64 MiB of grid for 150 rows")
+
     def test_corrupt_trace_is_usage_error(self, tmp_path):
         bad = tmp_path / "broken.csv"
         bad.write_text("not a trace\n")
@@ -556,6 +581,13 @@ class TestReportMerge:
         n1 = len((out1 / "report.csv").read_text().splitlines()) - 1
         n2 = len((out2 / "report.csv").read_text().splitlines()) - 1
         assert len(lines) == 1 + n1 + n2
+
+    def test_rejects_non_utf8_report(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(b"caf\xe9\n")
+        assert main(["report-merge", str(bad), "--out", str(tmp_path / "m.csv")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: 'utf-8' codec")
+        assert not (tmp_path / "m.csv").exists()
 
     def test_rejects_non_report_csv(self, tmp_path):
         other = tmp_path / "other.csv"

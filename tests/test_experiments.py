@@ -401,6 +401,12 @@ class TestDensityHistogram:
             assert sum(r.unweighted_mass for r in by_c0[c0]) == pytest.approx(1.0)
             assert sum(r.weighted_mass for r in by_c0[c0]) == pytest.approx(1.0)
 
+    def test_grid_beyond_the_budget_is_refused(self):
+        with pytest.raises(InvalidArgumentError,
+                           match="erm_grid_resolution 10000000 needs more than 64 MiB"):
+            density_histogram(rl.DatasetSpec(kind="uniform-line", n=200), c0_list=(1.0,),
+                              runs=1, bins=5, gk_mode="exact-erm", erm_grid_resolution=10**7)
+
     @pytest.mark.parametrize("kind, knobs", [
         ("uniform-line", {}),
         ("four-cluster-line", {"log_base": 2, "selector_eta0": 0.1}),

@@ -19,7 +19,6 @@ from reuselab.errors import (
 from reuselab.learners import (
     LinearModel,
     inv_sqrt_schedule,
-    make_online_lanes,
     make_online_model,
 )
 from reuselab.standins import car_schema, mushroom_schema
@@ -117,8 +116,8 @@ class TestOnlineLinear:
             rl.online_linear_update(make_online_model(2), np.array([1.0]), 1, 1.0)
 
 
-# lanes: eta0, and the start state (theta, bias, updates) of its selector
-LANE_STARTS = (
+# eta0, and the start state (theta, bias, updates) of a one-feature selector
+FLOAT_STARTS = (
     (0.3, 0.0, 0.0, 0),
     (0.05, 0.0, 0.0, 0),
     (0.49, 0.0, 0.0, 0),
@@ -128,111 +127,68 @@ LANE_STARTS = (
 )
 
 
-def solo_lanes(starts):
-    """One solo model and schedule per lane start."""
-    return [(LinearModel("online-linear", theta=np.array([theta]), bias=bias, updates=t),
-             inv_sqrt_schedule(eta0)) for eta0, theta, bias, t in starts]
+def step_both(start, x, y, k):
+    """One step of the float form and of the ``LinearModel`` form at d = 1
+    from ``start``; both results as (theta, bias, updates)."""
+    eta0, theta, bias, t = start
+    schedule = inv_sqrt_schedule(eta0)
+    model = LinearModel("online-linear", theta=np.array([theta]), bias=bias, updates=t)
+    model = rl.online_linear_update(model, np.array([x]), y, k, schedule)
+    got = rl.online_linear_update((theta, bias, t), x, y, k, schedule)
+    assert all(type(v) in (float, int) for v in got)
+    return got, (model.theta.item(), model.bias, model.updates)
 
 
-def lanes_from(starts):
-    lanes = make_online_lanes([eta0 for eta0, _, _, _ in starts])
-    for r, (_, theta, bias, t) in enumerate(starts):
-        lanes.theta[r], lanes.bias[r], lanes.updates[r] = theta, bias, t
-    return lanes
+def assert_same_state(got, want):
+    assert np.array_equal(got, want, equal_nan=True), (got, want)
 
 
-def assert_lanes_equal_solo(lanes, solo):
-    for r, (model, _) in enumerate(solo):
-        assert np.array_equal(lanes.theta[r:r + 1], model.theta, equal_nan=True), r
-        assert np.array_equal(lanes.bias[r], model.bias, equal_nan=True), r
-        assert lanes.updates[r] == model.updates, r
+class TestOnlineFloatForm:
+    """The float form of ``online_linear_update`` steps as the ``LinearModel``
+    form does at d = 1, bit for bit."""
 
-
-def step_solo(solo, x, y, k):
-    """Each lane's solo ``online_linear_update`` call, lane by lane."""
-    return [(rl.online_linear_update(model, np.array([x[r]]), y[r], k[r], schedule), schedule)
-            for r, (model, schedule) in enumerate(solo)]
-
-
-class TestOnlineLanes:
-    """The lanes form of ``online_linear_update`` steps each lane as its solo call does."""
-
-    def test_random_steps_equal_solo_calls(self):
+    def test_random_steps_equal_linear_model_steps(self):
         rng = np.random.default_rng(90)
-        lanes, solo = lanes_from(LANE_STARTS), solo_lanes(LANE_STARTS)
-        width = len(LANE_STARTS)
-        for step in range(400):
-            x = rng.normal(scale=10.0 ** rng.integers(-3, 4), size=width)
-            y = np.where(rng.random(width) < 0.5, -1.0, 1.0)
-            k = np.where(rng.random(width) < 0.6, 1.0 / rng.uniform(1e-6, 1.0, size=width), 0.0)
-            solo = step_solo(solo, x, y, k)
-            assert rl.online_linear_update(lanes, x, y, k) is lanes
-            assert_lanes_equal_solo(lanes, solo)
-        assert (lanes.updates > [t for _, _, _, t in LANE_STARTS]).all()
+        states = list(FLOAT_STARTS)
+        for _ in range(400):
+            for r, start in enumerate(states):
+                x = float(rng.normal(scale=10.0 ** rng.integers(-3, 4)))
+                y = -1.0 if rng.random() < 0.5 else 1.0
+                k = 1.0 / rng.uniform(1e-6, 1.0) if rng.random() < 0.6 else 0.0
+                got, want = step_both(start, x, y, k)
+                assert_same_state(got, want)
+                states[r] = (start[0], *got)
+        assert all(s[3] > f[3] for s, f in zip(states, FLOAT_STARTS))
 
-    def test_confident_lanes_count_no_update(self):
+    def test_confident_steps_count_no_update(self):
         # margins 2 and exactly 1 skip; 0.5 and a NaN margin update
         starts = [(0.3, 2.0, 0.0, 5), (0.3, 1.0, 0.0, 5), (0.3, 0.5, 0.0, 5), (0.3, 0.5, 0.0, 5)]
-        lanes, solo = lanes_from(starts), solo_lanes(starts)
-        x, y, k = np.array([1.0, 1.0, 1.0, np.nan]), np.ones(4), np.full(4, 3.0)
-        solo = step_solo(solo, x, y, k)
-        rl.online_linear_update(lanes, x, y, k)
-        assert_lanes_equal_solo(lanes, solo)
-        assert lanes.updates.tolist() == [5, 5, 6, 6]
-        assert np.isnan(lanes.theta[3]) and not np.isnan(lanes.theta[:3]).any()
+        results = []
+        for start, x in zip(starts, (1.0, 1.0, 1.0, math.nan)):
+            got, want = step_both(start, x, 1.0, 3.0)
+            assert_same_state(got, want)
+            results.append(got)
+        assert [t for _, _, t in results] == [5, 5, 6, 6]
+        assert math.isnan(results[3][0]) and not any(math.isnan(r[0]) for r in results[:3])
 
     @pytest.mark.parametrize("eta0", [0.05, 0.3, 0.49])
     def test_huge_importance_at_large_t(self, eta0):
-        starts = [(eta0, 0.1, -0.2, t) for t in (0, 1, 10**6, 10**12, 10**15)]
-        lanes, solo = lanes_from(starts), solo_lanes(starts)
-        for x in (0.8, -3.0, 1e-4):
-            xs, y, k = np.full(len(starts), x), np.full(len(starts), -1.0), np.full(len(starts), 1e9)
-            solo = step_solo(solo, xs, y, k)
-            rl.online_linear_update(lanes, xs, y, k)
-            assert_lanes_equal_solo(lanes, solo)
-
-    @pytest.mark.parametrize("x, y, k", [
-        (np.ones(3), np.ones(3), np.ones(2)),
-        (np.ones(2), np.ones(3), np.ones(3)),
-        (np.ones(4), np.ones(4), np.ones(4)),
-        (np.ones((3, 1)), np.ones(3), np.ones(3)),
-    ], ids=["importances", "features", "all-long", "2-d"])
-    def test_mismatched_lengths_rejected(self, x, y, k):
-        lanes = make_online_lanes([0.3] * 3)
-        with pytest.raises(InvalidArgumentError, match="lanes form"):
-            rl.online_linear_update(lanes, x, y, k)
+        for t in (0, 1, 10**6, 10**12, 10**15):
+            state = (eta0, 0.1, -0.2, t)
+            for x in (0.8, -3.0, 1e-4):
+                got, want = step_both(state, x, -1.0, 1e9)
+                assert_same_state(got, want)
+                state = (eta0, *got)
 
     @pytest.mark.parametrize("bad", [-1.0, -1e-300, np.nan])
-    def test_bad_importance_rejected_before_any_update(self, bad):
-        lanes = make_online_lanes([0.3] * 3)
-        with pytest.raises(InvalidArgumentError, match="lanes form"):
-            rl.online_linear_update(lanes, np.ones(3), np.ones(3), np.array([1.0, bad, 0.0]))
-        assert lanes.updates.tolist() == [0, 0, 0] and not lanes.theta.any()
+    def test_bad_importance_rejected(self, bad):
+        with pytest.raises(InvalidArgumentError, match="importance must be a non-negative"):
+            rl.online_linear_update((0.0, 0.0, 0), 1.0, 1.0, bad)
 
     @pytest.mark.parametrize("bad", [0.0, 2.0, np.nan])
-    def test_bad_label_of_a_labeling_lane_rejected_before_any_update(self, bad):
-        lanes = make_online_lanes([0.3] * 3)
-        with pytest.raises(InvalidArgumentError, match="lanes form.*label"):
-            rl.online_linear_update(lanes, np.ones(3), np.array([1.0, bad, -1.0]), np.ones(3))
-        assert lanes.updates.tolist() == [0, 0, 0] and not lanes.theta.any()
-        assert not lanes.bias.any()
-
-    def test_label_of_a_lane_that_does_not_label_is_not_read(self):
-        lanes = make_online_lanes([0.3, 0.3])
-        rl.online_linear_update(lanes, np.full(2, 0.5), np.array([1.0, 0.0]), np.array([2.0, 0.0]))
-        solo = rl.online_linear_update(make_online_model(1), np.array([0.5]), 1.0, 2.0,
-                                       inv_sqrt_schedule(0.3))
-        assert lanes.updates.tolist() == [1, 0] and lanes.theta.tolist() == [solo.theta[0], 0.0]
-
-    def test_schedule_rejected(self):
-        with pytest.raises(InvalidArgumentError, match="lanes form"):
-            rl.online_linear_update(make_online_lanes([0.3]), np.ones(1), np.ones(1),
-                                    np.ones(1), constant_schedule(0.2))
-
-    @pytest.mark.parametrize("eta0s", [[], [0.5], [0.3, 0.0], [np.nan]])
-    def test_bad_eta0_rejected(self, eta0s):
-        with pytest.raises(InvalidArgumentError):
-            make_online_lanes(eta0s)
+    def test_bad_label_rejected(self, bad):
+        with pytest.raises(InvalidArgumentError, match="label must be -1 or \\+1"):
+            rl.online_linear_update((0.0, 0.0, 0), 1.0, bad, 1.0)
 
 
 class TestLearnerArguments:

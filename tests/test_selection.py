@@ -411,6 +411,28 @@ class TestExactErrorDifference:
         with pytest.raises(InvalidArgumentError, match="only 1-D or 2-D"):
             exact_pass(pool, c0=1.0, resolution=8)
 
+    @pytest.mark.parametrize("dim, fits", [(1, 4 << 20), (2, 2896)])
+    def test_grid_beyond_the_budget_is_refused_before_it_is_built(self, monkeypatch, dim, fits):
+        # A * max(n, res) doubles within 64 MiB: A is 2 in 1-D and res in 2-D
+        def built(*args):
+            raise AssertionError("the grid was built")
+
+        monkeypatch.setattr(selection, "_linear_grid", built)
+        pool = rl.Dataset(np.random.default_rng(59).uniform(size=(10, dim)), np.tile([1, -1], 5))
+        with pytest.raises(AssertionError, match="the grid was built"):
+            exact_pass(pool, c0=1.0, resolution=fits)
+        config = rl.IwalConfig(c0=1.0, gk_mode=EXACT_ERM, erm_grid_resolution=fits + 1)
+        message = f"^erm_grid_resolution {fits + 1} needs more than 64 MiB of grid for 10 rows$"
+        with pytest.raises(InvalidArgumentError, match=message):
+            rl.select_iwal(pool, config)
+        with pytest.raises(InvalidArgumentError, match=message):
+            _exact_pass_from_labels(pool, config, [])
+
+    def test_high_dim_grid_keeps_its_message_beyond_the_budget(self):
+        pool = rl.Dataset(np.random.default_rng(58).uniform(size=(10, 3)), np.tile([1, -1], 5))
+        with pytest.raises(InvalidArgumentError, match="only 1-D or 2-D"):
+            exact_pass(pool, c0=1.0, resolution=10**7)
+
 
 class TestSelectRandom:
     def test_full_pool(self):
@@ -830,7 +852,7 @@ class TestIwalLanes:
         for config, got in zip(configs, rl.select_iwal([pool, pool], configs)):
             assert_same_pass(got, rl.select_iwal(pool, config), config)
 
-    def test_one_update_call_per_labeling_step(self, monkeypatch):
+    def test_one_update_call_per_label(self, monkeypatch):
         calls = []
 
         def counted(*args, **kwargs):
@@ -846,7 +868,8 @@ class TestIwalLanes:
         for res in results:
             labeling_steps[res.indices] = True
         labels = sum(res.selected_count for res in results)
-        assert 0 < len(calls) == labeling_steps.sum() < min(labels, len(pool))
+        assert labeling_steps.sum() < len(pool)
+        assert labeling_steps.sum() < len(calls) == labels
         monkeypatch.undo()
         for config, got in zip(configs, results):
             assert_same_pass(got, rl.select_iwal(pool, config), config)
