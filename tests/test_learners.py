@@ -190,6 +190,26 @@ class TestOnlineFloatForm:
         with pytest.raises(InvalidArgumentError, match="label must be -1 or \\+1"):
             rl.online_linear_update((0.0, 0.0, 0), 1.0, bad, 1.0)
 
+    def test_no_schedule_steps_as_the_default_schedule(self):
+        state = (0.0, 0.0, 0)
+        for x, y in ((0.5, 1.0), (-2.0, 1.0), (0.1, -1.0)):
+            got = rl.online_linear_update(state, x, y, 3.0)
+            assert got == rl.online_linear_update(state, x, y, 3.0, inv_sqrt_schedule())
+            state = got
+        assert state[2] == 3
+
+    @pytest.mark.parametrize("eta", [0.5, 0.0, np.nan])
+    def test_step_outside_the_stable_range_rejected(self, eta):
+        with pytest.raises(InvalidArgumentError, match="schedule step must lie in"):
+            rl.online_linear_update((0.0, 0.0, 0), 1.0, 1.0, 1.0, constant_schedule(eta))
+
+    @pytest.mark.parametrize("eta0", [0.0, 0.5, -0.1, np.nan])
+    def test_bad_eta0_rejected(self, eta0):
+        with pytest.raises(InvalidArgumentError, match="eta0 must be a number in"):
+            inv_sqrt_schedule(eta0)
+        with pytest.raises(InvalidArgumentError, match="eta0 must be a number in"):
+            rl.IwalConfig(c0=1.0, selector_eta0=eta0)
+
 
 class TestLearnerArguments:
     """Each learner refuses a bad argument with an error that names it."""
