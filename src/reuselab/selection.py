@@ -35,7 +35,9 @@ EXACT_ERM = "exact-erm"
 
 # Steps of coins and pool columns the lanes form of select_iwal holds at once.
 _LANE_BLOCK = 128
-# Bytes an exact-ERM grid may hold: A directions of max(n, res) doubles.
+# Bytes the exact-ERM grid's (A, res) offsets may take (A: 2 in 1-D, res in
+# 2-D), so res 10**6 in 2-D fails by name, not in numpy's allocator (7.28 TiB).
+# At the cap, res 2,896 in 2-D, building the grid peaks at 192 MiB.
 _GRID_BUDGET = 64 << 20
 
 
@@ -152,18 +154,24 @@ def _linear_grid(lo, hi, resolution: int) -> tuple[np.ndarray, np.ndarray]:
     2-D: A = ``resolution`` angles over the full circle (both orientations
     of every boundary), each with ``resolution`` offsets spanning the box's
     projections.
+
+    Raises ``InvalidArgumentError`` before it allocates when the A *
+    ``resolution`` offsets would exceed ``_GRID_BUDGET``.
     """
     d = lo.shape[0]
+    if d not in (1, 2):
+        raise InvalidArgumentError("exact-mode grids support only 1-D or 2-D data")
+    if (2 if d == 1 else resolution) * resolution * 8 > _GRID_BUDGET:
+        raise InvalidArgumentError(
+            f"erm_grid_resolution {resolution} needs more than {_GRID_BUDGET >> 20} MiB of grid")
     if d == 1:
         thresholds = _linspace_rows(lo, hi, resolution)
         return np.array([[1.0], [-1.0]]), np.concatenate([thresholds, -thresholds])
-    if d == 2:
-        angles = np.linspace(0.0, 2.0 * np.pi, resolution, endpoint=False)
-        dirs = np.column_stack([np.cos(angles), np.sin(angles)])
-        corners = np.array([[lo[0], lo[1]], [lo[0], hi[1]], [hi[0], lo[1]], [hi[0], hi[1]]])
-        proj = dirs @ corners.T
-        return dirs, _linspace_rows(proj.min(axis=1), proj.max(axis=1), resolution)
-    raise InvalidArgumentError("exact-mode grids support only 1-D or 2-D data")
+    angles = np.linspace(0.0, 2.0 * np.pi, resolution, endpoint=False)
+    dirs = np.column_stack([np.cos(angles), np.sin(angles)])
+    corners = np.array([[lo[0], lo[1]], [lo[0], hi[1]], [hi[0], lo[1]], [hi[0], hi[1]]])
+    proj = dirs @ corners.T
+    return dirs, _linspace_rows(proj.min(axis=1), proj.max(axis=1), resolution)
 
 
 def _pool_split_offsets(proj: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -193,15 +201,8 @@ def _pool_split_offsets(proj: np.ndarray, offsets: np.ndarray) -> np.ndarray:
 def _exact_grid(x: np.ndarray, resolution: int) -> tuple[np.ndarray, np.ndarray]:
     """The pool's (n, A, 1) projections onto the exact-ERM grid's directions
     and the grid's (A, R') offsets that split the pool differently. Raises
-    ``InvalidArgumentError`` when A * max(n, resolution) doubles exceed
-    ``_GRID_BUDGET``, before any of them is allocated, and
     ``DegenerateGridError``, before a pass reads any row, if all hypotheses
     agree on a row after the (always labeled) first."""
-    n, d = x.shape
-    if d <= 2 and (2 if d == 1 else resolution) * max(n, resolution) * 8 > _GRID_BUDGET:
-        raise InvalidArgumentError(
-            f"erm_grid_resolution {resolution} needs more than {_GRID_BUDGET >> 20} MiB "
-            f"of grid for {n} rows")
     dirs, offsets = _linear_grid(x.min(axis=0), x.max(axis=0), resolution)
     # (n, A, 1): numpy's matrix-vector branch, one GEMV over A rows per example
     proj = np.matmul(dirs, x[:, :, None])

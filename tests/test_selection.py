@@ -411,27 +411,25 @@ class TestExactErrorDifference:
         with pytest.raises(InvalidArgumentError, match="only 1-D or 2-D"):
             exact_pass(pool, c0=1.0, resolution=8)
 
+    @pytest.mark.parametrize("n", [10, 40_000])
     @pytest.mark.parametrize("dim, fits", [(1, 4 << 20), (2, 2896)])
-    def test_grid_beyond_the_budget_is_refused_before_it_is_built(self, monkeypatch, dim, fits):
-        # A * max(n, res) doubles within 64 MiB: A is 2 in 1-D and res in 2-D
+    def test_grid_beyond_the_budget_is_refused_before_it_is_built(self, monkeypatch, dim, fits, n):
+        # A * res doubles within 64 MiB, A being 2 in 1-D and res in 2-D; n
+        # does not count, so 40,000 2-D rows at the cap (n * A doubles over
+        # 800 MiB) still reach the grid
         def built(*args):
             raise AssertionError("the grid was built")
 
-        monkeypatch.setattr(selection, "_linear_grid", built)
-        pool = rl.Dataset(np.random.default_rng(59).uniform(size=(10, dim)), np.tile([1, -1], 5))
+        monkeypatch.setattr(selection, "_linspace_rows", built)
+        pool = rl.Dataset(np.random.default_rng(59).uniform(size=(n, dim)), np.tile([1, -1], n // 2))
         with pytest.raises(AssertionError, match="the grid was built"):
             exact_pass(pool, c0=1.0, resolution=fits)
         config = rl.IwalConfig(c0=1.0, gk_mode=EXACT_ERM, erm_grid_resolution=fits + 1)
-        message = f"^erm_grid_resolution {fits + 1} needs more than 64 MiB of grid for 10 rows$"
+        message = f"^erm_grid_resolution {fits + 1} needs more than 64 MiB of grid$"
         with pytest.raises(InvalidArgumentError, match=message):
             rl.select_iwal(pool, config)
         with pytest.raises(InvalidArgumentError, match=message):
             _exact_pass_from_labels(pool, config, [])
-
-    def test_high_dim_grid_keeps_its_message_beyond_the_budget(self):
-        pool = rl.Dataset(np.random.default_rng(58).uniform(size=(10, 3)), np.tile([1, -1], 5))
-        with pytest.raises(InvalidArgumentError, match="only 1-D or 2-D"):
-            exact_pass(pool, c0=1.0, resolution=10**7)
 
 
 class TestSelectRandom:
