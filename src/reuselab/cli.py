@@ -3,12 +3,12 @@
 Subcommands: ``gen`` (write a synthetic dataset CSV), ``run`` (execute an
 experiment from a JSON config), ``replay`` (verify a selection trace), and
 ``report-merge`` (concatenate report CSVs). Exit codes: 0 success, 1 a
-``replay`` divergence or a data error (such as ``DataFormatError``,
-``SingleClassDataError`` or ``UnknownCategoryError``), 2 usage/config
-error, 3 degenerate results, 4 I/O failure. ``run`` keeps
-standard output free of progress text: progress goes to standard error,
-and with ``--quiet`` the curve CSV is streamed to standard output with
-nothing else.
+``replay`` divergence, a data error (such as ``DataFormatError``,
+``SingleClassDataError`` or ``UnknownCategoryError``) or running out of
+memory, 2 usage/config error, 3 degenerate results, 4 I/O failure.
+``run`` keeps standard output free of progress text: progress goes to
+standard error, and with ``--quiet`` the curve CSV is streamed to
+standard output with nothing else.
 """
 
 from __future__ import annotations
@@ -262,6 +262,9 @@ def main(argv=None) -> int:
         return EXIT_IO
     except ReuselabError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # a pool or grid too large for this host
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

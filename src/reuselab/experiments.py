@@ -312,13 +312,15 @@ def _draw_split(recipe: Mapping, table: CsvTable | None = None) -> SplitPair:
     return split(pool, *(_header_value(split_info, key) for key in keys))
 
 
-def _select(train, header: Mapping, shared: dict) -> SelectionResult:
+def _select(train, header: Mapping, shared: dict, labeled=None) -> SelectionResult:
     """Run the selection pass ``header`` describes on ``train``.
 
     ``shared`` holds what the passes of one repetition have in common: the
     uncertainty ranker, and each IWAL pass by its seed (or the
     ``DegenerateGridError`` it raised), which ``iwal`` and
-    ``iwal-no-weights`` both read. Replay passes an empty dict.
+    ``iwal-no-weights`` both read. Replay passes an empty dict, and the rows
+    its trace labels as ``labeled``: an exact-ERM IWAL pass is then rebuilt
+    from them (``_exact_pass_from_labels``) instead of run forward.
     """
     strategy = _header_value(header, "strategy")
     if strategy == RANDOM:
@@ -333,22 +335,19 @@ def _select(train, header: Mapping, shared: dict) -> SelectionResult:
         return select_uncertainty(train, _header_value(header, "n"), shared[UNCERTAINTY])
     if strategy not in (IWAL, IWAL_NO_WEIGHTS):
         raise InvalidArgumentError(f"unknown strategy {strategy!r}")
-    cfg, use_weights = _iwal_header(header)
+    cfg = IwalConfig(**{f.name: _header_value(header, f.name) for f in fields(IwalConfig)})
+    use_weights = _header_value(header, "use_weights", bool)
     if cfg.seed not in shared:
         try:
-            shared[cfg.seed] = select_iwal(train, cfg)
+            shared[cfg.seed] = (_exact_pass_from_labels(train, cfg, labeled)
+                                if labeled is not None and cfg.gk_mode == EXACT_ERM
+                                else select_iwal(train, cfg))
         except DegenerateGridError as exc:
             shared[cfg.seed] = exc
     result = shared[cfg.seed]
     if isinstance(result, DegenerateGridError):
         raise result
     return result if use_weights else without_weights(result)
-
-
-def _iwal_header(header: Mapping) -> tuple[IwalConfig, bool]:
-    """The ``IwalConfig`` and the ``use_weights`` of an IWAL pass header."""
-    cfg = IwalConfig(**{f.name: _header_value(header, f.name) for f in fields(IwalConfig)})
-    return cfg, _header_value(header, "use_weights", bool)
 
 
 def _run_repetition(config: ExperimentConfig, r: int,
@@ -659,45 +658,31 @@ class ReplayOutcome:
                 f"trace has {self.expected!r}, recomputed {self.actual!r}{note}")
 
 
-def _rerun(train: Dataset, header: Mapping, text: str) -> SelectionResult:
-    """The pass that replay compares the trace ``text`` with.
-
-    An exact-ERM IWAL pass is rebuilt from the rows whose coin and selected
-    cells read ``1,1`` (``_exact_pass_from_labels``), counted among the
-    non-blank rows; every other pass is re-run by ``_select``.
-    """
-    if _header_value(header, "strategy") in (IWAL, IWAL_NO_WEIGHTS):
-        cfg, use_weights = _iwal_header(header)
-        if cfg.gk_mode == EXACT_ERM:
-            rows = [line for line in text.split("\n")[2:] if line]
-            labeled = [i for i, row in enumerate(rows) if ",1,1," in row]
-            result = _exact_pass_from_labels(train, cfg, labeled)
-            return result if use_weights else without_weights(result)
-    return _select(train, header, {})
-
-
 def replay_trace(path) -> ReplayOutcome:
     """Re-run a trace's pass and compare the file's text with the rerun's.
 
     The file is ``ok`` only when its text (CRLF read as LF) is what
     ``trace_to_text`` writes for the rerun, so a ``-0.0`` over a ``0.0`` or
-    a weight ``1`` over ``1.0`` diverges. An exact-ERM IWAL trace is
-    compared with its pass rebuilt from the rows it labels, never with the
-    sequential pass (``_rerun``). The report is still the sequential pass's:
-    let i* be the first row where the rebuilt pass's coins leave the file's.
-    The file's row i* then differs as text from the sequential pass's row
-    i*, and up to i* the two passes agree bit for bit, so the first
-    divergence is at i* or before and reads the same on either pass; with
-    no i* the passes are equal. Then ``load_trace`` parses the rows, and the
-    outcome names the first row whose text differs and, within it, the
-    first such column in v1 order, with both values as numbers. A row that
-    only one side has is reported in the ``index`` column; a difference
-    outside the rows (the header line, a blank line) has no row and gives
-    the first differing line of each side.
+    a weight ``1`` over ``1.0`` diverges. Every pass runs by ``_select``,
+    given the rows whose coin and selected cells read ``1,1``, counted among
+    the non-blank rows. So an exact-ERM IWAL trace is compared with its pass
+    rebuilt from the rows it labels, never with the sequential pass. The
+    report is still the sequential pass's: let i* be the first row where the
+    rebuilt pass's coins leave the file's. The file's row i* then differs as
+    text from the sequential pass's row i*, and up to i* the two passes
+    agree bit for bit, so the first divergence is at i* or before and reads
+    the same on either pass; with no i* the passes are equal. After a
+    mismatch ``load_trace`` parses the rows, and the outcome names the first
+    row whose text differs and, within it, the first such column in v1
+    order, with both values as numbers. A row that only one side has is
+    reported in the ``index`` column; a difference outside the rows (the
+    header line, a blank line) has no row and gives the first differing
+    line of each side.
     """
     header, text = read_trace(path)
+    labeled = [i for i, row in enumerate(filter(None, text.split("\n")[2:])) if ",1,1," in row]
     try:
-        result = _rerun(_draw_split(header).train, header, text)
+        result = _select(_draw_split(header).train, header, {}, labeled)
     except InvalidArgumentError as exc:
         raise TraceFormatError(f"trace header has a bad value: {exc}") from exc
     rendered = trace_to_text(header, result)

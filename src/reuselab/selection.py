@@ -297,8 +297,6 @@ def select_iwal(
     if not isinstance(train, Dataset):
         return _iwal_lanes(train, config)
     n = len(train)
-    if n == 0:
-        raise InvalidArgumentError("training pool is empty")
     uniforms = pass_uniforms(config.seed, n).tolist()
     schedule = inv_sqrt_schedule(config.selector_eta0)
     x = train.x

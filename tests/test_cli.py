@@ -97,6 +97,17 @@ BAD_VALUES = [
 ]
 
 
+# numpy's message for a pool of n 10**11; the tests raise it rather than
+# ask for that much memory, which a host that overcommits might page in.
+NUMPY_OUT_OF_MEMORY = ("Unable to allocate 745. GiB for an array with shape "
+                       "(100000000000, 1) and data type float64")
+OUT_OF_MEMORY_LINE = f"error: out of memory: {NUMPY_OUT_OF_MEMORY}"
+
+
+def raise_out_of_memory(*args, **kwargs):
+    raise MemoryError(NUMPY_OUT_OF_MEMORY)
+
+
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -266,6 +277,12 @@ class TestRun:
         assert main(["run", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.splitlines()[-1] == (
             "config error: erm_grid_resolution 1000000 needs more than 64 MiB of grid")
+
+    def test_out_of_memory_is_an_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(experiments, "make_dataset", raise_out_of_memory)
+        cfg = write_config(tmp_path, MINIMAL_CONFIG)
+        assert main(["run", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == OUT_OF_MEMORY_LINE
 
     def test_all_cells_empty_is_degenerate(self, tmp_path):
         data = tmp_path / "flat.csv"
@@ -559,6 +576,12 @@ class TestReplay:
         assert capsys.readouterr().err.splitlines()[-1] == (
             "trace error: trace header has a bad value: erm_grid_resolution 10000000 needs "
             "more than 64 MiB of grid")
+
+    def test_out_of_memory_is_an_error(self, tmp_path, capsys):
+        trace = self._run_with_traces(tmp_path, "surrogate")[0]
+        self.monkeypatch.setattr(experiments, "make_dataset", raise_out_of_memory)
+        assert main(["replay", str(trace)]) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == OUT_OF_MEMORY_LINE
 
     def test_corrupt_trace_is_usage_error(self, tmp_path):
         bad = tmp_path / "broken.csv"

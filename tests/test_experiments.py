@@ -580,8 +580,8 @@ class TestExactReplayDifferential:
         monkeypatch.setattr(experiments, "select_iwal", no_pass)
         rebuilt = [replay_trace(path).describe() for path in paths]
         monkeypatch.undo()
-        monkeypatch.setattr(experiments, "_rerun",
-                            lambda train, header, text: experiments._select(train, header, {}))
+        monkeypatch.setattr(experiments, "_exact_pass_from_labels",
+                            lambda train, cfg, labeled: experiments.select_iwal(train, cfg))
         sequential = [replay_trace(path).describe() for path in paths]
         for path, got, want in zip(paths, rebuilt, sequential):
             assert got == want, path.name
