@@ -35,7 +35,7 @@ with tempfile.TemporaryDirectory(prefix="reuselab-bench-") as workdir:
         base_seed=31,
     )
 
-    # every repetition reads the table, so the run stays inside the block
+    # the run parses the table once at its start, so it stays inside the block
     result = run_experiment(config, jobs=4)
 
 print(f"\n{'strategy':<16} {'consumer':<14} {'cell':<16} {'labels':>7} {'error':>9} {'sem':>9}")

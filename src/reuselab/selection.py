@@ -435,13 +435,15 @@ def _iwal_lanes(trains, configs) -> list[SelectionResult]:
 
     Per step, every lane's score ``x * theta + bias``, ``g``, running
     |score| sum, p and coin test are length-R numpy operations in the solo
-    loop's order, and ``log(k)`` is computed once. The selectors are (R,)
-    arrays of ``theta`` and ``bias``; each labeling lane steps through the
+    loop's order, and ``log(k)`` is computed once. Each lane's selector is
+    its float-form tuple ``(theta, bias, updates)`` in ``selectors``, and
+    its ``theta`` and ``bias`` are copied to (R,) arrays for the score. On
+    a step where any lane labels, that step's x, label and p rows are read
+    once each with ``tolist``, and each labeling lane steps through the
     float form of ``online_linear_update`` with importance 1/p and its own
     ``inv_sqrt_schedule(selector_eta0)``, as the solo pass does. So every
     lane equals its solo pass bit for bit. Coins and pool columns are held
-    ``_LANE_BLOCK`` steps at a time. p is ``_probabilities``, the array form
-    of ``_probability``.
+    ``_LANE_BLOCK`` steps at a time. p is ``_probabilities``.
     """
     if not (isinstance(trains, Sequence) and isinstance(configs, Sequence)):
         raise InvalidArgumentError("the lanes form takes a sequence of pools and one of configs")
@@ -459,7 +461,7 @@ def _iwal_lanes(trains, configs) -> list[SelectionResult]:
     c0 = np.array([c.c0 for c in configs], dtype=np.float64)
     coins = [coin_stream(c.seed) for c in configs]
     schedules = [inv_sqrt_schedule(c.selector_eta0) for c in configs]
-    theta, bias, updates = np.zeros(lanes), np.zeros(lanes), [0] * lanes
+    theta, bias, selectors = np.zeros(lanes), np.zeros(lanes), [(0.0, 0.0, 0)] * lanes
     score, abs_sum, mean = (np.zeros(lanes) for _ in range(3))
     has_mean = np.empty(lanes, dtype=bool)
     # the outputs; each step reads and writes one column of them, as a row of .T
@@ -487,10 +489,13 @@ def _iwal_lanes(trains, configs) -> list[SelectionResult]:
                     log_k = math.log(idx + 1) if log_base is None else math.log(idx + 1, log_base)
                     _probabilities(g, c0, log_k, idx, out=p)
                 np.add(abs_sum, score, out=abs_sum)
-                for r in np.less(u, p, out=hit).nonzero()[0].tolist():
-                    theta[r], bias[r], updates[r] = online_linear_update(
-                        (theta.item(r), bias.item(r), updates[r]), x.item(r), label.item(r),
-                        1.0 / p.item(r), schedules[r])
+                labeling = np.less(u, p, out=hit).nonzero()[0].tolist()
+                if labeling:
+                    x_list, label_list, p_list = x.tolist(), label.tolist(), p.tolist()
+                for r in labeling:
+                    selectors[r] = online_linear_update(
+                        selectors[r], x_list[r], label_list[r], 1.0 / p_list[r], schedules[r])
+                    theta[r], bias[r], _ = selectors[r]
     results = []
     for g, p, hit in zip(gs, probabilities, selected):
         indices = hit.nonzero()[0]

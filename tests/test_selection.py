@@ -814,6 +814,30 @@ class TestSelectorUpdates:
         assert 0 < res.selected_count < len(pool)
         assert len(calls) == res.selected_count
 
+    @pytest.mark.parametrize("form", ["solo", "lanes"])
+    def test_float_form_is_handed_python_numbers(self, monkeypatch, form):
+        # a numpy importance would make (1 - q) ** importance numpy's power,
+        # which differs from Python's on some inputs
+        seen = []
+
+        def typed(model, features, label, importance, schedule):
+            theta, bias, updates = model
+            seen.append((type(theta), type(bias), type(updates), type(features),
+                         type(label), type(importance)))
+            return online_linear_update(model, features, label, importance, schedule)
+
+        monkeypatch.setattr(rl.selection, "online_linear_update", typed)
+        pool = rl.gen_four_cluster_line(300, seed=73)
+        configs = [rl.IwalConfig(c0=c0, seed=74 + i) for i, c0 in enumerate((0.05, 3.0))]
+        if form == "solo":
+            labels = sum(rl.select_iwal(pool, c).selected_count for c in configs)
+            label_type = int  # the solo pass reads the int64 labels with tolist
+        else:
+            labels = sum(r.selected_count for r in rl.select_iwal([pool] * 2, configs))
+            label_type = float
+        assert len(seen) == labels > 0
+        assert set(seen) == {(float, float, int, float, label_type, float)}
+
 
 LANE_POOLS = (rl.gen_uniform_line(300, seed=80), rl.gen_four_cluster_line(300, seed=81))
 LANE_C0S = (1e-3, 0.05, 0.5, 3.0, 100.0, 1e9)
