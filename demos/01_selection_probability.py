@@ -14,7 +14,7 @@ from reuselab import selection_probability
 
 print("p as a function of g (k=101, c0=0.01):")
 for g in (0.0, 0.01, 0.1, 0.5, 1.0, 2.0, 5.0):
-    print(f"  g={g:<5} p={selection_probability(g, 101, 0.01) if g else 1.0:.6f}")
+    print(f"  g={g:<5} p={selection_probability(g, 101, 0.01):.6f}")
 
 print("\np as a function of k (g=1, c0=0.01):")
 for k in (2, 11, 101, 1001, 10001):

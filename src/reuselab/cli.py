@@ -54,7 +54,7 @@ REPORT_COLUMNS = ("strategy", "consumer", "cell", "x_median", "matched_n",
 # is a field name, except that these sections nest fields, by key -> field.
 
 _SECTIONS = {
-    "iwal": {key: key for key in ("gk_mode", "erm_grid_resolution", "log_base")},
+    "iwal": {key: key for key in ("gk_mode", "erm_grid_resolution")},
     "selector": {"eta0": "selector_eta0"},
 }
 

@@ -146,7 +146,6 @@ class ExperimentConfig:
     base_seed: int = 0
     gk_mode: str = SURROGATE
     erm_grid_resolution: int = 64
-    log_base: float | None = None
     selector_eta0: float = 0.3
     save_traces: bool = False
 
@@ -184,8 +183,8 @@ class ExperimentConfig:
         for key in ("n_grid", "c0_grid"):
             if len(set(getattr(self, key))) != len(getattr(self, key)):
                 raise InvalidArgumentError(f"{key} entries must be distinct")
-        knobs = IwalConfig(1.0, self.gk_mode, self.erm_grid_resolution, 0, self.log_base,
-                           self.selector_eta0)
+        knobs = IwalConfig(c0=1.0, gk_mode=self.gk_mode, selector_eta0=self.selector_eta0,
+                           erm_grid_resolution=self.erm_grid_resolution)
         object.__setattr__(self, "iwal_configs", tuple(replace(knobs, c0=c) for c in self.c0_grid))
 
 
@@ -335,6 +334,9 @@ def _select(train, header: Mapping, shared: dict, labeled=None) -> SelectionResu
         return select_uncertainty(train, _header_value(header, "n"), shared[UNCERTAINTY])
     if strategy not in (IWAL, IWAL_NO_WEIGHTS):
         raise InvalidArgumentError(f"unknown strategy {strategy!r}")
+    if header.get("log_base") is not None:  # older traces; null is the natural log
+        raise TraceFormatError(f"trace header sets log_base {header['log_base']!r}; "
+                               "the probability rule now uses the natural log only")
     cfg = IwalConfig(**{f.name: _header_value(header, f.name) for f in fields(IwalConfig)})
     use_weights = _header_value(header, "use_weights", bool)
     if cfg.seed not in shared:

@@ -11,7 +11,6 @@ be replayed bit-exactly from its header.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -43,17 +42,13 @@ _GRID_BUDGET = 64 << 20
 
 @dataclass(frozen=True)
 class IwalConfig:
-    """Knobs of one IWAL pass.
-
-    ``log_base=None`` means the natural logarithm in the probability rule;
-    otherwise it must be a number above 1.
-    """
+    """Knobs of one IWAL pass. ``c0`` is the probability rule's one
+    constant; the rule takes the natural log of k."""
 
     c0: float
     gk_mode: str = SURROGATE
     erm_grid_resolution: int = 64
     seed: int = 0
-    log_base: float | None = None
     selector_eta0: float = 0.3
 
     def __post_init__(self):
@@ -67,9 +62,6 @@ class IwalConfig:
                 f"erm_grid_resolution must be an integer from 2 to {MAX_LENGTH}, not {res!r}")
         if not is_int(self.seed):
             raise InvalidArgumentError(f"seed must be an integer, not {self.seed!r}")
-        base = self.log_base
-        if base is not None and not (is_number(base) and base > 1):
-            raise InvalidArgumentError(f"log_base must be a number above 1, not {base!r}")
         inv_sqrt_schedule(self.selector_eta0)  # raises on an eta0 it cannot take
 
 
@@ -97,13 +89,13 @@ class SelectionResult:
 # The probability rule and its two error-difference sources
 
 
-def selection_probability(g: float, k: int, c0: float, log_base: float | None = None) -> float:
+def selection_probability(g: float, k: int, c0: float) -> float:
     """Labeling probability of the k-th streamed example.
 
-    Returns ``min(1, (1/g^2 + 1/g) * c0 * log(k) / (k - 1))``; the g -> 0
-    limit saturates the clamp, so a g whose square is 0 as a double (g = 0,
-    or g below about 1.5e-162) maps to 1. ``log_base=None`` means the
-    natural logarithm; otherwise it must be a number above 1.
+    Returns ``min(1, (1/g^2 + 1/g) * c0 * log(k) / (k - 1))`` with the
+    natural log; a rule in another base b is this one at c0 / ln b, equal
+    up to rounding. The g -> 0 limit saturates the clamp, so a g whose
+    square is 0 as a double (g = 0, or g below about 1.5e-162) maps to 1.
     """
     if not (is_number(g) and g >= 0):
         raise InvalidArgumentError(f"g must be a non-negative number, not {g!r}")
@@ -111,18 +103,15 @@ def selection_probability(g: float, k: int, c0: float, log_base: float | None = 
         raise InvalidArgumentError(f"k must be an integer >= 2, not {k!r}")
     if not (is_number(c0) and c0 > 0):
         raise InvalidArgumentError(f"c0 must be a positive number, not {c0!r}")
-    if log_base is not None and not (is_number(log_base) and log_base > 1):
-        raise InvalidArgumentError(f"log_base must be a number above 1, not {log_base!r}")
-    return _probability(g, k, c0, log_base)
+    return _probability(g, k, c0)
 
 
-def _probability(g: float, k: int, c0: float, log_base: float | None) -> float:
+def _probability(g: float, k: int, c0: float) -> float:
     """``selection_probability`` without its argument checks."""
     g2 = g * g
     if g2 == 0.0:
         return 1.0
-    log_k = math.log(k) if log_base is None else math.log(k, log_base)
-    return min(1.0, (1.0 / g2 + 1.0 / g) * c0 * log_k / (k - 1))
+    return min(1.0, (1.0 / g2 + 1.0 / g) * c0 * math.log(k) / (k - 1))
 
 
 def _probabilities(g, c0, log_k, k_minus_1, out):
@@ -290,9 +279,9 @@ def select_iwal(
     about a quarter of random pairs.
 
     Lanes form: ``select_iwal(pools, configs)`` takes equal-length
-    sequences of 1-D pools of one length and of surrogate configs with one
-    ``log_base``, runs every pass in lockstep (see ``_iwal_lanes``) and
-    returns one ``SelectionResult`` per lane, each equal to its solo pass.
+    sequences of 1-D pools of one length and of surrogate configs, runs
+    every pass in lockstep (see ``_iwal_lanes``) and returns one
+    ``SelectionResult`` per lane, each equal to its solo pass.
     """
     if not isinstance(train, Dataset):
         return _iwal_lanes(train, config)
@@ -340,7 +329,7 @@ def select_iwal(
                 score = xs[idx] * model[0] + model[1]
             g = surrogate_error_difference(score, abs_score_sum / idx if idx else 0.0)
             abs_score_sum += abs(score)
-        p = 1.0 if idx == 0 else _probability(g, idx + 1, config.c0, config.log_base)
+        p = 1.0 if idx == 0 else _probability(g, idx + 1, config.c0)
         if uniforms[idx] < p:
             importance = 1.0 / p
             label = labels[idx]
@@ -418,11 +407,9 @@ def _exact_pass_from_labels(train: Dataset, config: IwalConfig, labeled) -> Sele
         least = table.take(plus[rows] + starts + side[:, None] * (width + 1)).min(axis=1)
         g[rows] = (least - err[best_dir, best_j]) / total_weight
         if stop < n:
-            importance = 1.0 / _probability(float(g[stop]), stop + 1, config.c0, config.log_base)
+            importance = 1.0 / _probability(float(g[stop]), stop + 1, config.c0)
 
-    ks = range(2, n + 1)
-    log_k = np.fromiter(map(math.log, ks) if config.log_base is None else
-                        map(math.log, ks, itertools.repeat(config.log_base)), np.float64, n - 1)
+    log_k = np.fromiter(map(math.log, range(2, n + 1)), np.float64, n - 1)
     p = np.ones(n)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         _probabilities(g[1:], float(config.c0), log_k, np.arange(1.0, n), out=p[1:])
@@ -454,9 +441,6 @@ def _iwal_lanes(trains, configs) -> list[SelectionResult]:
         raise InvalidArgumentError("the lanes form needs 1-D pools of one length")
     if not all(isinstance(c, IwalConfig) and c.gk_mode == SURROGATE for c in configs):
         raise InvalidArgumentError("the lanes form runs surrogate passes only")
-    log_base = configs[0].log_base
-    if any(c.log_base != log_base for c in configs):
-        raise InvalidArgumentError("the lanes form needs one log_base for every lane")
     lanes = len(trains)
     c0 = np.array([c.c0 for c in configs], dtype=np.float64)
     coins = [coin_stream(c.seed) for c in configs]
@@ -486,8 +470,7 @@ def _iwal_lanes(trains, configs) -> list[SelectionResult]:
                     np.divide(abs_sum, idx, out=mean)
                     np.not_equal(mean, 0.0, out=has_mean)
                     np.divide(score, mean, out=g, where=has_mean)
-                    log_k = math.log(idx + 1) if log_base is None else math.log(idx + 1, log_base)
-                    _probabilities(g, c0, log_k, idx, out=p)
+                    _probabilities(g, c0, math.log(idx + 1), idx, out=p)
                 np.add(abs_sum, score, out=abs_sum)
                 labeling = np.less(u, p, out=hit).nonzero()[0].tolist()
                 if labeling:

@@ -34,7 +34,7 @@ EVERY_CONSUMER = [
     {"kind": "svm-rbf", "cost": 3.0, "gamma": 0.7},
 ]
 SECTIONS = {
-    "iwal": {"gk_mode": "exact-erm", "erm_grid_resolution": 16, "log_base": 2},
+    "iwal": {"gk_mode": "exact-erm", "erm_grid_resolution": 16},
     "selector": {"eta0": 0.2},
 }
 # A CSV spec whose file is never read: its checks come first.
@@ -50,8 +50,6 @@ BAD_VALUES = [
     ("n_grid-true", {"n_grid": [True, 10]}, "n_grid"),
     ("repetitions-true", {"repetitions": True}, "repetitions"),
     ("strategies-string", {"strategies": "random"}, "strategies"),
-    ("iwal.log_base-1", {"iwal": {"log_base": 1}}, "log_base"),
-    ("iwal.log_base-Infinity", {"iwal": {"log_base": math.inf}}, "log_base"),
     ("iwal.erm_grid_resolution-64.5", {"iwal": {"erm_grid_resolution": 64.5}},
      "erm_grid_resolution"),
     ("selector.eta0-0.9", {"selector": {"eta0": 0.9}}, "eta0"),
@@ -78,7 +76,6 @@ BAD_VALUES = [
      "circle_prob"),
     # integers too large for a float
     ("c0_grid-10**400", {"c0_grid": [10**400]}, "c0_grid"),
-    ("iwal.log_base-10**400", {"iwal": {"log_base": 10**400}}, "log_base"),
     ("consumer.ridge-10**400", {"consumers": [{"kind": "least-squares", "ridge": 10**400}]},
      "ridge"),
     ("consumer.cost-10**400", {"consumers": [{"kind": "svm-rbf", "cost": 10**400}]}, "cost"),
@@ -249,14 +246,16 @@ class TestRun:
         config = parse_config(json.dumps({"dataset": spec, "test_prop": 0.25, "c0_grid": [1]}))
         assert config == ExperimentConfig(DatasetSpec(**spec), 0.25, c0_grid=(1.0,))
 
-    @pytest.mark.parametrize("log_base", [1, -2, "e"])
-    def test_bad_log_base_is_config_error(self, tmp_path, capsys, log_base):
+    def test_log_base_is_an_unknown_key(self, tmp_path, capsys):
+        # the probability rule's only constant is c0; the natural-log rule
+        # that a null log_base meant is the rule itself
         cfg = write_config(tmp_path, {
             **MINIMAL_CONFIG, "strategies": ["random", "iwal"], "c0_grid": [1.0],
-            "iwal": {"log_base": log_base},
+            "iwal": {"log_base": None},
         })
         assert main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
-        assert "config error: log_base must be a number above 1" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err == "config error: unknown keys in config.iwal: log_base"
 
     def test_missing_config_is_io_error(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json"),
@@ -548,6 +547,25 @@ class TestReplay:
         assert main(["replay", str(trace)]) == 2
         err = capsys.readouterr().err.splitlines()[-1]
         assert err.startswith("trace error: trace header has a bad ") and named in err
+
+    def test_header_null_log_base_replays_ok(self, tmp_path, capsys, gk_mode):
+        # older IWAL traces carry "log_base": null, the natural-log rule
+        for trace in self._run_with_traces(tmp_path, gk_mode):
+            if "_iwal" in trace.name:
+                self._edit_header(trace, lambda h: {**h, "log_base": None})
+                assert '"log_base": null' in trace.read_text().partition("\n")[0]
+            assert main(["replay", str(trace)]) == 0
+            assert capsys.readouterr().out.strip() == "ok"
+
+    @pytest.mark.parametrize("strategy", ["iwal", "iwal-no-weights"])
+    def test_header_log_base_is_trace_error(self, tmp_path, capsys, gk_mode, strategy):
+        traces = self._run_with_traces(tmp_path, gk_mode)
+        trace = [t for t in traces if f"_{strategy}_c0" in t.name][0]
+        self._edit_header(trace, lambda h: {**h, "log_base": 2})
+        assert main(["replay", str(trace)]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "trace error: trace header sets log_base 2; "
+            "the probability rule now uses the natural log only")
 
     def test_header_dataset_without_kind_is_trace_error(self, tmp_path, capsys, gk_mode):
         trace = [t for t in self._run_with_traces(tmp_path, gk_mode) if "iwal_c0" in t.name][0]

@@ -67,12 +67,12 @@ EXPECTED = {
     "mixed": {
         "curve.csv": "3c8584b42b376af0eb07af12cb7a5d66ddc0b06298ed551775f1c27e1e0e4b8e",
         "report.csv": "c9e42ae7a21fc30d977fab30d363134b1e368e3019aa9163ff5c68796aea1e6d",
-        "traces": "03d46b1df127e50464394879f1a461f5bee710cb1cfae0485f405b0653cca7a3",
+        "traces": "e6b02a92f28e5dbff81ca7d5f7fb4d847ace505aa205178ba7b52a705ae0273f",
     },
     "car-like": {
         "curve.csv": "9a0b3e8b01f899432a53d8f730d60a7ffc22e31f0654709f3aa00743d154dc4e",
         "report.csv": "e1166319663973588d15fd893874b5da1e7ca32dc685f18ac0ee54551b451c46",
-        "traces": "3c8cc4bbda49a62ab3b82f5717f0f142af077f0d25ad98af46a3cd043eea2af3",
+        "traces": "9362f77571a598988e48f8d7906d4e25c5a51c27bc8bb9996ec5566a9fda05c7",
     },
 }
 

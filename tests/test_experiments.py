@@ -409,7 +409,7 @@ class TestDensityHistogram:
 
     @pytest.mark.parametrize("kind, knobs", [
         ("uniform-line", {}),
-        ("four-cluster-line", {"log_base": 2, "selector_eta0": 0.1}),
+        ("four-cluster-line", {"selector_eta0": 0.1}),
     ])
     @pytest.mark.parametrize("runs", [1, GROUP_RUNS, GROUP_RUNS + 1])
     def test_rows_equal_rows_from_solo_passes(self, kind, knobs, runs):

@@ -41,9 +41,9 @@ EXPECTED = {
     "traces/trace_uncertainty_n_90_r0000.csv":
         "f8b3293f1ab1dfc3c8fb4856b9cd55c0ba614e50ea2f9492c58e70ecf95826d3",
     "traces/trace_iwal_c0_0.05_r0001.csv":
-        "4249b6ee5176f266acbec65df0cb5b560f933399fe1745884eb6bac7f89c9b37",
+        "428aaed3932114a3714def15df3f5019f1923297e40634000947bd43576cac6c",
     "traces/trace_iwal-no-weights_c0_0.05_r0000.csv":
-        "d1c042edd4d7a30bc00d67944cfd80cbf1c6f4df93bfde1951d8634ba21c2ee4",
+        "dd80719e1930db236ecec0ca68b1bdb891657257e2f35a11ce7ea659799790cd",
 }
 
 

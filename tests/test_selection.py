@@ -66,11 +66,6 @@ class TestSelectionProbability:
     def test_large_c0_clamps_to_one(self):
         assert rl.selection_probability(1.0, 100, 1e9) == 1.0
 
-    def test_log_base_knob(self):
-        natural = rl.selection_probability(1.0, 101, 0.01)
-        base2 = rl.selection_probability(1.0, 101, 0.01, log_base=2.0)
-        assert base2 == pytest.approx(natural / math.log(2), rel=1e-12)
-
     def test_preconditions(self):
         with pytest.raises(InvalidArgumentError):
             rl.selection_probability(1.0, 1, 0.1)
@@ -85,21 +80,15 @@ class TestSelectionProbability:
             ((1.0, True, 0.1), "k"),
             ((1.0, 5, math.nan), "c0"),
             ((1.0, 5, "0.1"), "c0"),
-            ((1.0, 5, 0.1, 1), "log_base"),
-            ((1.0, 5, 0.1, -2), "log_base"),
-            ((1.0, 5, 0.1, math.nan), "log_base"),
             ((math.inf, 5, 0.1), "g"),
             ((1.0, 5, math.inf), "c0"),
-            ((1.0, 5, 0.1, math.inf), "log_base"),
             ((10**400, 5, 0.1), "g"),
         ]
         for args, name in bad:
             with pytest.raises(InvalidArgumentError, match=f"^{name} must be"):
                 rl.selection_probability(*args)
-        for knobs, name in [({"c0": math.inf}, "c0"),
-                            ({"c0": 1.0, "log_base": math.inf}, "log_base")]:
-            with pytest.raises(InvalidArgumentError, match=f"^{name} must be"):
-                rl.IwalConfig(**knobs)
+        with pytest.raises(InvalidArgumentError, match="^c0 must be"):
+            rl.IwalConfig(c0=math.inf)
 
     @given(
         g1=st.floats(1e-6, 1e3), g2=st.floats(1e-6, 1e3),
@@ -132,15 +121,11 @@ class TestProbabilityForms:
     KS = (2, 3, 101, 4000, 10**6)
     C0S = (1e-9, 1e-3, 0.7, 3.0, 1e9)
 
-    @pytest.mark.parametrize("log_base", [None, 2.0])
-    def test_array_form_has_the_scalar_bits(self, log_base):
-        def log(k):
-            return math.log(k) if log_base is None else math.log(k, log_base)
-
+    def test_array_form_has_the_scalar_bits(self):
         g, k = (a.ravel() for a in np.meshgrid(self.G, self.KS))
-        log_k = np.array([log(int(v)) for v in k])
+        log_k = np.array([math.log(int(v)) for v in k])
         for c0 in self.C0S:
-            want = np.array([_probability(float(a), int(b), c0, log_base) for a, b in zip(g, k)])
+            want = np.array([_probability(float(a), int(b), c0) for a, b in zip(g, k)])
             got = np.empty(len(g))
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 # the rebuilt exact pass's form: one k per row
@@ -150,7 +135,8 @@ class TestProbabilityForms:
                 for kk in self.KS:
                     row = k == kk
                     lanes = np.empty(row.sum())
-                    _probabilities(g[row], np.full(row.sum(), c0), log(kk), kk - 1, out=lanes)
+                    _probabilities(g[row], np.full(row.sum(), c0), math.log(kk), kk - 1,
+                                   out=lanes)
                     assert lanes.tobytes() == want[row].tobytes(), (c0, kk)
 
 
@@ -603,7 +589,7 @@ def reference_select_iwal(train, config):
         else:
             g = surrogate_error_difference(score, abs_score_sum / idx if idx else 0.0)
         k = idx + 1
-        p = 1.0 if k == 1 else selection_probability(g, k, config.c0, config.log_base)
+        p = 1.0 if k == 1 else selection_probability(g, k, config.c0)
         if uniforms[idx] < p:
             importance = 1.0 / p
             label = int(y[idx])
@@ -652,38 +638,33 @@ class TestIwalPassBitIdentity:
     @pytest.mark.parametrize("pool", BIT_IDENTITY_POOLS.values(), ids=BIT_IDENTITY_POOLS.keys())
     def test_same_bits_as_reference(self, pool, gk_mode):
         resolutions = (16, 64) if gk_mode == EXACT_ERM else (64,)
-        passes = 0
-        for resolution in resolutions:
-            for log_base in (None, 2.0):
-                for c0 in (0.01, 0.1, 0.3, 1.0, 3.0):
-                    config = rl.IwalConfig(
-                        c0=c0, gk_mode=gk_mode, erm_grid_resolution=resolution,
-                        seed=derive_seed(63, passes), log_base=log_base,
-                    )
-                    passes += 1
-                    try:
-                        want = reference_select_iwal(pool, config)
-                    except DegenerateGridError as exc:
-                        with pytest.raises(DegenerateGridError, match=str(exc)):
-                            rl.select_iwal(pool, config)
-                        continue
-                    got = rl.select_iwal(pool, config)
-                    for column in ("indices", "weights", "g", "probability"):
-                        a, b = getattr(got, column), getattr(want, column)
-                        assert a.dtype == b.dtype and np.array_equal(a, b), (config, column)
+        for ri, resolution in enumerate(resolutions):
+            for ci, c0 in enumerate((0.01, 0.1, 0.3, 1.0, 3.0)):
+                # seed indices step by 10 per resolution, as when each also ran a base-2 rule
+                config = rl.IwalConfig(
+                    c0=c0, gk_mode=gk_mode, erm_grid_resolution=resolution,
+                    seed=derive_seed(63, 10 * ri + ci),
+                )
+                try:
+                    want = reference_select_iwal(pool, config)
+                except DegenerateGridError as exc:
+                    with pytest.raises(DegenerateGridError, match=str(exc)):
+                        rl.select_iwal(pool, config)
+                    continue
+                got = rl.select_iwal(pool, config)
+                for column in ("indices", "weights", "g", "probability"):
+                    a, b = getattr(got, column), getattr(want, column)
+                    assert a.dtype == b.dtype and np.array_equal(a, b), (config, column)
 
     def test_surrogate_line_at_criterion_5_size(self):
         # the 1-D surrogate scores on Python floats; pin it on a long pool
         pool = rl.gen_uniform_line(4000, seed=404)
-        passes = 0
-        for log_base in (None, 2.0):
-            for c0 in (0.3, 1.0, 3.0, 10.0):
-                config = rl.IwalConfig(c0=c0, seed=derive_seed(405, passes), log_base=log_base)
-                passes += 1
-                got, want = rl.select_iwal(pool, config), reference_select_iwal(pool, config)
-                for column in ("indices", "weights", "g", "probability"):
-                    a, b = getattr(got, column), getattr(want, column)
-                    assert a.dtype == b.dtype and np.array_equal(a, b), (config, column)
+        for i, c0 in enumerate((0.3, 1.0, 3.0, 10.0)):
+            config = rl.IwalConfig(c0=c0, seed=derive_seed(405, i))
+            got, want = rl.select_iwal(pool, config), reference_select_iwal(pool, config)
+            for column in ("indices", "weights", "g", "probability"):
+                a, b = getattr(got, column), getattr(want, column)
+                assert a.dtype == b.dtype and np.array_equal(a, b), (config, column)
 
 
     @pytest.mark.parametrize("pool", ODD_RESOLUTION_POOLS.values(), ids=ODD_RESOLUTION_POOLS.keys())
@@ -742,26 +723,24 @@ class TestExactPassFromLabels:
 
     @pytest.mark.parametrize("pool", POOLS.values(), ids=POOLS.keys())
     def test_same_bytes_as_the_pass_given_its_labels(self, pool):
-        passes = 0
-        for resolution in (16, 64):
-            for log_base in (None, 2.0):
-                for c0 in (0.01, 0.1, 0.3, 1.0, 3.0):
-                    config = rl.IwalConfig(
-                        c0=c0, gk_mode=EXACT_ERM, erm_grid_resolution=resolution,
-                        seed=derive_seed(68, passes), log_base=log_base,
-                    )
-                    passes += 1
-                    try:
-                        want = rl.select_iwal(pool, config)
-                    except DegenerateGridError as exc:
-                        with pytest.raises(DegenerateGridError, match=str(exc)):
-                            _exact_pass_from_labels(pool, config, [0])
-                        continue
-                    got = _exact_pass_from_labels(pool, config, want.indices)
-                    assert got.strategy == want.strategy
-                    for column in ("indices", "weights", "g", "probability"):
-                        a, b = getattr(got, column), getattr(want, column)
-                        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (config, column)
+        for ri, resolution in enumerate((16, 64)):
+            for ci, c0 in enumerate((0.01, 0.1, 0.3, 1.0, 3.0)):
+                # seed indices step by 10 per resolution, as when each also ran a base-2 rule
+                config = rl.IwalConfig(
+                    c0=c0, gk_mode=EXACT_ERM, erm_grid_resolution=resolution,
+                    seed=derive_seed(68, 10 * ri + ci),
+                )
+                try:
+                    want = rl.select_iwal(pool, config)
+                except DegenerateGridError as exc:
+                    with pytest.raises(DegenerateGridError, match=str(exc)):
+                        _exact_pass_from_labels(pool, config, [0])
+                    continue
+                got = _exact_pass_from_labels(pool, config, want.indices)
+                assert got.strategy == want.strategy
+                for column in ("indices", "weights", "g", "probability"):
+                    a, b = getattr(got, column), getattr(want, column)
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (config, column)
 
     @pytest.mark.parametrize("name", ["circle", "uniform-line", "four-cluster-line"])
     def test_one_label_added_dropped_or_moved_keeps_the_pass_up_to_it(self, name):
@@ -853,15 +832,13 @@ def assert_same_pass(got, want, label):
 class TestIwalLanes:
     """The lanes form of ``select_iwal`` gives every lane its solo pass's bits."""
 
-    @pytest.mark.parametrize("log_base", [None, 2])
     @pytest.mark.parametrize("lanes", [1, 2, _DENSITY_LANES + 7])
-    def test_every_lane_equals_its_solo_pass(self, lanes, log_base):
+    def test_every_lane_equals_its_solo_pass(self, lanes):
         combos = itertools.cycle(itertools.product(LANE_POOLS, LANE_C0S, LANE_ETAS))
         pools, configs = [], []
         for i, (pool, c0, eta0) in zip(range(lanes), combos):
             pools.append(pool)
-            configs.append(rl.IwalConfig(c0=c0, seed=derive_seed(82, i), log_base=log_base,
-                                         selector_eta0=eta0))
+            configs.append(rl.IwalConfig(c0=c0, seed=derive_seed(82, i), selector_eta0=eta0))
         assert len(pools[0]) % _LANE_BLOCK != 0
         results = rl.select_iwal(pools, configs)
         assert len(results) == lanes
@@ -913,9 +890,8 @@ class TestIwalLanes:
         ([rl.gen_circle(300, circle_prob=0.05, seed=83)], [rl.IwalConfig(c0=1.0)]),
         ([LANE_POOLS[0], rl.gen_uniform_line(299, seed=84)], [rl.IwalConfig(c0=1.0)] * 2),
         ([LANE_POOLS[0]], [rl.IwalConfig(c0=1.0, gk_mode=EXACT_ERM)]),
-        ([LANE_POOLS[0]] * 2, [rl.IwalConfig(c0=1.0), rl.IwalConfig(c0=1.0, log_base=2)]),
         ([LANE_POOLS[0]], rl.IwalConfig(c0=1.0)),
-    ], ids=["empty", "no-config", "one-config-short", "2-d", "lengths", "exact", "log-bases",
+    ], ids=["empty", "no-config", "one-config-short", "2-d", "lengths", "exact",
             "one-config-bare"])
     def test_rejects_lanes_it_cannot_run(self, pools, configs):
         with pytest.raises(InvalidArgumentError, match="lanes form"):
