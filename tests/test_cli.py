@@ -329,6 +329,24 @@ class TestConfigSchema:
         assert config.c0_grid == (1.0, 0.05)
         assert [c.name for c in config.consumers][:4] == ["ol-2", "least-squares", "lda-a", "qda-a"]
 
+    @pytest.mark.parametrize("log_base", [None, 2])
+    def test_old_manifest_with_log_base_is_config_error(self, tmp_path, capsys, log_base):
+        # a manifest written before the rule lost its base carries
+        # iwal.log_base; run on its snapshot, it fails as an unknown key
+        payload = {**MINIMAL_CONFIG, "strategies": ["random", "iwal"], "c0_grid": [1.0]}
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_config(tmp_path, payload),
+                     "--out-dir", str(out), "--quiet"]) == 0
+        snapshot = json.loads((out / "manifest.json").read_text())["config"]
+        assert "log_base" not in snapshot["iwal"]
+        snapshot["iwal"]["log_base"] = log_base
+        old = tmp_path / "old-manifest-config.json"
+        old.write_text(json.dumps(snapshot))
+        capsys.readouterr()
+        assert main(["run", "--config", str(old), "--out-dir", str(tmp_path / "again")]) == 2
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err == "config error: unknown keys in config.iwal: log_base"
+
     @pytest.mark.parametrize("edit, key", [case[1:] for case in BAD_VALUES],
                              ids=[case[0] for case in BAD_VALUES])
     def test_bad_value_stops_the_run_before_any_pool(self, tmp_path, capsys, monkeypatch,
@@ -547,6 +565,15 @@ class TestReplay:
         assert main(["replay", str(trace)]) == 2
         err = capsys.readouterr().err.splitlines()[-1]
         assert err.startswith("trace error: trace header has a bad ") and named in err
+
+    def test_new_iwal_header_has_no_log_base(self, tmp_path, gk_mode):
+        # the rule takes the natural log only, so new headers record c0 alone
+        iwal = [t for t in self._run_with_traces(tmp_path, gk_mode) if "_iwal" in t.name]
+        for trace in iwal:
+            header, _ = load_trace(trace)
+            assert "log_base" not in header
+            assert {"c0", "gk_mode", "erm_grid_resolution", "seed",
+                    "selector_eta0"} <= header.keys()
 
     def test_header_null_log_base_replays_ok(self, tmp_path, capsys, gk_mode):
         # older IWAL traces carry "log_base": null, the natural-log rule

@@ -66,6 +66,16 @@ class TestSelectionProbability:
     def test_large_c0_clamps_to_one(self):
         assert rl.selection_probability(1.0, 100, 1e9) == 1.0
 
+    @pytest.mark.parametrize("base", [2.0, 10.0])
+    def test_base_b_rule_is_c0_over_ln_b(self, base):
+        # log_b k = ln k / ln b: a base-b rule at c0 is the natural-log rule
+        # at c0 / ln b, equal up to rounding
+        for g, k, c0 in itertools.product((0.05, 0.5, 1.0, 3.0), (2, 3, 101, 10**6),
+                                          (1e-3, 0.05, 1.0)):
+            base_b = min(1.0, (1.0 / g**2 + 1.0 / g) * c0 * math.log(k, base) / (k - 1))
+            natural = rl.selection_probability(g, k, c0 / math.log(base))
+            assert natural == pytest.approx(base_b, rel=1e-14, abs=0)
+
     def test_preconditions(self):
         with pytest.raises(InvalidArgumentError):
             rl.selection_probability(1.0, 1, 0.1)
