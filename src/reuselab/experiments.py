@@ -6,8 +6,10 @@ split it, run one selection pass per cell over the shared training order,
 train every consumer on each selection, and score it on the test side. A
 pass is its trace header: its pool and split come from the header's recipe
 by ``_draw_split`` and it runs by ``_select``, as ``replay`` runs a saved
-one. A repetition returns arrays over the config's ``_cells``, NaN where a
-pass or fit was dropped; they are aggregated into curve points (mean error,
+one. An ``iwal`` and an ``iwal-no-weights`` cell of one c0 share a pass,
+and a traced run writes its trace once, as the ``iwal`` cell's. A
+repetition returns arrays over the config's ``_cells``, NaN where a pass or
+fit was dropped; they are aggregated into curve points (mean error,
 std of the mean, median selected count) and into a reusability report that
 compares each active-learning cell against the random cell of the nearest
 size.
@@ -300,6 +302,22 @@ def _header_value(header, key: str, kind=object):
     return value
 
 
+def _refuse_unknown_keys(mapping: Mapping, known, where: str) -> None:
+    """A ``TraceFormatError`` that names every key of ``mapping`` outside ``known``."""
+    unknown = sorted(set(mapping) - known)
+    if unknown:
+        raise TraceFormatError(f"{where} has unknown keys: {', '.join(unknown)}")
+
+
+_SPLIT_KEYS = ("test_prop", "seed", "scale_numeric")
+# The keys a pass header may carry, by strategy. An older IWAL trace carries
+# "log_base", which _select reads only to refuse a value other than null.
+_RECIPE_KEYS = {"strategy", "seed", "use_weights", "dataset", "split"}
+_IWAL_KEYS = _RECIPE_KEYS | {f.name for f in fields(IwalConfig)} | {"log_base"}
+_HEADER_KEYS = {RANDOM: _RECIPE_KEYS | {"n"}, UNCERTAINTY: _RECIPE_KEYS | {"n", "selector_eta0"},
+                IWAL: _IWAL_KEYS, IWAL_NO_WEIGHTS: _IWAL_KEYS}
+
+
 def _draw_split(recipe: Mapping, table: CsvTable | None = None) -> SplitPair:
     """The train/test pair that a recipe (a trace header, or ``_recipe``)
     names: the only route from a recipe to data. ``table``, if given, is
@@ -307,8 +325,8 @@ def _draw_split(recipe: Mapping, table: CsvTable | None = None) -> SplitPair:
     pool = table if table is not None else make_dataset(
         DatasetSpec.from_dict(_header_value(recipe, "dataset", Mapping)))
     split_info = _header_value(recipe, "split", Mapping)
-    keys = ("test_prop", "seed", "scale_numeric")
-    return split(pool, *(_header_value(split_info, key) for key in keys))
+    _refuse_unknown_keys(split_info, set(_SPLIT_KEYS), "trace header's split")
+    return split(pool, *(_header_value(split_info, key) for key in _SPLIT_KEYS))
 
 
 def _select(train, header: Mapping, shared: dict, labeled=None) -> SelectionResult:
@@ -319,9 +337,15 @@ def _select(train, header: Mapping, shared: dict, labeled=None) -> SelectionResu
     ``DegenerateGridError`` it raised), which ``iwal`` and
     ``iwal-no-weights`` both read. Replay passes an empty dict, and the rows
     its trace labels as ``labeled``: an exact-ERM IWAL pass is then rebuilt
-    from them (``_exact_pass_from_labels``) instead of run forward.
+    from them (``_exact_pass_from_labels``) instead of run forward. A
+    header key that its strategy does not know is a ``TraceFormatError``
+    that names it.
     """
     strategy = _header_value(header, "strategy")
+    known = _HEADER_KEYS.get(strategy) if isinstance(strategy, str) else None
+    if known is None:
+        raise InvalidArgumentError(f"unknown strategy {strategy!r}")
+    _refuse_unknown_keys(header, known, "trace header")
     if strategy == RANDOM:
         return select_random(train, _header_value(header, "n"))
     if strategy == UNCERTAINTY:
@@ -332,8 +356,6 @@ def _select(train, header: Mapping, shared: dict, labeled=None) -> SelectionResu
                 passes=1,
             )
         return select_uncertainty(train, _header_value(header, "n"), shared[UNCERTAINTY])
-    if strategy not in (IWAL, IWAL_NO_WEIGHTS):
-        raise InvalidArgumentError(f"unknown strategy {strategy!r}")
     if header.get("log_base") is not None:  # older traces; null is the natural log
         raise TraceFormatError(f"trace header sets log_base {header['log_base']!r}; "
                                "the probability rule now uses the natural log only")
@@ -354,6 +376,10 @@ def _select(train, header: Mapping, shared: dict, labeled=None) -> SelectionResu
 
 def _run_repetition(config: ExperimentConfig, r: int,
                     table: CsvTable | None = None) -> _RepOutcome:
+    """Run and score every cell's pass of repetition ``r``. A traced run
+    writes a pass's trace for the first cell in ``_cells`` order that runs
+    it, so an ``iwal-no-weights`` cell, which trains on its ``iwal`` twin's
+    pass with unit weights, gets one only in a run without ``iwal``."""
     recipe = _recipe(config, r)
     pair = _draw_split(recipe, table)
     train, test = pair.train, pair.test
@@ -361,13 +387,14 @@ def _run_repetition(config: ExperimentConfig, r: int,
     counts = np.full(len(passes), np.nan)
     errors = np.full((len(passes), len(config.consumers)), np.nan)
     traces, shared = [], {}
+    untraced = IWAL_NO_WEIGHTS if IWAL in config.strategies else None
     for i, (label, header) in enumerate(passes):
         try:
             sel = _select(train, header, shared)
         except DegenerateGridError:
             continue  # no count, no trace, and a dropped fit in every consumer
         counts[i] = sel.selected_count
-        if config.save_traces:
+        if config.save_traces and sel.strategy != untraced:
             fname = f"trace_{sel.strategy}_{label.replace('=', '_')}_r{r:04d}.csv"
             traces.append((fname, trace_to_text(header, sel)))
         if sel.selected_count == 0:

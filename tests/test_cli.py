@@ -377,13 +377,18 @@ class TestReplay:
         self.monkeypatch = monkeypatch
 
     def _run_with_traces(self, tmp_path, gk_mode):
-        payload = {**MINIMAL_CONFIG,
-                   "strategies": ["random", "uncertainty", "iwal", "iwal-no-weights"],
-                   "c0_grid": [1.0], "save_traces": True, "iwal": {"gk_mode": gk_mode}}
-        cfg = write_config(tmp_path, payload)
-        out = tmp_path / "out"
-        assert main(["run", "--config", cfg, "--out-dir", str(out)]) == 0
-        traces = sorted((out / "traces").iterdir())
+        """The traces of a four-strategy run, in name order. A run writes
+        an iwal-no-weights cell's trace only when it has no iwal cell, so
+        those come from the same config without iwal."""
+        traces = []
+        for out, strategies in (("out", ["random", "uncertainty", "iwal", "iwal-no-weights"]),
+                                ("out-no-iwal", ["iwal-no-weights"])):
+            payload = {**MINIMAL_CONFIG, "strategies": strategies,
+                       "c0_grid": [1.0], "save_traces": True, "iwal": {"gk_mode": gk_mode}}
+            cfg = write_config(tmp_path, payload)
+            assert main(["run", "--config", cfg, "--out-dir", str(tmp_path / out)]) == 0
+            traces += (tmp_path / out / "traces").iterdir()
+        traces.sort(key=lambda t: t.name)
         assert sum("_iwal" in t.name for t in traces) == 4
         if gk_mode == "exact-erm":
             def no_pass(*args, **kwargs):
@@ -400,17 +405,22 @@ class TestReplay:
     def test_scaled_csv_traces_verify(self, tmp_path, capsys):
         data = tmp_path / "circle.csv"
         export_csv(make_dataset(DatasetSpec(kind="circle", n=240, circle_prob=0.05, seed=8)), data)
-        cfg = write_config(tmp_path, {
-            "dataset": {"kind": "csv", "path": str(data), "label_column": "label",
-                        "positive_values": ["1"], "schema": {"f0": "numeric", "f1": "numeric"}},
-            "test_prop": 0.25, "repetitions": 2, "n_grid": [20], "c0_grid": [0.1],
-            "strategies": ["random", "uncertainty", "iwal", "iwal-no-weights"],
-            "save_traces": True, "base_seed": 4,
-        })
-        out = tmp_path / "out"
-        assert main(["run", "--config", cfg, "--out-dir", str(out), "--quiet"]) == 0
+        traces = []
+        # the iwal-no-weights traces come from a run without iwal, as above
+        for out, strategies in (("out", ["random", "uncertainty", "iwal", "iwal-no-weights"]),
+                                ("out-no-iwal", ["iwal-no-weights"])):
+            cfg = write_config(tmp_path, {
+                "dataset": {"kind": "csv", "path": str(data), "label_column": "label",
+                            "positive_values": ["1"],
+                            "schema": {"f0": "numeric", "f1": "numeric"}},
+                "test_prop": 0.25, "repetitions": 2, "n_grid": [20], "c0_grid": [0.1],
+                "strategies": strategies, "save_traces": True, "base_seed": 4,
+            })
+            assert main(["run", "--config", cfg, "--out-dir", str(tmp_path / out),
+                         "--quiet"]) == 0
+            traces += (tmp_path / out / "traces").iterdir()
         capsys.readouterr()
-        traces = sorted((out / "traces").iterdir())
+        traces.sort(key=lambda t: t.name)
         assert len(traces) == 8
         for trace in traces:
             assert main(["replay", str(trace)]) == 0
@@ -593,6 +603,37 @@ class TestReplay:
         assert capsys.readouterr().err.splitlines()[-1] == (
             "trace error: trace header sets log_base 2; "
             "the probability rule now uses the natural log only")
+
+    @pytest.mark.parametrize("strategy", ["iwal", "iwal-no-weights"])
+    def test_header_unknown_keys_are_trace_error(self, tmp_path, capsys, gk_mode, strategy):
+        # a key the pass does not read, such as a floor, is refused by name, not ignored
+        traces = self._run_with_traces(tmp_path, gk_mode)
+        trace = [t for t in traces if f"_{strategy}_c0" in t.name][0]
+        self._edit_header(trace, lambda h: {**h, "p_min": 0.5, "c0_typo": 9})
+        assert main(["replay", str(trace)]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "trace error: trace header has unknown keys: c0_typo, p_min")
+
+    @pytest.mark.parametrize("strategy, key, value", [
+        ("random", "c0", 1.0), ("random", "selector_eta0", 0.3),
+        ("uncertainty", "gk_mode", "surrogate"), ("random", "log_base", None),
+    ])
+    def test_header_key_of_another_strategy_is_trace_error(self, tmp_path, capsys, strategy,
+                                                           key, value):
+        # only an IWAL header may carry a null log_base, an older trace's
+        traces = self._run_with_traces(tmp_path, "surrogate")
+        trace = [t for t in traces if f"_{strategy}_n" in t.name][0]
+        self._edit_header(trace, lambda h: {**h, key: value})
+        assert main(["replay", str(trace)]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"trace error: trace header has unknown keys: {key}")
+
+    def test_header_unknown_split_key_is_trace_error(self, tmp_path, capsys):
+        trace = [t for t in self._run_with_traces(tmp_path, "exact-erm") if "iwal_c0" in t.name][0]
+        self._edit_header(trace, lambda h: {**h, "split": {**h["split"], "stratify": True}})
+        assert main(["replay", str(trace)]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "trace error: trace header's split has unknown keys: stratify")
 
     def test_header_dataset_without_kind_is_trace_error(self, tmp_path, capsys, gk_mode):
         trace = [t for t in self._run_with_traces(tmp_path, gk_mode) if "iwal_c0" in t.name][0]

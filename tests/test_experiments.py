@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -566,9 +567,12 @@ class TestExactReplayDifferential:
             repetitions=1, strategies=("iwal", "iwal-no-weights"), c0_grid=(0.01, 0.1, 1.0),
             base_seed=90, gk_mode="exact-erm", erm_grid_resolution=16, save_traces=True,
         )
+        # a run writes the iwal-no-weights traces only when it has no iwal cell
+        traces = [*run_experiment(config).traces,
+                  *run_experiment(replace(config, strategies=("iwal-no-weights",))).traces]
         rng = np.random.default_rng(91)
         paths = []
-        for fname, text in run_experiment(config).traces:
+        for fname, text in traces:
             for name, edited in edited_traces(text, rng).items():
                 paths.append(tmp_path / f"{name}-{fname}")
                 paths[-1].write_text(edited)

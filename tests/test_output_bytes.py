@@ -1,9 +1,13 @@
 """Pinned sha256 of the files the lab writes.
 
 These hashes catch any change in the bytes of the curve, the report and
-one trace per strategy. The run covers all four strategies,
+one trace of each strategy, and the list of trace names catches a change
+in which traces a run writes. The run covers all four strategies,
 every consumer kind and exact-ERM ``g``, serially and in a process pool,
-where repetition outcomes reach the parent process pickled. The table
+where repetition outcomes reach the parent process pickled. It writes no
+``iwal-no-weights`` trace, since that cell trains on its ``iwal`` twin's
+pass with unit weights, so that trace is pinned from the same config
+without ``iwal``. The table
 pins cover the two categorical stand-ins and ``reuselab gen`` of every
 generated kind. Update a hash only in a change that means to alter that
 file's format or content.
@@ -42,22 +46,47 @@ EXPECTED = {
         "f8b3293f1ab1dfc3c8fb4856b9cd55c0ba614e50ea2f9492c58e70ecf95826d3",
     "traces/trace_iwal_c0_0.05_r0001.csv":
         "428aaed3932114a3714def15df3f5019f1923297e40634000947bd43576cac6c",
+}
+
+TRACE_NAMES = [
+    "trace_iwal_c0_0.05_r0000.csv", "trace_iwal_c0_0.05_r0001.csv",
+    "trace_random_n_30_r0000.csv", "trace_random_n_30_r0001.csv",
+    "trace_random_n_90_r0000.csv", "trace_random_n_90_r0001.csv",
+    "trace_uncertainty_n_30_r0000.csv", "trace_uncertainty_n_30_r0001.csv",
+    "trace_uncertainty_n_90_r0000.csv", "trace_uncertainty_n_90_r0001.csv",
+]
+
+NO_IWAL = {**CONFIG, "strategies": ["random", "uncertainty", "iwal-no-weights"]}
+
+NO_IWAL_EXPECTED = {
     "traces/trace_iwal-no-weights_c0_0.05_r0000.csv":
         "dd80719e1930db236ecec0ca68b1bdb891657257e2f35a11ce7ea659799790cd",
 }
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_run_output_bytes_are_pinned(tmp_path, jobs):
+def run_hashes(tmp_path, config, jobs, names):
+    """Run ``config`` at ``--jobs`` ``jobs``: the sha256 of each of ``names``
+    and the sorted names of the traces the run wrote."""
     cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps(CONFIG))
+    cfg.write_text(json.dumps(config))
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out-dir", str(out), "--quiet",
                  "--jobs", jobs]) == 0
-    got = {
-        name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in EXPECTED
-    }
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
+    return got, sorted(path.name for path in (out / "traces").iterdir())
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_run_output_bytes_are_pinned(tmp_path, jobs):
+    got, traces = run_hashes(tmp_path, CONFIG, jobs, EXPECTED)
     assert got == EXPECTED
+    assert traces == TRACE_NAMES
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_iwal_no_weights_trace_bytes_are_pinned(tmp_path, jobs):
+    got, _ = run_hashes(tmp_path, NO_IWAL, jobs, NO_IWAL_EXPECTED)
+    assert got == NO_IWAL_EXPECTED
 
 
 TABLES = {
