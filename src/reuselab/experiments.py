@@ -302,13 +302,6 @@ def _header_value(header, key: str, kind=object):
     return value
 
 
-def _refuse_unknown_keys(mapping: Mapping, known, where: str) -> None:
-    """A ``TraceFormatError`` that names every key of ``mapping`` outside ``known``."""
-    unknown = sorted(set(mapping) - known)
-    if unknown:
-        raise TraceFormatError(f"{where} has unknown keys: {', '.join(unknown)}")
-
-
 _SPLIT_KEYS = ("test_prop", "seed", "scale_numeric")
 # The keys a pass header may carry, by strategy. An older IWAL trace carries
 # "log_base", which _select reads only to refuse a value other than null.
@@ -318,6 +311,22 @@ _HEADER_KEYS = {RANDOM: _RECIPE_KEYS | {"n"}, UNCERTAINTY: _RECIPE_KEYS | {"n", 
                 IWAL: _IWAL_KEYS, IWAL_NO_WEIGHTS: _IWAL_KEYS}
 
 
+def _refuse_unknown_keys(header: Mapping) -> None:
+    """A ``TraceFormatError`` that names every key of a pass header, or of
+    its ``split``, that the header's strategy does not read. Replay checks
+    this before it draws the header's pool."""
+    strategy = _header_value(header, "strategy")
+    header_keys = _HEADER_KEYS.get(strategy) if isinstance(strategy, str) else None
+    if header_keys is None:
+        raise InvalidArgumentError(f"unknown strategy {strategy!r}")
+    split_info = _header_value(header, "split", Mapping)
+    for mapping, known, where in ((header, header_keys, "trace header"),
+                                  (split_info, set(_SPLIT_KEYS), "trace header's split")):
+        unknown = sorted(set(mapping) - known)
+        if unknown:
+            raise TraceFormatError(f"{where} has unknown keys: {', '.join(unknown)}")
+
+
 def _draw_split(recipe: Mapping, table: CsvTable | None = None) -> SplitPair:
     """The train/test pair that a recipe (a trace header, or ``_recipe``)
     names: the only route from a recipe to data. ``table``, if given, is
@@ -325,7 +334,6 @@ def _draw_split(recipe: Mapping, table: CsvTable | None = None) -> SplitPair:
     pool = table if table is not None else make_dataset(
         DatasetSpec.from_dict(_header_value(recipe, "dataset", Mapping)))
     split_info = _header_value(recipe, "split", Mapping)
-    _refuse_unknown_keys(split_info, set(_SPLIT_KEYS), "trace header's split")
     return split(pool, *(_header_value(split_info, key) for key in _SPLIT_KEYS))
 
 
@@ -337,15 +345,11 @@ def _select(train, header: Mapping, shared: dict, labeled=None) -> SelectionResu
     ``DegenerateGridError`` it raised), which ``iwal`` and
     ``iwal-no-weights`` both read. Replay passes an empty dict, and the rows
     its trace labels as ``labeled``: an exact-ERM IWAL pass is then rebuilt
-    from them (``_exact_pass_from_labels``) instead of run forward. A
-    header key that its strategy does not know is a ``TraceFormatError``
-    that names it.
+    from them (``_exact_pass_from_labels``) instead of run forward. The
+    header's strategy and keys are checked before: by ``_refuse_unknown_keys``
+    on replay, and by ``ExperimentConfig`` for a run's ``_pass_headers``.
     """
     strategy = _header_value(header, "strategy")
-    known = _HEADER_KEYS.get(strategy) if isinstance(strategy, str) else None
-    if known is None:
-        raise InvalidArgumentError(f"unknown strategy {strategy!r}")
-    _refuse_unknown_keys(header, known, "trace header")
     if strategy == RANDOM:
         return select_random(train, _header_value(header, "n"))
     if strategy == UNCERTAINTY:
@@ -711,6 +715,7 @@ def replay_trace(path) -> ReplayOutcome:
     header, text = read_trace(path)
     labeled = [i for i, row in enumerate(filter(None, text.split("\n")[2:])) if ",1,1," in row]
     try:
+        _refuse_unknown_keys(header)
         result = _select(_draw_split(header).train, header, {}, labeled)
     except InvalidArgumentError as exc:
         raise TraceFormatError(f"trace header has a bad value: {exc}") from exc

@@ -376,19 +376,23 @@ class TestReplay:
     def _keep_monkeypatch(self, monkeypatch):
         self.monkeypatch = monkeypatch
 
-    def _run_with_traces(self, tmp_path, gk_mode):
-        """The traces of a four-strategy run, in name order. A run writes
-        an iwal-no-weights cell's trace only when it has no iwal cell, so
-        those come from the same config without iwal."""
+    @staticmethod
+    def _traces_of(tmp_path, payload):
+        """The traces of ``payload`` run with all four strategies, in name
+        order. A run writes an iwal-no-weights cell's trace only when it has
+        no iwal cell, so those come from the same config without iwal."""
         traces = []
         for out, strategies in (("out", ["random", "uncertainty", "iwal", "iwal-no-weights"]),
                                 ("out-no-iwal", ["iwal-no-weights"])):
-            payload = {**MINIMAL_CONFIG, "strategies": strategies,
-                       "c0_grid": [1.0], "save_traces": True, "iwal": {"gk_mode": gk_mode}}
-            cfg = write_config(tmp_path, payload)
+            cfg = write_config(tmp_path, {**payload, "strategies": strategies,
+                                          "save_traces": True})
             assert main(["run", "--config", cfg, "--out-dir", str(tmp_path / out)]) == 0
             traces += (tmp_path / out / "traces").iterdir()
-        traces.sort(key=lambda t: t.name)
+        return sorted(traces, key=lambda t: t.name)
+
+    def _run_with_traces(self, tmp_path, gk_mode):
+        traces = self._traces_of(tmp_path, {**MINIMAL_CONFIG, "c0_grid": [1.0],
+                                            "iwal": {"gk_mode": gk_mode}})
         assert sum("_iwal" in t.name for t in traces) == 4
         if gk_mode == "exact-erm":
             def no_pass(*args, **kwargs):
@@ -405,22 +409,13 @@ class TestReplay:
     def test_scaled_csv_traces_verify(self, tmp_path, capsys):
         data = tmp_path / "circle.csv"
         export_csv(make_dataset(DatasetSpec(kind="circle", n=240, circle_prob=0.05, seed=8)), data)
-        traces = []
-        # the iwal-no-weights traces come from a run without iwal, as above
-        for out, strategies in (("out", ["random", "uncertainty", "iwal", "iwal-no-weights"]),
-                                ("out-no-iwal", ["iwal-no-weights"])):
-            cfg = write_config(tmp_path, {
-                "dataset": {"kind": "csv", "path": str(data), "label_column": "label",
-                            "positive_values": ["1"],
-                            "schema": {"f0": "numeric", "f1": "numeric"}},
-                "test_prop": 0.25, "repetitions": 2, "n_grid": [20], "c0_grid": [0.1],
-                "strategies": strategies, "save_traces": True, "base_seed": 4,
-            })
-            assert main(["run", "--config", cfg, "--out-dir", str(tmp_path / out),
-                         "--quiet"]) == 0
-            traces += (tmp_path / out / "traces").iterdir()
+        traces = self._traces_of(tmp_path, {
+            "dataset": {"kind": "csv", "path": str(data), "label_column": "label",
+                        "positive_values": ["1"], "schema": {"f0": "numeric", "f1": "numeric"}},
+            "test_prop": 0.25, "repetitions": 2, "n_grid": [20], "c0_grid": [0.1],
+            "base_seed": 4,
+        })
         capsys.readouterr()
-        traces.sort(key=lambda t: t.name)
         assert len(traces) == 8
         for trace in traces:
             assert main(["replay", str(trace)]) == 0
@@ -610,6 +605,12 @@ class TestReplay:
         traces = self._run_with_traces(tmp_path, gk_mode)
         trace = [t for t in traces if f"_{strategy}_c0" in t.name][0]
         self._edit_header(trace, lambda h: {**h, "p_min": 0.5, "c0_typo": 9})
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("replay drew the pool")
+
+        # named before the pool is drawn, however large a pool the header asks for
+        self.monkeypatch.setattr(experiments, "make_dataset", no_draw)
         assert main(["replay", str(trace)]) == 2
         assert capsys.readouterr().err.splitlines()[-1] == (
             "trace error: trace header has unknown keys: c0_typo, p_min")

@@ -6,8 +6,10 @@ train side. These hashes pin the bytes of the curve, the report and every
 trace of such a run, serially and in a process pool, on two tables: a
 mixed table written here (two numeric columns, one categorical column with
 declared levels in non-sorted order and one without) and the car-like
-stand-in. Every IWAL trace must also replay. Update a hash only in a
-change that means to alter the run's output.
+stand-in. A run with iwal writes no iwal-no-weights trace, so those come
+from the same run without iwal and are pinned together with the first
+run's traces. Every IWAL trace of both runs must also replay. Update a
+hash only in a change that means to alter the run's output.
 """
 
 import hashlib
@@ -77,10 +79,18 @@ EXPECTED = {
 }
 
 
-def traces_digest(folder):
+# The digest of the traces above together with those of the same run
+# without iwal: every trace of a run that wrote one per cell.
+EVERY_CELL_TRACES = {
+    "mixed": "e6b02a92f28e5dbff81ca7d5f7fb4d847ace505aa205178ba7b52a705ae0273f",
+    "car-like": "9362f77571a598988e48f8d7906d4e25c5a51c27bc8bb9996ec5566a9fda05c7",
+}
+
+
+def traces_digest(paths):
     """One sha256 over every trace's name and bytes, in name order."""
     digest = hashlib.sha256()
-    for path in sorted(folder.iterdir()):
+    for path in sorted(paths, key=lambda p: p.name):
         digest.update(path.name.encode() + b"\n" + path.read_bytes())
     return digest.hexdigest()
 
@@ -92,17 +102,22 @@ def test_csv_run_bytes_are_pinned(tmp_path, monkeypatch, capsys, table, jobs):
     monkeypatch.chdir(tmp_path)
     write, dataset = TABLES[table]
     write("table.csv")
-    Path("config.json").write_text(json.dumps({"dataset": dataset("table.csv"), **RUN}))
-    out = tmp_path / "out"
-    assert main(["run", "--config", "config.json", "--out-dir", str(out), "--quiet",
-                 "--jobs", jobs]) == 0
+    out, no_iwal = tmp_path / "out", tmp_path / "out-no-iwal"
+    # the iwal-no-weights cells share the iwal cells' passes, so their traces
+    # come from the same run without iwal
+    for folder, strategies in ((out, RUN["strategies"]), (no_iwal, ["iwal-no-weights"])):
+        Path("config.json").write_text(json.dumps(
+            {"dataset": dataset("table.csv"), **RUN, "strategies": strategies}))
+        assert main(["run", "--config", "config.json", "--out-dir", str(folder), "--quiet",
+                     "--jobs", jobs]) == 0
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
            for name in ("curve.csv", "report.csv")}
-    got["traces"] = traces_digest(out / "traces")
+    got["traces"] = traces_digest((out / "traces").iterdir())
     assert got == EXPECTED[table]
-    # one trace per IWAL pass: the iwal-no-weights cells share the iwal cells' passes
-    iwal = sorted((out / "traces").glob("trace_iwal*"))
-    assert len(iwal) == len(RUN["c0_grid"]) * RUN["repetitions"]
+    every_cell = [*(out / "traces").iterdir(), *(no_iwal / "traces").iterdir()]
+    assert traces_digest(every_cell) == EVERY_CELL_TRACES[table]
+    iwal = sorted(t for t in every_cell if t.name.startswith("trace_iwal"))
+    assert len(iwal) == 2 * len(RUN["c0_grid"]) * RUN["repetitions"]
     capsys.readouterr()
     for trace in iwal:
         assert main(["replay", str(trace)]) == 0

@@ -206,6 +206,8 @@ class TestRunExperiment:
             save_traces=True,
         )
         clean = run_experiment(config)
+        no_iwal = replace(config, strategies=("random", "iwal-no-weights"))
+        clean_no_iwal = {fname for fname, _ in run_experiment(no_iwal).traces}
         self.degenerate_at(monkeypatch, {1})
         iwal_seeds, ranker_fits = [], []
         select_iwal, fit_online_linear = experiments.select_iwal, experiments.fit_online_linear
@@ -233,9 +235,11 @@ class TestRunExperiment:
             else:
                 assert got.reps_dropped == want.reps_dropped + 1
         names = {fname for fname, _ in res.traces}
-        assert names == {fname for fname, _ in clean.traces} - {
-            "trace_iwal_c0_1.0_r0001.csv", "trace_iwal-no-weights_c0_1.0_r0001.csv",
-        }
+        assert names == {fname for fname, _ in clean.traces} - {"trace_iwal_c0_1.0_r0001.csv"}
+        # without iwal, the iwal-no-weights cell writes the pass's trace, and drops it alike
+        names = {fname for fname, _ in run_experiment(no_iwal).traces}
+        assert "trace_iwal-no-weights_c0_1.0_r0001.csv" in clean_no_iwal
+        assert names == clean_no_iwal - {"trace_iwal-no-weights_c0_1.0_r0001.csv"}
 
     def test_all_degenerate_iwal_passes_leave_an_empty_cell(self, monkeypatch):
         config = line_config(strategies=("random", "iwal", "iwal-no-weights"))
