@@ -401,8 +401,6 @@ def _run_repetition(config: ExperimentConfig, r: int,
         if config.save_traces and sel.strategy != untraced:
             fname = f"trace_{sel.strategy}_{label.replace('=', '_')}_r{r:04d}.csv"
             traces.append((fname, trace_to_text(header, sel)))
-        if sel.selected_count == 0:
-            continue
         x, y = train.x[sel.indices], train.y[sel.indices]
         for j, consumer in enumerate(config.consumers):
             try:

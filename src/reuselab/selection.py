@@ -281,12 +281,15 @@ def select_iwal(
     Lanes form: ``select_iwal(pools, configs)`` takes equal-length
     sequences of 1-D pools of one length and of surrogate configs, runs
     every pass in lockstep (see ``_iwal_lanes``) and returns one
-    ``SelectionResult`` per lane, each equal to its solo pass.
+    ``SelectionResult`` per lane, each equal to its solo pass. One builder,
+    ``_iwal_result``, turns every IWAL pass's g, p and labeled rows into its
+    selection: the solo loop's, each lane's and ``_exact_pass_from_labels``'s.
     """
     if not isinstance(train, Dataset):
         return _iwal_lanes(train, config)
     n = len(train)
-    uniforms = pass_uniforms(config.seed, n).tolist()
+    coins = pass_uniforms(config.seed, n)
+    uniforms = coins.tolist()
     schedule = inv_sqrt_schedule(config.selector_eta0)
     x = train.x
     labels = train.y.tolist()
@@ -305,8 +308,6 @@ def select_iwal(
         above_grid = above.reshape(offsets.shape)
 
     abs_score_sum = 0.0
-    picked: list[int] = []
-    weights: list[float] = []
     gs: list[float] = []
     probabilities: list[float] = []
     for idx in range(n):
@@ -333,8 +334,6 @@ def select_iwal(
         if uniforms[idx] < p:
             importance = 1.0 / p
             label = labels[idx]
-            picked.append(idx)
-            weights.append(importance)
             model = online_linear_update(model, features[idx], label, importance, schedule)
             if exact:
                 np.add(err, importance, out=err, where=~above if label == 1 else above)
@@ -342,13 +341,8 @@ def select_iwal(
                 best = None
         gs.append(g)
         probabilities.append(p)
-    return SelectionResult(
-        IWAL,
-        np.asarray(picked, dtype=np.intp),
-        np.asarray(weights, dtype=np.float64),
-        np.asarray(gs, dtype=np.float64),
-        np.asarray(probabilities, dtype=np.float64),
-    )
+    g, p = np.asarray(gs, dtype=np.float64), np.asarray(probabilities, dtype=np.float64)
+    return _iwal_result(g, p, coins < p)
 
 
 def _exact_pass_from_labels(train: Dataset, config: IwalConfig, labeled) -> SelectionResult:
@@ -413,8 +407,7 @@ def _exact_pass_from_labels(train: Dataset, config: IwalConfig, labeled) -> Sele
     p = np.ones(n)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         _probabilities(g[1:], float(config.c0), log_k, np.arange(1.0, n), out=p[1:])
-    picked = np.flatnonzero(pass_uniforms(config.seed, n) < p)
-    return SelectionResult(IWAL, picked, 1.0 / p[picked], g, p)
+    return _iwal_result(g, p, pass_uniforms(config.seed, n) < p)
 
 
 def _iwal_lanes(trains, configs) -> list[SelectionResult]:
@@ -479,11 +472,14 @@ def _iwal_lanes(trains, configs) -> list[SelectionResult]:
                     selectors[r] = online_linear_update(
                         selectors[r], x_list[r], label_list[r], 1.0 / p_list[r], schedules[r])
                     theta[r], bias[r], _ = selectors[r]
-    results = []
-    for g, p, hit in zip(gs, probabilities, selected):
-        indices = hit.nonzero()[0]
-        results.append(SelectionResult(IWAL, indices, 1.0 / p[indices], g, p))
-    return results
+    return [_iwal_result(g, p, hit) for g, p, hit in zip(gs, probabilities, selected)]
+
+
+def _iwal_result(g: np.ndarray, p: np.ndarray, selected: np.ndarray) -> SelectionResult:
+    """An IWAL pass's selection from its per-row ``g`` and ``p`` and the
+    rows its coins labeled: those rows in order, each with weight ``1 / p``."""
+    picked = np.flatnonzero(selected)
+    return SelectionResult(IWAL, picked, 1.0 / p[picked], g, p)
 
 
 def without_weights(result: SelectionResult) -> SelectionResult:

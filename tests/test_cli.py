@@ -167,6 +167,20 @@ class TestRun:
         assert manifest["base_seed"] == 3
         assert manifest["config"]["dataset"]["kind"] == "uniform-line"
 
+    def test_missing_n_grid_gets_the_default_grid(self, tmp_path):
+        payload = {k: v for k, v in MINIMAL_CONFIG.items() if k != "n_grid"}
+        cfg = write_config(tmp_path, {
+            **payload, "test_prop": 0.5, "strategies": ["random", "iwal"], "c0_grid": [1.0],
+            "consumers": [{"kind": "least-squares"}]})
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out-dir", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        grid = [10, 13, 17, 22, 28, 36, 46, 60, 77, 100]
+        assert manifest["n_train"] == 100 and manifest["config"]["n_grid"] == grid
+        rows = (out / "curve.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[2] for row in rows if row.startswith("random,")] == [
+            f"n={n}" for n in grid]
+
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, MINIMAL_CONFIG)
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
@@ -221,6 +235,12 @@ class TestRun:
         ("repetitions", 2.9, "repetitions must be an integer"),
         ("n_grid", [10, 10], "n_grid entries must be distinct"),
         ("c0_grid", [1.0, 1.0], "c0_grid entries must be distinct"),
+        ("consumers", [{"kind": "bogus"}], "bad consumer #0: unknown consumer kind 'bogus'"),
+        ("strategies", ["bogus"], "unknown strategies ['bogus']"),
+        ("strategies", [], "need at least one strategy"),
+        ("consumers", [], "need at least one consumer"),
+        ("consumers", [{"kind": "lda"}, {"kind": "lda"}], "consumer names must be unique"),
+        ("strategies", ["iwal"], "IWAL strategies need a non-empty c0_grid"),
     ])
     def test_bad_value_is_config_error(self, tmp_path, capsys, key, value, message):
         cfg = write_config(tmp_path, {**MINIMAL_CONFIG, key: value})
@@ -256,6 +276,28 @@ class TestRun:
         assert main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
         err = capsys.readouterr().err.splitlines()[-1]
         assert err == "config error: unknown keys in config.iwal: log_base"
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"dataset": ', "config is not valid JSON: Expecting value: line 1 column 13 (char 12)"),
+        (json.dumps({k: v for k, v in MINIMAL_CONFIG.items() if k != "dataset"}),
+         "config is missing required key 'dataset'"),
+    ], ids=["not-json", "no-dataset"])
+    def test_unreadable_config_is_config_error(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(text)
+        assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == f"config error: {message}"
+
+    def test_single_class_pool_is_an_error(self, tmp_path, capsys):
+        data = tmp_path / "one-class.csv"
+        data.write_text("a,label\n" + "".join(f"{v},n\n" for v in range(20)))
+        cfg = write_config(tmp_path, {
+            **MINIMAL_CONFIG, "n_grid": [5],
+            "dataset": {"kind": "csv", "path": str(data), "positive_values": ["y"],
+                        "schema": {"a": "numeric"}}})
+        assert main(["run", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: {data}: all rows map to a single class")
 
     def test_missing_config_is_io_error(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json"),
@@ -556,6 +598,7 @@ class TestReplay:
         ("split.scale_numeric", "no", "scale_numeric"),
         ("dataset.schema", {"f0": {"kind": "categorical", "levels": ["x", "x"]}}, "schema"),
         ("use_weights", "yes", "use_weights"), ("use_weights", 0, "use_weights"),
+        ("strategy", "bogus", "value: unknown strategy 'bogus'"),
     ])
     def test_header_bad_value_is_trace_error(self, tmp_path, capsys, gk_mode, path, value, named):
         trace = [t for t in self._run_with_traces(tmp_path, gk_mode) if "iwal_c0" in t.name][0]
@@ -669,6 +712,21 @@ class TestReplay:
         self.monkeypatch.setattr(experiments, "make_dataset", raise_out_of_memory)
         assert main(["replay", str(trace)]) == 1
         assert capsys.readouterr().err.splitlines()[-1] == OUT_OF_MEMORY_LINE
+
+    def test_header_not_json_is_trace_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad-header.csv"
+        bad.write_text('# reuselab-trace v1 {"strategy": \n')
+        assert main(["replay", str(bad)]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"trace error: {bad}: corrupt header: Expecting value: line 1 column 14 (char 13)")
+
+    def test_trace_without_its_column_row_is_trace_error(self, tmp_path, capsys):
+        trace = self._run_with_traces(tmp_path, "surrogate")[0]
+        lines = trace.read_text().split("\n")
+        trace.write_text("\n".join(lines[:1] + lines[2:]))
+        assert main(["replay", str(trace)]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"trace error: {trace}: missing column row")
 
     def test_corrupt_trace_is_usage_error(self, tmp_path):
         bad = tmp_path / "broken.csv"

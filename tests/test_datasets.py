@@ -78,6 +78,16 @@ class TestDataset:
         with pytest.raises(InvalidArgumentError, match="^features must be finite numbers$"):
             rl.Dataset(x, np.array([1, -1, 1]))
 
+    @pytest.mark.parametrize("x, y, metadata, match", [
+        (np.empty((0, 1)), [], {}, "dataset needs a non-empty"),
+        ([[0.1], [0.2]], [1, -1, 1], {}, "labels must align with instances"),
+        ([[0.1], [0.2]], [1, 0], {}, r"labels must be -1 or \+1"),
+        ([[0.1], [0.2]], [1, -1], {"feature_names": ("a", "b")}, "metadata must match dim"),
+    ], ids=["empty", "misaligned", "label-0", "metadata"])
+    def test_malformed_dataset_rejected(self, x, y, metadata, match):
+        with pytest.raises(InvalidArgumentError, match=match):
+            rl.Dataset(np.asarray(x), np.asarray(y), **metadata)
+
 
 class TestUniformLine:
     def test_sign_rule_and_shape(self):
@@ -124,6 +134,11 @@ class TestFourClusterLine:
         ds = rl.gen_four_cluster_line(20000, seed=8)
         assert ds.x.min() >= FOUR_CLUSTER_EDGES[0]
         assert ds.x.max() <= FOUR_CLUSTER_EDGES[-1]
+
+
+    def test_rejects_tiny_n(self):
+        with pytest.raises(InvalidArgumentError, match="n must be at least 4"):
+            rl.gen_four_cluster_line(3, seed=1)
 
 
 class TestCircle:
@@ -275,6 +290,21 @@ class TestLoadCsv:
         with pytest.raises(DataFormatError, match=r"duplicate column names \['a'\]"):
             rl.load_csv(path, "label", "y", {"a": "numeric"})
 
+    @pytest.mark.parametrize("content, schema, match", [
+        (b"a,label\n", {"a": "numeric"}, "no data rows"),
+        (b"a,b\n1,y\n2,n\n", {"a": "numeric"}, "no label column 'label'"),
+        (b"a,b,label\n1,2,y\n3,4,n\n", {"a": "numeric"}, "column 'b' missing from schema"),
+        (b"a,label\n1,y\n2,n\n", {"a": "numeric", "z": "numeric"},
+         "schema mentions unknown column 'z'"),
+        (b"a,label\ncaf\xe9,y\n2,n\n", {"a": "categorical"},
+         "'utf-8' codec can't decode byte 0xe9"),
+    ], ids=["no-rows", "no-label", "unlisted-column", "unknown-column", "not-utf8"])
+    def test_malformed_file_rejected(self, tmp_path, content, schema, match):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(content)
+        with pytest.raises(DataFormatError, match=match):
+            rl.load_csv(path, "label", "y", schema)
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
     def test_non_finite_numeric_value(self, tmp_path, value):
         path = tmp_path / "nonfinite.csv"
@@ -314,6 +344,11 @@ class TestSplit:
         for bad in (0.0, 1.0, 0.01, 0.99):
             with pytest.raises(InvalidArgumentError):
                 rl.split(ds, bad, seed=1)
+
+    def test_non_integer_seed_rejected(self):
+        ds = rl.gen_uniform_line(10, seed=18)
+        with pytest.raises(InvalidArgumentError, match="split seed must be an integer, not 1.5"):
+            rl.split(ds, 0.3, seed=1.5)
 
     def test_non_boolean_scale_numeric_rejected(self):
         ds = rl.gen_uniform_line(10, seed=18)
@@ -385,6 +420,16 @@ class TestSpecAndExport:
     def test_spec_without_kind_rejected(self):
         with pytest.raises(InvalidArgumentError, match="kind"):
             DatasetSpec.from_dict({"n": 10, "seed": 1})
+
+    @pytest.mark.parametrize("fields, match", [
+        ({"kind": "bogus", "n": 10}, "unknown dataset kind 'bogus'"),
+        ({"kind": "csv"}, "csv dataset spec needs a path"),
+        ({"kind": "circle", "n": 0}, "generated dataset spec needs n > 0"),
+        ({"kind": "circle", "n": 10, "seed": "1"}, "dataset seed must be an integer or null"),
+    ], ids=["kind", "csv-path", "n-0", "seed-string"])
+    def test_bad_spec_rejected(self, fields, match):
+        with pytest.raises(InvalidArgumentError, match=match):
+            DatasetSpec(**fields)
 
     def test_spec_rejects_unknown_keys(self):
         with pytest.raises(InvalidArgumentError):

@@ -326,6 +326,10 @@ class TestRunExperiment:
 
 
 ROOT = Path(__file__).resolve().parents[1]
+# sha256 of the stdout of demos/01_selection_probability.py: the probability
+# rule at hand-picked g, k and c0. Demos 03 and 04 (about 2 and 7 s) and 05
+# (minutes) are left out of this suite for their wall time.
+PROBABILITY_DEMO_SHA256 = "63a98babecdef5c21fdb061f6373893a0c099004bf0a781665e0544aa65b7ff5"
 # sha256 of the stdout of demos/02_density_of_selection.py: 150 surrogate runs
 # at two c0 values, so every pass goes through the lanes form of select_iwal
 DENSITY_DEMO_SHA256 = "a88a53ebfe36b4543754346e1348de8d4cb69e7b72fa0fac56fb650ae890f486"
@@ -336,6 +340,15 @@ LINE_DENSITY_BATCH = (rl.DatasetSpec(kind="uniform-line", n=1000), (1.0, 3.0, 10
                       1000)
 # the most runs density_histogram gives one lanes call at three c0 values
 GROUP_RUNS = experiments._DENSITY_LANES // len(DENSITY_C0S)
+
+
+def demo_stdout(name: str) -> bytes:
+    """The stdout of ``demos/<name>``, which must exit 0."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, str(ROOT / "demos" / name)],
+                          capture_output=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr.decode()
+    return done.stdout
 
 
 def solo_density_rows(spec, c0_list, runs, bins, base_seed, **knobs):
@@ -423,12 +436,13 @@ class TestDensityHistogram:
                                  **knobs)
         assert rows == solo_density_rows(spec, DENSITY_C0S, runs, 6, 13, **knobs)
 
+    def test_probability_demo_prints_its_pinned_text(self):
+        stdout = demo_stdout("01_selection_probability.py")
+        assert hashlib.sha256(stdout).hexdigest() == PROBABILITY_DEMO_SHA256
+
     def test_density_demo_prints_its_pinned_text(self):
-        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-        done = subprocess.run([sys.executable, str(ROOT / "demos" / "02_density_of_selection.py")],
-                              capture_output=True, env=env, timeout=300)
-        assert done.returncode == 0, done.stderr.decode()
-        assert hashlib.sha256(done.stdout).hexdigest() == DENSITY_DEMO_SHA256
+        stdout = demo_stdout("02_density_of_selection.py")
+        assert hashlib.sha256(stdout).hexdigest() == DENSITY_DEMO_SHA256
 
     def test_line_density_bench_batch_keeps_its_pinned_hash(self):
         # the first seed-1 batch of perfbench's line-density workload, its rows

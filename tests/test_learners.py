@@ -17,6 +17,7 @@ from reuselab.errors import (
     SingularDataError,
 )
 from reuselab.learners import (
+    Kernel,
     LinearModel,
     inv_sqrt_schedule,
     make_online_model,
@@ -223,6 +224,14 @@ class TestLearnerArguments:
     def test_nan_cost(self):
         with pytest.raises(InvalidArgumentError, match="cost"):
             rl.fit_svm(self.X, self.Y, self.W, cost=np.nan)
+
+    def test_online_model_without_features(self):
+        with pytest.raises(InvalidArgumentError, match="dim must be positive"):
+            make_online_model(0)
+
+    def test_unknown_kernel(self):
+        with pytest.raises(InvalidArgumentError, match="unknown kernel 'sigmoid'"):
+            Kernel("sigmoid")
 
     @pytest.mark.parametrize("passes", [0, -2, 1.0, True])
     def test_bad_passes(self, passes):

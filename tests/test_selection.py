@@ -100,6 +100,10 @@ class TestSelectionProbability:
         with pytest.raises(InvalidArgumentError, match="^c0 must be"):
             rl.IwalConfig(c0=math.inf)
 
+    def test_config_refuses_an_unknown_gk_mode(self):
+        with pytest.raises(InvalidArgumentError, match="^unknown gk_mode 'bogus'$"):
+            rl.IwalConfig(c0=1.0, gk_mode="bogus")
+
     @given(
         g1=st.floats(1e-6, 1e3), g2=st.floats(1e-6, 1e3),
         k=st.integers(2, 10**6), c0=st.floats(1e-9, 1e3),
@@ -472,6 +476,11 @@ class TestSelectUncertainty:
         res = rl.select_uncertainty(pool, 3, zero_model)
         assert np.array_equal(pool.x[res.indices], pool.x[:3])
 
+    def test_too_many_requested(self):
+        pool = rl.gen_uniform_line(10, seed=38)
+        with pytest.raises(InvalidArgumentError, match="cannot select 11 of 10 examples"):
+            rl.select_uncertainty(pool, 11, rl.make_online_model(1))
+
 
 class TestSelectIwal:
     def test_huge_c0_selects_everything_with_unit_weights(self):
@@ -519,6 +528,11 @@ class TestSelectIwal:
         assert a["probability"] == b["probability"]
         assert a["selected"] == b["selected"]
         assert all(w in (0.0, 1.0) for w in b["weight"])
+
+    def test_no_weights_variant_refuses_a_random_result(self):
+        train = rl.gen_uniform_line(20, seed=45)
+        with pytest.raises(InvalidArgumentError, match="only be stripped from an IWAL result"):
+            rl.without_weights(rl.select_random(train, 5))
 
     def test_same_seed_reproduces_pass(self):
         train = rl.gen_uniform_line(400, seed=47)
